@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -241,3 +242,42 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1 1 2 4\n"
+
+
+# sha256 of the exact stdout of every subcommand x format pair at small sizes;
+# csv and json bytes are a stable interface, and text output is pinned too
+GOLDEN_STDOUT = [
+    ("count -n 12", "863faff6d2a28517a29cf44dd92d85a8496ac287ee2871df0963c3943d87c232"),
+    ("count -n 12 --format csv", "d08bae7baa4eaf76bc6160db67543bfba9fb2042fc06373e822f427d0c1ddaeb"),
+    ("count -n 12 --format json", "268c8a523b0c79d7fed2499cd9981030659c5f79a5cee2a120deb37ab8f54e22"),
+    ("bounded -n 10 -l 2", "c601d7273fc00465e2bd6264dda0fa016975e921e4ceb98d8c3325f927117d63"),
+    ("bounded -n 10 -l 2 --format csv", "9cf226b119d40834f62ff28a75f1f8fbd900b6370a318d95eba5816b1c4df1a8"),
+    ("bounded -n 10 -l 2 --format json", "71df1e438e7bddb0bd64e407d4931477d2889ab81398740b7e6447c50f6253bb"),
+    ("bounded -n 8 -l 3 --table", "46bd20cd002ce6e7720862180845e3752010fb66ddd15d7c3f2b1d047ef96baa"),
+    ("bounded -n 8 -l 3 --table --format csv", "b6c9dfb1b8bab86d5c95b2484877a040570f94f05e9aa4679a24954484c89f52"),
+    ("bounded -n 8 -l 3 --table --format json", "aa5ae98b2bf5493206a3ff306d588e375eecd3820355aaf437d9494c8a62e72a"),
+    ("dist -n 10", "b44dfa179932712b365e3789f84dd3f86c42d2fb42621493b545aeb98143105b"),
+    ("dist -n 10 --format csv", "c9105d6b98f0094d723b835eba7de4ffc10eef249f72722ebdba04b1a80178e1"),
+    ("dist -n 10 --format json", "6ca0a1ea0e85f68a063e76c1bad001de5209c46124b4a7038703e408cb16418f"),
+    ("enumerate -n 6 --peakless", "df0e022223931c7aa4e09cd723d831cc6ce3cd3c6affef7f43d1a22ff6f99dab"),
+    ("enumerate -n 6 --peakless --format json", "67ab013eca7a704394a822698d7daf13e4e06187b1d7691106b36cec3e4c5761"),
+    ("enumerate -n 1 --end-level 2", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("asympt --kind count -n 50 -n 2000", "85c453b1d6451e684415bb6f6f349252466bca60f79ded5bbd6a509a1f6e7f8b"),
+    ("asympt --kind count -n 50 -n 2000 --format csv", "4778e99facc6926c362320d5db061ece202b93eb82c84d92120f9f02342feb5b"),
+    ("asympt --kind count -n 50 -n 2000 --format json", "bf42e175bcaee22b3482f44a4bd78277574ce7f4042d3b97e6ae2a973d72a701"),
+    ("asympt --kind avg_height -n 20 -n 40", "5a8c24ca60df70074dbea0e75fcdda710cc386d38fed26136c220a5b449e1c24"),
+    ("asympt --kind avg_height -n 20 -n 40 --format csv", "a89ca097790a74612e078653f54d4edef8fbdd8a12822398b008ca20690fcab5"),
+    ("asympt --kind avg_height -n 20 -n 40 --format json", "b0dc950da67619f478727c7790a0ff52fe3dd36146ca42da5dfb1058f5a85256"),
+    ("export bounded -n 6 -l 2", "dbb22c0ef6769003151da95999e31d21ebb30df0371037898feb988a3d9f2530"),
+    ("export bounded -n 6 -l 2 --method det --format json", "eba55c2a00045afc523e3e76eb0be6298748330d91119e5637e7c02995e658ae"),
+    ("export report --kind count -n 30", "6d2f1a63b3b522fb054cca4aa64ee92740fbcbffba5512684d590463045bea2c"),
+    ("export report --kind avg_height -n 30 --format json", "3fadbe782e2d2dd267b1cfc9a859e5e893dd1550093a3706025d0dc2b126d141"),
+    ("verify --format json", "7d8b51932668e8ac083fe0d59a05d248493804017056f8d7273a8da307b97ec1"),
+]
+
+
+@pytest.mark.parametrize("argv,sha256", GOLDEN_STDOUT, ids=[a for a, _ in GOLDEN_STDOUT])
+def test_golden_stdout_bytes(capsys, argv, sha256):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256, out
