@@ -22,11 +22,10 @@ Ratios are always computed in log space.  Converting a huge exact integer
 to a float would overflow; math.log takes arbitrary-size ints directly,
 so no manual mantissa splitting is needed.
 """
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
-from . import counting
+from . import counting, render
 from .errors import ResourceLimitError
 
 RHO = (3.0 - math.sqrt(5.0)) / 2.0
@@ -106,6 +105,9 @@ class ReportRow:
     ratio: float
 
 
+REPORT_HEADER = tuple(f.name for f in fields(ReportRow))
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Exact-versus-predicted table; ratios are recorded verbatim."""
@@ -114,30 +116,20 @@ class ConvergenceReport:
     tolerance: float
     rows: tuple
 
-    def to_csv(self):
-        def cell(value):
-            return value if isinstance(value, str) else repr(value)
+    def csv_rows(self):
+        """One (n, exact, predicted, ratio) tuple per row, REPORT_HEADER order."""
+        return [astuple(row) for row in self.rows]
 
-        lines = ["n,exact,predicted,ratio"]
-        for row in self.rows:
-            lines.append(f"{row.n},{cell(row.exact)},{cell(row.predicted)},{row.ratio!r}")
-        return "\n".join(lines) + "\n"
+    def payload(self):
+        """The report as the json object that `to_json` prints."""
+        rows = [asdict(row) for row in self.rows]
+        return {"kind": self.kind, "tolerance": self.tolerance, "rows": rows}
+
+    def to_csv(self):
+        return render.csv_text(REPORT_HEADER, self.csv_rows())
 
     def to_json(self):
-        payload = {
-            "kind": self.kind,
-            "tolerance": self.tolerance,
-            "rows": [
-                {
-                    "n": row.n,
-                    "exact": row.exact,
-                    "predicted": row.predicted,
-                    "ratio": row.ratio,
-                }
-                for row in self.rows
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return render.json_text(self.payload())
 
 
 def convergence_report(kind, n_values, count_cap=None, height_cap=None):

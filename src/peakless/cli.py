@@ -1,19 +1,21 @@
 """Command-line interface.
 
 Subcommands: count, bounded, dist, enumerate, verify, asympt, export.
-Text output is for humans; --format csv and --format json are stable
-machine formats whose bytes depend only on the flags.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 resource-cap error.
+Each handler computes its data once and returns a `render.Output`; `main`
+prints it in the requested format.  Text output is for humans; --format
+csv and --format json are stable machine formats whose bytes depend only
+on the flags.  Exit codes: 0 success, 1 verification failure or engine
+disagreement, 2 usage error, 3 resource-cap error.
 """
 import argparse
-import json
 import sys
 import time
 
-from . import asymptotics, counting, paths, verify
-from .errors import OracleLimitError, ResourceLimitError
+from . import asymptotics, counting, paths, render, verify
+from .errors import EngineDisagreement, OracleLimitError, ResourceLimitError
 
 CROSS_CHECK_LIMIT = 200  # count engines are cross-checked up to here
+FORMATS = ("text", "csv", "json")
 
 
 def _emit(text, out):
@@ -24,8 +26,8 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _json_text(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _table_payload(rows, **meta):
+    return dict(meta, rows=[{"n": n, "ell": l, "count": c} for n, l, c in rows])
 
 
 def cmd_count(args):
@@ -38,19 +40,16 @@ def cmd_count(args):
     ]
     if mismatches:
         i, a, b = mismatches[0]
-        sys.stderr.write(
+        raise EngineDisagreement(
             f"engine disagreement at n={i}: functional equation {a}, recurrence {b} "
-            f"({len(mismatches)} mismatching terms)\n"
+            f"({len(mismatches)} mismatching terms)"
         )
-        return 1
-    if args.format == "csv":
-        lines = ["n,count"] + [f"{i},{v}" for i, v in enumerate(values)]
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "json":
-        _emit(_json_text({"n_max": n, "counts": values}), args.out)
-    else:
-        _emit(" ".join(str(v) for v in values) + "\n", args.out)
-    return 0
+    return render.Output(
+        text=lambda: " ".join(map(str, values)) + "\n",
+        payload={"n_max": n, "counts": values},
+        header=("n", "count"),
+        rows=enumerate(values),
+    )
 
 
 def cmd_bounded(args):
@@ -60,67 +59,46 @@ def cmd_bounded(args):
         det = counting.bounded_series_det(bound, n)
         if det != cf:
             bad = next(i for i in range(n + 1) if det[i] != cf[i])
-            sys.stderr.write(
+            raise EngineDisagreement(
                 f"engine disagreement at n={bad}, bound={bound}: "
-                f"ladder {cf[bad]}, determinant {det[bad]}\n"
+                f"ladder {cf[bad]}, determinant {det[bad]}"
             )
-            return 1
     if args.table:
         rows = counting.bounded_count_table(n, bound)
-        if args.format == "csv":
-            _emit(counting.bounded_table_csv(rows), args.out)
-        elif args.format == "json":
-            _emit(
-                _json_text(
-                    {
-                        "n_max": n,
-                        "l_max": bound,
-                        "rows": [{"n": r[0], "ell": r[1], "count": r[2]} for r in rows],
-                    }
-                ),
-                args.out,
-            )
-        else:
-            lines = []
-            for l in range(bound + 1):
-                row = [str(c) for (rn, rl, c) in rows if rl == l]
-                lines.append(f"l={l}: " + " ".join(row))
-            _emit("\n".join(lines) + "\n", args.out)
-        return 0
+        # rows run n-major, so column l is every (bound + 1)-th row from l
+        return render.Output(
+            text=lambda: "".join(
+                f"l={l}: " + " ".join(str(c) for _, _, c in rows[l :: bound + 1]) + "\n"
+                for l in range(bound + 1)
+            ),
+            payload=_table_payload(rows, n_max=n, l_max=bound),
+            header=counting.TABLE_HEADER,
+            rows=rows,
+        )
     values = list(cf.coeffs)
-    if args.format == "csv":
-        lines = ["n,ell,count"] + [f"{i},{bound},{v}" for i, v in enumerate(values)]
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "json":
-        _emit(_json_text({"n_max": n, "bound": bound, "counts": values}), args.out)
-    else:
-        _emit(" ".join(str(v) for v in values) + "\n", args.out)
-    return 0
+    return render.Output(
+        text=lambda: " ".join(map(str, values)) + "\n",
+        payload={"n_max": n, "bound": bound, "counts": values},
+        header=counting.TABLE_HEADER,
+        rows=((i, bound, v) for i, v in enumerate(values)),
+    )
 
 
 def cmd_dist(args):
     stats = counting.height_distribution(args.order)
-    if args.format == "csv":
-        lines = ["height,count"] + [
-            f"{h},{c}" for h, c in enumerate(stats.distribution)
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "json":
-        _emit(
-            _json_text(
-                {
-                    "n": stats.n,
-                    "distribution": list(stats.distribution),
-                    "expected_height": str(stats.expected_height),
-                    "expected_height_float": stats.expected_height_float,
-                }
-            ),
-            args.out,
-        )
-    else:
-        pairs = " ".join(f"{h}:{c}" for h, c in enumerate(stats.distribution))
-        _emit(f"{pairs}  E[H]={stats.expected_height}\n", args.out)
-    return 0
+    pairs = list(enumerate(stats.distribution))
+    return render.Output(
+        text=lambda: " ".join(f"{h}:{c}" for h, c in pairs)
+        + f"  E[H]={stats.expected_height}\n",
+        payload={
+            "n": stats.n,
+            "distribution": list(stats.distribution),
+            "expected_height": str(stats.expected_height),
+            "expected_height_float": stats.expected_height_float,
+        },
+        header=("height", "count"),
+        rows=pairs,
+    )
 
 
 def cmd_enumerate(args):
@@ -130,11 +108,10 @@ def cmd_enumerate(args):
         end_level=args.end_level,
     )
     walked = list(paths.enumerate_paths(args.order, constraints, cap=args.oracle_cap))
-    if args.format == "json":
-        _emit(_json_text({"n": args.order, "paths": walked}), args.out)
-    else:
-        _emit("\n".join(walked) + "\n" if walked else "", args.out)
-    return 0
+    return render.Output(
+        text=lambda: "\n".join(walked) + "\n" if walked else "",
+        payload={"n": args.order, "paths": walked},
+    )
 
 
 def cmd_verify(args):
@@ -142,15 +119,8 @@ def cmd_verify(args):
     results = verify.run_checks(args.level)
     elapsed = time.perf_counter() - start
     failures = [r for r in results if not r["ok"]]
-    if args.format == "json":
-        # no timing here: json output is byte-stable for identical flags
-        _emit(
-            _json_text(
-                {"level": args.level, "results": results, "failures": failures}
-            ),
-            args.out,
-        )
-    else:
+
+    def text():
         lines = []
         for r in results:
             mark = "PASS" if r["ok"] else "FAIL"
@@ -163,53 +133,52 @@ def cmd_verify(args):
         text = "\n".join(lines) + "\n"
         if failures:
             # machine-readable failure list on top of the human summary
-            text += _json_text({"failures": failures})
-        _emit(text, args.out)
-    return 1 if failures else 0
+            text += render.json_text({"failures": failures})
+        return text
+
+    return render.Output(
+        text=text,
+        # no timing here: json output is byte-stable for identical flags
+        payload={"level": args.level, "results": results, "failures": failures},
+        code=1 if failures else 0,
+    )
 
 
-def _report(args):
-    return asymptotics.convergence_report(
+def cmd_asympt(args):
+    report = asymptotics.convergence_report(
         args.kind,
         args.order,
         count_cap=args.count_cap,
         height_cap=args.height_cap,
     )
 
-
-def cmd_asympt(args):
-    report = _report(args)
-    if args.format == "csv":
-        _emit(report.to_csv(), args.out)
-    elif args.format == "json":
-        _emit(report.to_json(), args.out)
-    else:
+    def text():
         lines = [f"kind={report.kind} tolerance={report.tolerance}"]
         for row in report.rows:
             lines.append(
                 f"n={row.n} exact={row.exact} predicted={row.predicted} ratio={row.ratio:.6f}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return "\n".join(lines) + "\n"
+
+    return render.Output(
+        text=text,
+        payload=report.payload(),
+        header=asymptotics.REPORT_HEADER,
+        rows=report.csv_rows(),
+    )
 
 
 def cmd_export(args):
-    if args.what == "bounded":
-        rows = counting.bounded_count_table(args.order, args.bound, method=args.method)
-        if args.format == "json":
-            payload = {
-                "n_max": args.order,
-                "l_max": args.bound,
-                "method": args.method,
-                "rows": [{"n": r[0], "ell": r[1], "count": r[2]} for r in rows],
-            }
-            _emit(_json_text(payload), args.out)
-        else:
-            _emit(counting.bounded_table_csv(rows), args.out)
-    else:
-        report = _report(args)
-        _emit(report.to_json() if args.format == "json" else report.to_csv(), args.out)
-    return 0
+    if args.what == "report":
+        return cmd_asympt(args)
+    rows = counting.bounded_count_table(args.order, args.bound, method=args.method)
+    return render.Output(
+        payload=_table_payload(
+            rows, n_max=args.order, l_max=args.bound, method=args.method
+        ),
+        header=counting.TABLE_HEADER,
+        rows=rows,
+    )
 
 
 def build_parser():
@@ -219,15 +188,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order_help, default_format="text"):
-        p.add_argument("-n", "--order", type=int, required=True, help=order_help)
+    def output_options(p, formats=FORMATS):
         p.add_argument(
             "--format",
-            choices=("text", "csv", "json"),
-            default=default_format,
+            choices=formats,
+            default=formats[0],
             help="output format (default %(default)s)",
         )
         p.add_argument("--out", help="write output to this file instead of stdout")
+
+    def common(p, order_help, formats=FORMATS):
+        p.add_argument("-n", "--order", type=int, required=True, help=order_help)
+        output_options(p, formats)
 
     p = sub.add_parser("count", help="peakless Motzkin counts m(0..n)")
     common(p, "largest length n")
@@ -246,7 +218,7 @@ def build_parser():
     p.set_defaults(handler=cmd_dist)
 
     p = sub.add_parser("enumerate", help="list paths in the U/D/F text format")
-    common(p, "path length n")
+    common(p, "path length n", formats=("text", "json"))
     p.add_argument("--peakless", action="store_true", help="forbid UD factors")
     p.add_argument("-l", "--bound", type=int, default=None, help="height bound")
     p.add_argument("--end-level", type=int, default=0, help="required final level")
@@ -263,10 +235,7 @@ def build_parser():
     p.add_argument(
         "--level", choices=("quick", "full"), default="quick", help="suite size"
     )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    p.add_argument("--out", help="write output to this file instead of stdout")
+    output_options(p, formats=("text", "json"))
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("asympt", help="exact versus predicted convergence report")
@@ -285,10 +254,7 @@ def build_parser():
     p.add_argument(
         "--height-cap", type=int, default=None, help="budget for avg_height rows"
     )
-    p.add_argument(
-        "--format", choices=("text", "csv", "json"), default="text", help="output format"
-    )
-    p.add_argument("--out", help="write output to this file instead of stdout")
+    output_options(p)
     p.set_defaults(handler=cmd_asympt)
 
     p = sub.add_parser("export", help="write a table in its stable schema")
@@ -299,8 +265,7 @@ def build_parser():
     p.add_argument("--kind", choices=("count", "avg_height"), default="count")
     p.add_argument("--count-cap", type=int, default=None)
     p.add_argument("--height-cap", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="write output to this file instead of stdout")
+    output_options(p, formats=("csv", "json"))
     p.set_defaults(handler=cmd_export)
 
     return parser
@@ -316,7 +281,12 @@ def main(argv=None):
             parser.error("export bounded takes exactly one -n")
         args.order = args.order[0]
     try:
-        return args.handler(args)
+        output = args.handler(args)
+        _emit(render.render(output, args.format), args.out)
+        return output.code
+    except EngineDisagreement as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 1
     except (OracleLimitError, ResourceLimitError) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3

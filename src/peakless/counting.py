@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import render
 from .series import Series, poly_divide_series, poly_mul, poly_neg, poly_sub
 
 # kernel of the end-level recursion: z u^2 + (z - z^2 - 1) u + z
@@ -46,6 +47,8 @@ KERNEL_U1 = (-1, 1, -1)
 KERNEL_U0 = (0, 1)
 
 PEAKLESS_INITIAL = (1, 1, 1, 2)
+
+TABLE_HEADER = ("n", "ell", "count")  # csv columns of bounded_count_table rows
 
 # numerators of the continued fraction for F: a leading z, then the
 # repeating block z, z, z^3 (each written as polynomial coefficients)
@@ -259,9 +262,7 @@ def bounded_count_table(n_max, l_max, method="cf"):
 
 def bounded_table_csv(rows):
     """Render (n, l, count) rows in the stable CSV schema."""
-    lines = ["n,ell,count"]
-    lines.extend(f"{n},{l},{count}" for n, l, count in rows)
-    return "\n".join(lines) + "\n"
+    return render.csv_text(TABLE_HEADER, rows)
 
 
 @dataclass(frozen=True)

@@ -7,3 +7,7 @@ class OracleLimitError(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """An exact computation was asked to exceed its configured budget."""
+
+
+class EngineDisagreement(RuntimeError):
+    """Two independent engines computed different values for one quantity."""

@@ -10,46 +10,18 @@ paths, bounded height, chosen end level) is then a partial sum of table
 cells.  Counts fit int64 comfortably for any length the cap allows
 (3^16 ~ 4.3e7 sequences).
 
-Two interchangeable kernels exist: a numba @njit loop and a pure-numpy
-batched fallback.  Selection order: the PEAKLESS_ORACLE_BACKEND
-environment variable ("numba", "numpy", or "auto"), else numba when it is
-importable, else numpy.  `benchmarks/bench_oracle.py` times one against
-the other.
+The scan is batched numpy; `_classify_python_loop` is a plain-Python
+reference that the tests hold it to.
 
 Step digit coding, shared with the enumeration order in `paths`:
 0 = flat, 1 = up, 2 = down.
 """
-import os
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import OracleLimitError
 from .paths import PathConstraints, oracle_cap
-
-BACKEND_ENV = "PEAKLESS_ORACLE_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-
-def resolve_backend(backend=None):
-    """Pick 'numba' or 'numpy' from an explicit request or the environment."""
-    choice = backend or os.environ.get(BACKEND_ENV, "auto")
-    choice = choice.lower()
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown oracle backend {choice!r}")
 
 
 def _classify_numpy(n, batch=1 << 19):
@@ -81,7 +53,7 @@ def _classify_numpy(n, batch=1 << 19):
 
 
 def _classify_python_loop(n):
-    # reference loop; the numba kernel compiles exactly this
+    # reference loop, one sequence at a time; used by the tests only
     counts = np.zeros((2, n + 1, n + 1), dtype=np.int64)
     if n == 0:
         counts[1, 0, 0] = 1
@@ -118,29 +90,20 @@ def _classify_python_loop(n):
     return counts
 
 
-if HAVE_NUMBA:
-    _classify_njit = njit(cache=True)(_classify_python_loop)
-
-
 @lru_cache(maxsize=64)
-def _classification_cached(n, backend):
-    if backend == "numba":
-        table = _classify_njit(n)
-    else:
-        table = _classify_numpy(n)
+def _classification_cached(n):
+    table = _classify_numpy(n)
     table.setflags(write=False)
     return table
 
 
-def classification_table(n, backend=None):
+def classification_table(n):
     """Counts of valid length-n prefixes binned by peaklessness, end, height.
 
     Parameters
     ----------
     n : int
         Sequence length; must not exceed the brute-force cap.
-    backend : str, optional
-        "numba", "numpy", or "auto"; default reads PEAKLESS_ORACLE_BACKEND.
 
     Returns
     -------
@@ -150,10 +113,10 @@ def classification_table(n, backend=None):
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    return _classification_cached(n, resolve_backend(backend))
+    return _classification_cached(n)
 
 
-def brute_force_count(n, constraints=None, cap=None, backend=None):
+def brute_force_count(n, constraints=None, cap=None):
     """Number of length-n paths satisfying the constraints, by full scan."""
     if constraints is None:
         constraints = PathConstraints()
@@ -162,7 +125,7 @@ def brute_force_count(n, constraints=None, cap=None, backend=None):
         raise OracleLimitError(
             f"oracle limit: length {n} exceeds brute-force cap {limit}"
         )
-    table = classification_table(n, backend)
+    table = classification_table(n)
     if constraints.end_level > n:
         return 0
     layers = table[1:] if constraints.peakless else table
@@ -171,14 +134,14 @@ def brute_force_count(n, constraints=None, cap=None, backend=None):
     return int(per_height[: top + 1].sum())
 
 
-def height_counts(n, peakless=False, end_level=0, cap=None, backend=None):
+def height_counts(n, peakless=False, end_level=0, cap=None):
     """Counts of length-n paths by exact height, as a plain list."""
     limit = oracle_cap() if cap is None else cap
     if n > limit:
         raise OracleLimitError(
             f"oracle limit: length {n} exceeds brute-force cap {limit}"
         )
-    table = classification_table(n, backend)
+    table = classification_table(n)
     if end_level > n:
         return [0]
     layers = table[1:] if peakless else table

@@ -15,6 +15,7 @@ import itertools
 from fractions import Fraction
 
 from . import counting, oracle, paths
+from .errors import OracleLimitError, ResourceLimitError
 from .series import Series
 
 QUICK_N, QUICK_L = 10, 4
@@ -237,11 +238,19 @@ def checks_for_level(level):
 
 
 def run_checks(level="quick"):
-    """Run the suite; returns [{"check", "ok", "detail"}, ...] in order."""
+    """Run the suite; returns [{"check", "ok", "detail"}, ...] in order.
+
+    A check that raises counts as failed, except when a cap or budget stops
+    it: OracleLimitError and ResourceLimitError propagate.
+    """
+    checks = checks_for_level(level)
+    paths.oracle_cap()  # a malformed PEAKLESS_ORACLE_CAP is a usage error (exit 2)
     results = []
-    for name, fn in checks_for_level(level):
+    for name, fn in checks:
         try:
             ok, detail = fn()
+        except (OracleLimitError, ResourceLimitError):
+            raise  # a budget stopped the suite: exit 3, not a failed check
         except Exception as exc:  # a crashing engine is a failing check
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         results.append({"check": name, "ok": ok, "detail": detail})

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import peakless
 from peakless import counting, oracle
 from peakless.cli import main
 from peakless.paths import PathConstraints
@@ -43,6 +47,22 @@ def test_count_csv_and_json(capsys):
     code, out, _ = run_cli(capsys, "count", "-n", "3", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"n_max": 3, "counts": [1, 1, 1, 2]}
+
+
+def test_count_past_int_str_digit_limit(capsys):
+    # m(1600) has 664 digits; the CLI prints it even under a 640-digit limit
+    # and leaves the limit as it found it
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run_cli(capsys, "count", "-n", "1600")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 0
+    n = 1600  # closed form m(n) = sum_k C(n-k, k) C(n-k-1, k) / (k+1)
+    want = sum(comb(n - k, k) * comb(n - k - 1, k) // (k + 1) for k in range(n // 2 + 1))
+    assert int(out.split()[-1]) == want
 
 
 def test_count_cross_checks_engines(capsys, monkeypatch):
@@ -122,6 +142,12 @@ def test_enumerate(capsys):
     assert out == "FFFF\n"
 
 
+def test_enumerate_rejects_csv(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["enumerate", "-n", "4", "--format", "csv"])
+    assert info.value.code == 2
+
+
 def test_enumerate_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "enumerate", "-n", "20", "--peakless")
     assert code == 3
@@ -163,6 +189,23 @@ def test_verify_failure_lists_machine_readable(capsys, monkeypatch):
     blob = out[out.index("{") :]
     failures = json.loads(blob)["failures"]
     assert any("bounded_series_det" in f["detail"] for f in failures)
+
+
+def test_verify_oracle_cap_exits_3(capsys, monkeypatch):
+    # the five-way check needs the oracle at n = 10; a cap of 5 stops it
+    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "5")
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 3
+    assert "cap" in err
+    assert out == ""
+
+
+def test_verify_malformed_oracle_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "abc")
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 2
+    assert "error" in err
+    assert out == ""
 
 
 def test_asympt_text_and_csv(capsys):
@@ -235,10 +278,15 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same checkout as this test run, installed or not
+    src = str(Path(peakless.__file__).parent.parent)
+    search = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search))
     proc = subprocess.run(
         [sys.executable, "-m", "peakless", "count", "-n", "4"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1 1 2 4\n"

@@ -9,9 +9,7 @@ from peakless.paths import PathConstraints, enumerate_paths
 def test_backends_agree_with_reference_loop():
     for n in range(9):
         reference = oracle._classify_python_loop(n)
-        assert np.array_equal(oracle.classification_table(n, "numpy"), reference)
-        if oracle.HAVE_NUMBA:
-            assert np.array_equal(oracle.classification_table(n, "numba"), reference)
+        assert np.array_equal(oracle.classification_table(n), reference)
 
 
 def test_numpy_batching_boundaries():
@@ -65,22 +63,7 @@ def test_cap_enforced(monkeypatch):
         oracle.height_counts(4)
 
 
-def test_backend_resolution(monkeypatch):
-    assert oracle.resolve_backend("numpy") == "numpy"
-    monkeypatch.setenv(oracle.BACKEND_ENV, "numpy")
-    assert oracle.resolve_backend() == "numpy"
-    monkeypatch.delenv(oracle.BACKEND_ENV)
-    assert oracle.resolve_backend() in ("numba", "numpy")
-    with pytest.raises(ValueError):
-        oracle.resolve_backend("fortran")
-    monkeypatch.setattr(oracle, "HAVE_NUMBA", False)
-    assert oracle.resolve_backend() == "numpy"
-    with pytest.raises(RuntimeError):
-        oracle.resolve_backend("numba")
-
-
-def test_backend_env_is_read_per_call(monkeypatch):
-    monkeypatch.setenv(oracle.BACKEND_ENV, "numpy")
+def test_classification_table_is_read_only():
     table = oracle.classification_table(6)
     assert table[1, 0, :].sum() == 17  # m(6)
     assert not table.flags.writeable
