@@ -15,6 +15,7 @@ from . import asymptotics, counting, paths, render, verify
 from .errors import EngineDisagreement, OracleLimitError, ResourceLimitError
 
 CROSS_CHECK_LIMIT = 200  # count engines are cross-checked up to here
+MISMATCHES_SHOWN = 5  # a disagreement lists at most this many indices
 FORMATS = ("text", "csv", "json")
 
 
@@ -26,6 +27,18 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+def _disagreement(where, names, first, second):
+    """EngineDisagreement naming how many indices differ and the first few."""
+    bad = [i for i, (a, b) in enumerate(zip(first, second)) if a != b]
+    shown = "; ".join(
+        f"n={i}: {names[0]} {first[i]}, {names[1]} {second[i]}"
+        for i in bad[:MISMATCHES_SHOWN]
+    )
+    return EngineDisagreement(
+        f"engine disagreement{where}: {len(bad)} mismatching terms, first {shown}"
+    )
+
+
 def _table_payload(rows, **meta):
     return dict(meta, rows=[{"n": n, "ell": l, "count": c} for n, l, c in rows])
 
@@ -35,14 +48,9 @@ def cmd_count(args):
     values = counting.peakless_recurrence(n)
     check_to = min(n, CROSS_CHECK_LIMIT)
     series = counting.peakless_series(check_to)
-    mismatches = [
-        (i, series[i], values[i]) for i in range(check_to + 1) if series[i] != values[i]
-    ]
-    if mismatches:
-        i, a, b = mismatches[0]
-        raise EngineDisagreement(
-            f"engine disagreement at n={i}: functional equation {a}, recurrence {b} "
-            f"({len(mismatches)} mismatching terms)"
+    if series != values[: check_to + 1]:
+        raise _disagreement(
+            "", ("functional equation", "recurrence"), series, values[: check_to + 1]
         )
     return render.Output(
         text=lambda: " ".join(map(str, values)) + "\n",
@@ -58,10 +66,8 @@ def cmd_bounded(args):
     if bound >= 1:
         det = counting.bounded_series_det(bound, n)
         if det != cf:
-            bad = next(i for i in range(n + 1) if det[i] != cf[i])
-            raise EngineDisagreement(
-                f"engine disagreement at n={bad}, bound={bound}: "
-                f"ladder {cf[bad]}, determinant {det[bad]}"
+            raise _disagreement(
+                f" for bound={bound}", ("ladder", "determinant"), cf.coeffs, det.coeffs
             )
     if args.table:
         rows = counting.bounded_count_table(n, bound)
@@ -261,8 +267,9 @@ def build_parser():
     p.add_argument("what", choices=("bounded", "report"), help="which table")
     p.add_argument("-n", "--order", type=int, action="append", required=True)
     p.add_argument("-l", "--bound", type=int, default=None)
-    p.add_argument("--method", choices=("cf", "det", "dp"), default="cf")
-    p.add_argument("--kind", choices=("count", "avg_height"), default="count")
+    # None marks an option as not given: each table rejects the other's options
+    p.add_argument("--method", choices=("cf", "det", "dp"), default=None)
+    p.add_argument("--kind", choices=("count", "avg_height"), default=None)
     p.add_argument("--count-cap", type=int, default=None)
     p.add_argument("--height-cap", type=int, default=None)
     output_options(p, formats=("csv", "json"))
@@ -271,19 +278,39 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "export" and args.what == "bounded":
+def _check_export(parser, args):
+    # each table rejects the options only the other one reads, then fills
+    # in its own defaults
+    if args.what == "bounded":
+        foreign = (
+            ("--kind", args.kind),
+            ("--count-cap", args.count_cap),
+            ("--height-cap", args.height_cap),
+        )
+    else:
+        foreign = (("-l/--bound", args.bound), ("--method", args.method))
+    for flag, value in foreign:
+        if value is not None:
+            parser.error(f"export {args.what} does not take {flag}")
+    if args.what == "bounded":
         if args.bound is None:
             parser.error("export bounded requires -l/--bound")
         if len(args.order) != 1:
             parser.error("export bounded takes exactly one -n")
         args.order = args.order[0]
+        args.method = args.method or "cf"
+    else:
+        args.kind = args.kind or "count"
+
+
+def main(argv=None):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "export":
+        _check_export(parser, args)
     try:
         output = args.handler(args)
-        _emit(render.render(output, args.format), args.out)
-        return output.code
+        text = render.render(output, args.format)
     except EngineDisagreement as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
@@ -293,6 +320,12 @@ def main(argv=None):
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    return output.code
 
 
 if __name__ == "__main__":

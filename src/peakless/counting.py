@@ -7,7 +7,8 @@ quantity is computed by at least two independent routes so the engines can
 cross-check each other and the brute-force oracle:
 
 * `peakless_series`: F(z) = sum m(n) z^n as the unique power-series root
-  of z^2 F^2 - (1 - z + z^2) F + 1 = 0, found by fixed-point iteration.
+  of z^2 F^2 - (1 - z + z^2) F + 1 = 0, its coefficients read off the
+  equation one at a time (O(n^2) products) into a grow-only cache.
 * `peakless_recurrence`: the holonomic recurrence
   n m(n) - (2n+3) m(n+1) - (n+3) m(n+2) - (2n+9) m(n+3) + (n+6) m(n+4) = 0
   with exact division at every step.
@@ -36,7 +37,6 @@ length at which a path can touch level l + 1.
 """
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import render
 from .series import Series, poly_divide_series, poly_mul, poly_neg, poly_sub
@@ -68,24 +68,34 @@ def motzkin_numbers(n_max):
     return m
 
 
-@lru_cache(maxsize=32)
+# grow-only prefix f_0, f_1, ... of F, shared by every engine that reads F;
+# f_0 = 1 and f_1 = f_0 are the z^0 and z^1 terms of the equation
+_F_PREFIX = [1, 1]
+
+
 def _peakless_coeffs(order):
-    # F = (1 + z^2 F^2) / (1 - z + z^2); the map is a contraction that
-    # fixes two more coefficients per pass, so order + 2 passes suffice.
-    inv_q = Series((1, -1, 1), order).inverse()
-    one = Series.one(order)
-    f = one
-    for _ in range(order + 2):
-        nxt = (one + (f * f).shift(2)) * inv_q
-        if nxt == f:
-            return f.coeffs
-        f = nxt
-    raise ArithmeticError("functional-equation iteration failed to stabilize")
+    """The shared prefix of F, grown to hold at least f_0..f_order.
+
+    Reads f_n off (1 - z + z^2) F = 1 + z^2 F^2 one coefficient at a time:
+    f_n = f_{n-1} - f_{n-2} + sum_{i+j=n-2} f_i f_j for n >= 2, the
+    convolution folded in half by its symmetry.  O(n^2) big-int products,
+    no division.  Callers must not mutate the returned list.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    f = _F_PREFIX
+    for n in range(len(f), order + 1):
+        m = n - 2
+        conv = 2 * sum(f[i] * f[m - i] for i in range((m + 1) // 2))
+        if m % 2 == 0:
+            conv += f[m // 2] ** 2
+        f.append(f[n - 1] - f[m] + conv)
+    return f
 
 
 def peakless_series(n_max):
-    """m(0)..m(n_max) from the functional equation for F."""
-    return list(_peakless_coeffs(n_max))
+    """m(0)..m(n_max) from the functional equation for F, as a fresh list."""
+    return _peakless_coeffs(n_max)[: n_max + 1]
 
 
 def _extend_recurrence(values, n_max):

@@ -115,6 +115,24 @@ def test_bounded_cross_checks_engines(capsys, monkeypatch):
     assert "determinant" in err
 
 
+def test_bounded_names_every_mismatching_index(capsys, monkeypatch):
+    def broken(bound, order):
+        warped = list(counting.bounded_series_cf(bound, order).coeffs)
+        for i in range(3, 10):
+            warped[i] += 1
+        return Series(warped, order)
+
+    monkeypatch.setattr(counting, "bounded_series_det", broken)
+    code, out, err = run_cli(capsys, "bounded", "-n", "12", "-l", "2")
+    assert code == 1
+    assert out == ""
+    assert "7 mismatching terms" in err
+    for i in range(3, 8):  # the first five are named, the rest only counted
+        assert f"n={i}:" in err
+    assert "n=8:" not in err and "n=9:" not in err
+    assert "ladder 2, determinant 3" in err  # n = 3
+
+
 def test_dist_text(capsys):
     code, out, _ = run_cli(capsys, "dist", "-n", "4")
     assert code == 0
@@ -266,6 +284,45 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "n,ell,count"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "export report --kind count -n 30 -l 3",
+        "export report --kind count -n 30 --method det",
+        "export bounded -n 6 -l 2 --kind count",
+        "export bounded -n 6 -l 2 --count-cap 100",
+        "export bounded -n 6 -l 2 --height-cap 100",
+    ],
+)
+def test_export_rejects_options_its_table_ignores(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    assert info.value.code == 2
+    assert "does not take" in capsys.readouterr().err
+
+
+def test_export_defaults(capsys):
+    code, out, _ = run_cli(
+        capsys, "export", "bounded", "-n", "3", "-l", "1", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["method"] == "cf"
+    code, out, _ = run_cli(capsys, "export", "report", "-n", "30", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["kind"] == "count"
+
+
+def test_out_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.csv"
+    code, out, err = run_cli(
+        capsys, "export", "bounded", "-n", "3", "-l", "1", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not target.exists()
 
 
 def test_usage_errors_exit_2(capsys):

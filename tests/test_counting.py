@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,40 @@ def test_peakless_series_prefix():
     assert counting.peakless_series(16) == A004148
 
 
+def test_peakless_series_is_a_fresh_list():
+    want = counting.peakless_recurrence(30)
+    first = counting.peakless_series(30)
+    first[5] = -1
+    first.append(0)
+    assert counting.peakless_series(30) == want
+    assert counting.peakless_series(40)[:31] == want
+    with pytest.raises(ValueError):
+        counting.peakless_series(-1)
+
+
+def test_peakless_cache_grows_only_when_needed(monkeypatch):
+    monkeypatch.setattr(counting, "_F_PREFIX", [1, 1])
+    big = counting.peakless_series(200)
+    assert len(counting._F_PREFIX) == 201
+    small = counting.peakless_series(50)
+    assert len(counting._F_PREFIX) == 201  # a shorter request reads the prefix
+    bigger = counting.peakless_series(400)
+    assert len(counting._F_PREFIX) == 401
+    assert small == big[:51] and big == bigger[:201]
+    assert bigger == counting.peakless_recurrence(400)
+
+
+def _closed_form(n):
+    # m(n) = sum_k C(n-k, k) C(n-k-1, k) / (k+1) for n >= 1
+    return sum(comb(n - k, k) * comb(n - k - 1, k) // (k + 1) for k in range(n // 2 + 1))
+
+
+def test_peakless_series_matches_closed_form():
+    series = counting.peakless_series(1000)
+    for n in (1, 2, 7, 99, 500, 999, 1000):
+        assert series[n] == _closed_form(n), n
+
+
 def test_functional_equation_residual():
     order = 64
     f = Series(counting.peakless_series(order), order)
@@ -70,7 +105,7 @@ def test_functional_equation_residual():
 
 
 def test_recurrence_matches_series():
-    assert counting.peakless_recurrence(300) == counting.peakless_series(300)
+    assert counting.peakless_recurrence(1000) == counting.peakless_series(1000)
     assert counting.peakless_recurrence(2) == [1, 1, 1]
     assert counting.peakless_recurrence(4)[4] == 4  # (9*2 + 3*1 + 3*1 - 0) / 6
 
