@@ -46,12 +46,10 @@ def _table_payload(rows, **meta):
 def cmd_count(args):
     n = args.order
     values = counting.peakless_recurrence(n)
-    check_to = min(n, CROSS_CHECK_LIMIT)
-    series = counting.peakless_series(check_to)
-    if series != values[: check_to + 1]:
-        raise _disagreement(
-            "", ("functional equation", "recurrence"), series, values[: check_to + 1]
-        )
+    checked = values[: CROSS_CHECK_LIMIT + 1]
+    series = counting.peakless_series(len(checked) - 1)
+    if series != checked:
+        raise _disagreement("", ("functional equation", "recurrence"), series, checked)
     return render.Output(
         text=lambda: " ".join(map(str, values)) + "\n",
         payload={"n_max": n, "counts": values},
