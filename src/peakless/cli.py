@@ -173,8 +173,6 @@ def cmd_asympt(args):
 
 
 def cmd_export(args):
-    if args.what == "report":
-        return cmd_asympt(args)
     rows = counting.bounded_count_table(args.order, args.bound, method=args.method)
     return render.Output(
         payload=_table_payload(
@@ -242,70 +240,52 @@ def build_parser():
     output_options(p, formats=("text", "json"))
     p.set_defaults(handler=cmd_verify)
 
+    def report_options(p, formats, **kind):
+        p.add_argument(
+            "--kind", choices=("count", "avg_height"), help="report kind", **kind
+        )
+        p.add_argument(
+            "-n",
+            "--order",
+            type=int,
+            action="append",
+            required=True,
+            help="length to report (repeatable)",
+        )
+        p.add_argument(
+            "--count-cap", type=int, default=None, help="budget for count rows"
+        )
+        p.add_argument(
+            "--height-cap", type=int, default=None, help="budget for avg_height rows"
+        )
+        output_options(p, formats)
+
     p = sub.add_parser("asympt", help="exact versus predicted convergence report")
-    p.add_argument(
-        "--kind", choices=("count", "avg_height"), required=True, help="report kind"
-    )
-    p.add_argument(
-        "-n",
-        "--order",
-        type=int,
-        action="append",
-        required=True,
-        help="length to report (repeatable)",
-    )
-    p.add_argument("--count-cap", type=int, default=None, help="budget for count rows")
-    p.add_argument(
-        "--height-cap", type=int, default=None, help="budget for avg_height rows"
-    )
-    output_options(p)
+    report_options(p, FORMATS, required=True)
     p.set_defaults(handler=cmd_asympt)
 
     p = sub.add_parser("export", help="write a table in its stable schema")
-    p.add_argument("what", choices=("bounded", "report"), help="which table")
-    p.add_argument("-n", "--order", type=int, action="append", required=True)
-    p.add_argument("-l", "--bound", type=int, default=None)
-    # None marks an option as not given: each table rejects the other's options
-    p.add_argument("--method", choices=("cf", "det", "dp"), default=None)
-    p.add_argument("--kind", choices=("count", "avg_height"), default=None)
-    p.add_argument("--count-cap", type=int, default=None)
-    p.add_argument("--height-cap", type=int, default=None)
-    output_options(p, formats=("csv", "json"))
+    tables = p.add_subparsers(dest="what", required=True)
+    p = tables.add_parser("bounded", help="the A(n, l) table of bounded_count_table")
+    common(p, "largest length n", formats=("csv", "json"))
+    p.add_argument("-l", "--bound", type=int, required=True, help="height bound")
+    p.add_argument(
+        "--method",
+        choices=("cf", "det", "dp"),
+        default="cf",
+        help="counting engine (default %(default)s)",
+    )
     p.set_defaults(handler=cmd_export)
+    p = tables.add_parser("report", help="the convergence report of asympt")
+    report_options(p, ("csv", "json"), default="count")
+    p.set_defaults(handler=cmd_asympt)
 
     return parser
-
-
-def _check_export(parser, args):
-    # each table rejects the options only the other one reads, then fills
-    # in its own defaults
-    if args.what == "bounded":
-        foreign = (
-            ("--kind", args.kind),
-            ("--count-cap", args.count_cap),
-            ("--height-cap", args.height_cap),
-        )
-    else:
-        foreign = (("-l/--bound", args.bound), ("--method", args.method))
-    for flag, value in foreign:
-        if value is not None:
-            parser.error(f"export {args.what} does not take {flag}")
-    if args.what == "bounded":
-        if args.bound is None:
-            parser.error("export bounded requires -l/--bound")
-        if len(args.order) != 1:
-            parser.error("export bounded takes exactly one -n")
-        args.order = args.order[0]
-        args.method = args.method or "cf"
-    else:
-        args.kind = args.kind or "count"
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "export":
-        _check_export(parser, args)
     try:
         output = args.handler(args)
         text = render.render(output, args.format)

@@ -8,7 +8,7 @@ cross-check each other and the brute-force oracle:
 
 * `peakless_series`: F(z) = sum m(n) z^n as the unique power-series root
   of z^2 F^2 - (1 - z + z^2) F + 1 = 0, its coefficients read off the
-  equation one at a time (O(n^2) products) into a grow-only cache.
+  equation one at a time (O(n^2) products).
 * `peakless_recurrence`: the holonomic recurrence
   n m(n) - (2n+3) m(n+1) - (n+3) m(n+2) - (2n+9) m(n+3) + (n+6) m(n+4) = 0
   with exact division at every step.
@@ -68,34 +68,24 @@ def motzkin_numbers(n_max):
     return m
 
 
-# grow-only prefix f_0, f_1, ... of F, shared by every engine that reads F;
-# f_0 = 1 and f_1 = f_0 are the z^0 and z^1 terms of the equation
-_F_PREFIX = [1, 1]
+def peakless_series(n_max):
+    """m(0)..m(n_max), read off (1 - z + z^2) F = 1 + z^2 F^2.
 
-
-def _peakless_coeffs(order):
-    """The shared prefix of F, grown to hold at least f_0..f_order.
-
-    Reads f_n off (1 - z + z^2) F = 1 + z^2 F^2 one coefficient at a time:
-    f_n = f_{n-1} - f_{n-2} + sum_{i+j=n-2} f_i f_j for n >= 2, the
-    convolution folded in half by its symmetry.  O(n^2) big-int products,
-    no division.  Callers must not mutate the returned list.
+    One coefficient at a time: f_0 = f_1 = 1 (the z^0 and z^1 terms of the
+    equation) and f_n = f_{n-1} - f_{n-2} + sum_{i+j=n-2} f_i f_j for
+    n >= 2, the convolution folded in half by its symmetry.  O(n^2) big-int
+    products, no division.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    f = _F_PREFIX
-    for n in range(len(f), order + 1):
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    f = [1, 1]
+    for n in range(2, n_max + 1):
         m = n - 2
         conv = 2 * sum(f[i] * f[m - i] for i in range((m + 1) // 2))
         if m % 2 == 0:
             conv += f[m // 2] ** 2
         f.append(f[n - 1] - f[m] + conv)
-    return f
-
-
-def peakless_series(n_max):
-    """m(0)..m(n_max) from the functional equation for F, as a fresh list."""
-    return _peakless_coeffs(n_max)[: n_max + 1]
+    return f[: n_max + 1]
 
 
 def _extend_recurrence(values, n_max):
@@ -134,7 +124,7 @@ def end_level_series(k, n_max):
     """
     if k < 0:
         raise ValueError("end level must be nonnegative")
-    f = Series(_peakless_coeffs(n_max), n_max)
+    f = Series(peakless_series(n_max), n_max)
     power = f
     for _ in range(k):
         power = power * f
@@ -143,7 +133,7 @@ def end_level_series(k, n_max):
 
 def kernel_root_series(order):
     """The power-series root s_2 = z F of z u^2 + (z - z^2 - 1) u + z."""
-    return Series(_peakless_coeffs(order), order).shift(1)
+    return Series(peakless_series(order), order).shift(1)
 
 
 def kernel_residual(u):
@@ -341,7 +331,7 @@ def pretty_cf_agreement(depth, order):
     substantial depth.
     """
     truncation = pretty_cf_series(depth, order)
-    reference = _peakless_coeffs(order)
+    reference = peakless_series(order)
     matched = -1
     for k in range(order + 1):
         if truncation[k] != reference[k]:

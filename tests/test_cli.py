@@ -300,7 +300,7 @@ def test_export_rejects_options_its_table_ignores(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(argv.split())
     assert info.value.code == 2
-    assert "does not take" in capsys.readouterr().err
+    assert argv.split()[-2] in capsys.readouterr().err  # names the foreign option
 
 
 def test_export_defaults(capsys):

@@ -74,18 +74,6 @@ def test_peakless_series_is_a_fresh_list():
         counting.peakless_series(-1)
 
 
-def test_peakless_cache_grows_only_when_needed(monkeypatch):
-    monkeypatch.setattr(counting, "_F_PREFIX", [1, 1])
-    big = counting.peakless_series(200)
-    assert len(counting._F_PREFIX) == 201
-    small = counting.peakless_series(50)
-    assert len(counting._F_PREFIX) == 201  # a shorter request reads the prefix
-    bigger = counting.peakless_series(400)
-    assert len(counting._F_PREFIX) == 401
-    assert small == big[:51] and big == bigger[:201]
-    assert bigger == counting.peakless_recurrence(400)
-
-
 def _closed_form(n):
     # m(n) = sum_k C(n-k, k) C(n-k-1, k) / (k+1) for n >= 1
     return sum(comb(n - k, k) * comb(n - k - 1, k) // (k + 1) for k in range(n // 2 + 1))
