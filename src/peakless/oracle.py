@@ -1,17 +1,22 @@
 """Brute-force classification of all 3^n step sequences of a given length.
 
-This is the hot loop of the test oracle: every sequence over {F, U, D} is
-walked once and, when it never dips below level 0, binned by
+This is the test oracle: every sequence over {F, U, D} is accounted for
+and, when it never dips below level 0, binned by
 
     (peakless?, end level, height)
 
 into an int64 table.  Any constrained count (Motzkin paths, peakless
 paths, bounded height, chosen end level) is then a partial sum of table
-cells.  Counts fit int64 comfortably for any length the cap allows
-(3^16 ~ 4.3e7 sequences).
+cells.  A cell counts at most 3^n sequences, so int64 holds it for every
+n <= 39, far past any length whose half scans fit in memory.
 
-The scan is batched numpy; `_classify_python_loop` is a plain-Python
-reference that the tests hold it to.
+The kernel splits each sequence into two halves.  It scans all 3^(n/2)
+sequences of each half length, groups the halves into classes with
+multiplicities, and combines every pair of classes by the concatenation
+law, so each of the 3^n sequences is counted exactly once without being
+walked.  Nothing here comes from the automaton or the counting engines.
+`_classify_python_loop` is a plain-Python reference, one sequence at a
+time, that the tests hold the kernel to.
 
 Step digit coding, shared with the enumeration order in `paths`:
 0 = flat, 1 = up, 2 = down.
@@ -24,32 +29,64 @@ from .errors import OracleLimitError
 from .paths import PathConstraints, oracle_cap
 
 
-def _classify_numpy(n, batch=1 << 19):
-    counts = np.zeros((2, n + 1, n + 1), dtype=np.int64)
-    if n == 0:
-        counts[1, 0, 0] = 1
-        return counts
-    total = 3**n
-    pow3 = 3 ** np.arange(n, dtype=np.int64)
-    increments = np.array([0, 1, -1], dtype=np.int8)
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total), dtype=np.int64)
-        digits = (idx[:, None] // pow3[None, :]) % 3  # digit j = step j
-        levels = np.cumsum(increments[digits], axis=1, dtype=np.int32)
-        valid = levels.min(axis=1) >= 0
-        if not valid.any():
-            continue
-        digits = digits[valid]
-        levels = levels[valid]
-        end = levels[:, -1].astype(np.int64)
-        hgt = levels.max(axis=1).astype(np.int64)
-        peak = ((digits[:, :-1] == 1) & (digits[:, 1:] == 2)).any(axis=1)
-        pk = (~peak).astype(np.int64)
-        flat = (pk * (n + 1) + end) * (n + 1) + hgt
-        counts += np.bincount(flat, minlength=2 * (n + 1) * (n + 1)).reshape(
-            2, n + 1, n + 1
-        )
-    return counts
+def _half_scan(m):
+    """Statistics of each of the 3^m step sequences of length m.
+
+    Sequence i takes step j from base-3 digit j of i.  Each pass appends
+    one step to every sequence so far, so memory stays O(3^m).  Returns
+    per-sequence arrays: end level, lowest and highest level (both
+    counting the start at 0), whether a UD factor occurs, whether the
+    first step is D and whether the last step is U.
+    """
+    end = lo = hi = np.zeros(1, dtype=np.int64)
+    peak = first_down = last_up = np.zeros(1, dtype=bool)
+    for j in range(m):
+        step = np.repeat(np.array([0, 1, -1]), end.size)  # digit 0, 1, 2
+        down = step == -1
+        end = np.tile(end, 3) + step
+        lo = np.minimum(np.tile(lo, 3), end)
+        hi = np.maximum(np.tile(hi, 3), end)
+        peak = np.tile(peak, 3) | (np.tile(last_up, 3) & down)
+        first_down = down if j == 0 else np.tile(first_down, 3)
+        last_up = step == 1
+    return end, lo, hi, peak, first_down, last_up
+
+
+def _classes(fields, shape):
+    """Distinct rows of `fields` (each within `shape`) and their counts."""
+    key = np.ravel_multi_index(fields, shape)
+    counts = np.bincount(key, minlength=int(np.prod(shape)))  # int64, exact
+    present = np.flatnonzero(counts)
+    return np.unravel_index(present, shape), counts[present]
+
+
+def _classify_halves(n):
+    # A prefix of a = ceil(n/2) steps followed by a suffix of b = n - a
+    # steps is a valid prefix iff the prefix never dips below 0 and
+    # pend + smin >= 0.  Its end is pend + send, its height
+    # max(ph, pend + smax), and it has a peak iff either half has one or
+    # the seam reads UD.
+    a = (n + 1) // 2
+    b = n - a
+    end, lo, hi, peak, _, last_up = _half_scan(a)
+    ok = lo >= 0
+    (pend, ph, pp, pu), pw = _classes(
+        (end[ok], hi[ok], peak[ok], last_up[ok]), (a + 1, a + 1, 2, 2)
+    )
+    end, lo, hi, peak, first_down, _ = _half_scan(b)
+    (send, sneg, smax, sp, sd), sw = _classes(
+        (end + b, -lo, hi, peak, first_down), (2 * b + 1, b + 1, b + 1, 2, 2)
+    )
+    send = send - b
+    # every prefix class against every suffix class
+    pend, ph, pp, pu, pw = (x[:, None] for x in (pend, ph, pp, pu, pw))
+    valid = pend >= sneg
+    peakless = 1 - (pp | sp | (pu & sd))
+    hgt = np.maximum(ph, pend + smax)
+    cell = (peakless * (n + 1) + pend + send) * (n + 1) + hgt
+    counts = np.zeros(2 * (n + 1) * (n + 1), dtype=np.int64)
+    np.add.at(counts, cell[valid], (pw * sw)[valid])
+    return counts.reshape(2, n + 1, n + 1)
 
 
 def _classify_python_loop(n):
@@ -92,7 +129,7 @@ def _classify_python_loop(n):
 
 @lru_cache(maxsize=64)
 def _classification_cached(n):
-    table = _classify_numpy(n)
+    table = _classify_halves(n)
     table.setflags(write=False)
     return table
 
@@ -136,6 +173,8 @@ def brute_force_count(n, constraints=None, cap=None):
 
 def height_counts(n, peakless=False, end_level=0, cap=None):
     """Counts of length-n paths by exact height, as a plain list."""
+    if end_level < 0:
+        raise ValueError("end level must be nonnegative")
     limit = oracle_cap() if cap is None else cap
     if n > limit:
         raise OracleLimitError(

@@ -1,22 +1,29 @@
+from math import comb
+
 import numpy as np
 import pytest
 
-from peakless import oracle
+from peakless import counting, oracle
 from peakless.errors import OracleLimitError
 from peakless.paths import PathConstraints, enumerate_paths
 
 
 def test_backends_agree_with_reference_loop():
-    for n in range(9):
+    # n = 0 and 1 leave a half empty; odd and even n split unevenly and evenly
+    for n in range(11):
         reference = oracle._classify_python_loop(n)
         assert np.array_equal(oracle.classification_table(n), reference)
 
 
-def test_numpy_batching_boundaries():
-    # force several partial batches
-    full = oracle._classify_numpy(9)
-    assert np.array_equal(oracle._classify_numpy(9, batch=1000), full)
-    assert np.array_equal(oracle._classify_numpy(9, batch=3**9), full)
+def test_table_sums_match_independent_sequences():
+    peakless = counting.peakless_recurrence(16)
+    motzkin = counting.motzkin_numbers(16)
+    for n in range(17):
+        table = oracle.classification_table(n)
+        assert table[1, 0, :].sum() == peakless[n]
+        assert table[:, 0, :].sum() == motzkin[n]
+        # every valid prefix, any end level: sum_k C(n, k) C(k, floor(k/2))
+        assert table.sum() == sum(comb(n, k) * comb(k, k // 2) for k in range(n + 1))
 
 
 @pytest.mark.parametrize(
@@ -49,6 +56,11 @@ def test_height_counts():
     assert oracle.height_counts(3, end_level=3) == [0, 0, 0, 1]
 
 
+def test_height_counts_rejects_negative_end_level():
+    with pytest.raises(ValueError, match="end level must be nonnegative"):
+        oracle.height_counts(4, end_level=-1)
+
+
 def test_end_level_beyond_length():
     assert oracle.brute_force_count(2, PathConstraints(end_level=5), cap=16) == 0
 
@@ -66,4 +78,5 @@ def test_cap_enforced(monkeypatch):
 def test_classification_table_is_read_only():
     table = oracle.classification_table(6)
     assert table[1, 0, :].sum() == 17  # m(6)
+    assert table.dtype == np.int64
     assert not table.flags.writeable
