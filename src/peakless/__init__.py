@@ -15,7 +15,6 @@ from .asymptotics import (
     convergence_report,
     count_ratio,
     log_predicted_count,
-    motzkin_height_reference,
     predicted_avg_height,
     predicted_count,
 )
@@ -49,13 +48,11 @@ from .paths import (
     enumerate_paths,
     has_peak,
     height,
-    is_motzkin,
     is_valid_prefix,
     level_profile,
     oracle_cap,
-    parse_path,
 )
-from .series import Series, poly_divide_series, poly_to_series
+from .series import Series, poly_divide_series
 
 __version__ = "0.1.0"
 
@@ -91,20 +88,16 @@ __all__ = [
     "height",
     "height_counts",
     "height_distribution",
-    "is_motzkin",
     "is_valid_prefix",
     "kernel_residual",
     "kernel_root_series",
     "level_profile",
     "log_predicted_count",
-    "motzkin_height_reference",
     "motzkin_numbers",
     "oracle_cap",
-    "parse_path",
     "peakless_recurrence",
     "peakless_series",
     "poly_divide_series",
-    "poly_to_series",
     "predicted_avg_height",
     "predicted_count",
     "pretty_cf_agreement",

@@ -79,13 +79,6 @@ def predicted_avg_height(n):
     return AVG_HEIGHT_CONSTANT * math.sqrt(math.pi * n)
 
 
-def motzkin_height_reference(n):
-    """sqrt(pi n / 3), the average height of unrestricted Motzkin paths."""
-    if n < 1:
-        raise ValueError("prediction needs n >= 1")
-    return math.sqrt(math.pi * n / 3.0)
-
-
 def _render_value(value, log_value=None):
     # floats stay floats; out-of-range magnitudes become mantissa/exponent
     # strings derived from the (always finite) natural log
@@ -146,13 +139,19 @@ def convergence_report(kind, n_values, count_cap=None, height_cap=None):
         Budget knobs.  The recurrence is cheap (default cap 10000); each
         exact average height costs O(n^3) big-int additions, so the
         default cap is 500.  Out-of-budget requests raise
-        ResourceLimitError rather than silently truncating.
+        ResourceLimitError rather than silently truncating; a negative cap
+        is a malformed setting and raises ValueError.
     """
     if kind not in ("count", "avg_height"):
         raise ValueError(f"unknown report kind {kind!r}")
     ns = [int(n) for n in n_values]
     if any(n < 1 for n in ns):
         raise ValueError("report lengths must be >= 1")
+    if min(count_cap or 0, height_cap or 0) < 0:
+        raise ValueError(
+            f"report caps must be nonnegative, got count_cap={count_cap}, "
+            f"height_cap={height_cap}"
+        )
     cap = (
         (DEFAULT_COUNT_CAP if count_cap is None else count_cap)
         if kind == "count"

@@ -277,9 +277,6 @@ class HeightStats:
     def expected_height_float(self):
         return float(self.expected_height)
 
-    def total(self):
-        return sum(self.distribution)
-
 
 def height_distribution(n):
     """Distribution of heights among peakless Motzkin paths of length n.

@@ -16,7 +16,8 @@ multiplicities, and combines every pair of classes by the concatenation
 law, so each of the 3^n sequences is counted exactly once without being
 walked.  Nothing here comes from the automaton or the counting engines.
 `_classify_python_loop` is a plain-Python reference, one sequence at a
-time, that the tests hold the kernel to.
+time, that the tests hold the kernel to.  `height_counts` is the one
+query; it checks the length cap with `paths.check_oracle_length`.
 
 Step digit coding, shared with the enumeration order in `paths`:
 0 = flat, 1 = up, 2 = down.
@@ -25,8 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OracleLimitError
-from .paths import PathConstraints, oracle_cap
+from .paths import PathConstraints, check_oracle_length
 
 
 def _half_scan(m):
@@ -128,19 +128,13 @@ def _classify_python_loop(n):
 
 
 @lru_cache(maxsize=64)
-def _classification_cached(n):
-    table = _classify_halves(n)
-    table.setflags(write=False)
-    return table
-
-
 def classification_table(n):
     """Counts of valid length-n prefixes binned by peaklessness, end, height.
 
     Parameters
     ----------
     n : int
-        Sequence length; must not exceed the brute-force cap.
+        Sequence length; only the queries below check it against the cap.
 
     Returns
     -------
@@ -150,36 +144,25 @@ def classification_table(n):
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    return _classification_cached(n)
+    table = _classify_halves(n)
+    table.setflags(write=False)
+    return table
 
 
 def brute_force_count(n, constraints=None, cap=None):
     """Number of length-n paths satisfying the constraints, by full scan."""
     if constraints is None:
         constraints = PathConstraints()
-    limit = oracle_cap() if cap is None else cap
-    if n > limit:
-        raise OracleLimitError(
-            f"oracle limit: length {n} exceeds brute-force cap {limit}"
-        )
-    table = classification_table(n)
-    if constraints.end_level > n:
-        return 0
-    layers = table[1:] if constraints.peakless else table
-    per_height = layers[:, constraints.end_level, :].sum(axis=0)
-    top = n if constraints.max_height is None else min(constraints.max_height, n)
-    return int(per_height[: top + 1].sum())
+    counts = height_counts(n, constraints.peakless, constraints.end_level, cap)
+    top = constraints.max_height
+    return sum(counts if top is None else counts[: top + 1])
 
 
 def height_counts(n, peakless=False, end_level=0, cap=None):
     """Counts of length-n paths by exact height, as a plain list."""
     if end_level < 0:
         raise ValueError("end level must be nonnegative")
-    limit = oracle_cap() if cap is None else cap
-    if n > limit:
-        raise OracleLimitError(
-            f"oracle limit: length {n} exceeds brute-force cap {limit}"
-        )
+    check_oracle_length(n, cap)
     table = classification_table(n)
     if end_level > n:
         return [0]

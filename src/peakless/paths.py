@@ -17,6 +17,8 @@ must never leave level >= 0.
 
 `enumerate_paths` is the exhaustive generator used as ground truth by the
 tests; the counting engines in `counting` must reproduce whatever it says.
+Every brute-force entry point, here and in `oracle`, checks the length
+against the cap in one place, `check_oracle_length`.
 """
 import os
 from dataclasses import dataclass
@@ -39,12 +41,21 @@ ORACLE_CAP_ENV = "PEAKLESS_ORACLE_CAP"
 def oracle_cap():
     """Brute-force length cap: PEAKLESS_ORACLE_CAP env var or the default."""
     raw = os.environ.get(ORACLE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    cap = int(raw)
-    if cap < 0:
-        raise ValueError(f"{ORACLE_CAP_ENV} must be nonnegative, got {cap}")
-    return cap
+    return DEFAULT_ORACLE_CAP if raw is None else int(raw)
+
+
+def check_oracle_length(n, cap=None):
+    """Raise OracleLimitError if n exceeds the cap (default `oracle_cap()`).
+
+    A negative cap from either source is a malformed setting: ValueError.
+    """
+    limit = oracle_cap() if cap is None else cap
+    if limit < 0:
+        raise ValueError(f"brute-force cap must be nonnegative, got {limit}")
+    if n > limit:
+        raise OracleLimitError(
+            f"oracle limit: length {n} exceeds brute-force cap {limit}"
+        )
 
 
 @dataclass(frozen=True)
@@ -70,15 +81,6 @@ class PathConstraints:
                 raise ValueError("end_level cannot exceed max_height")
 
 
-def parse_path(text):
-    """Validate a path string; returns it with surrounding whitespace removed."""
-    path = text.strip()
-    bad = set(path) - set(STEP_INCREMENTS)
-    if bad:
-        raise ValueError(f"invalid step characters {sorted(bad)}; expected U, D, F")
-    return path
-
-
 def level_profile(path):
     """Levels p_0..p_n visited along the path, starting from p_0 = 0."""
     levels = [0]
@@ -95,11 +97,6 @@ def is_valid_prefix(path):
         if level < 0:
             return False
     return True
-
-
-def is_motzkin(path):
-    """True if the path is a valid prefix ending back at level 0."""
-    return is_valid_prefix(path) and level_profile(path)[-1] == 0
 
 
 def height(path):
@@ -152,16 +149,12 @@ def enumerate_paths(n, constraints=None, cap=None):
     Paths are emitted in lexicographic order under F < U < D.  Validity
     (never below level 0) always applies on top of the constraints.  The
     search is exhaustive with pruning, so it is the ground-truth oracle;
-    lengths beyond the cap (default 16, see `oracle_cap`) raise
-    OracleLimitError because the 3^n search space becomes unreasonable.
+    lengths beyond the cap (default 16) raise OracleLimitError from
+    `check_oracle_length` because the 3^n search space becomes unreasonable.
     """
     if constraints is None:
         constraints = PathConstraints()
-    limit = oracle_cap() if cap is None else cap
-    if n > limit:
-        raise OracleLimitError(
-            f"oracle limit: length {n} exceeds brute-force cap {limit}"
-        )
+    check_oracle_length(n, cap)
     if n < 0:
         raise ValueError("length must be nonnegative")
 

@@ -21,13 +21,6 @@ def poly_trim(coeffs):
     return tuple(out)
 
 
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return poly_trim(
-        tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-    )
-
-
 def poly_sub(a, b):
     n = max(len(a), len(b))
     return poly_trim(
@@ -127,11 +120,6 @@ class Series:
             return Series.zero(n)
         return Series((0,) * k + self.coeffs[: n + 1 - k])
 
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs, order)
-
     def inverse(self):
         """Multiplicative inverse to the same order; needs c_0 in {1, -1}."""
         c0 = self.coeffs[0]
@@ -152,21 +140,6 @@ class Series:
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
-
-    def __str__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                var = "z" if k == 1 else f"z^{k}"
-                sign = "-" if c < 0 else ("+" if terms else "")
-                lead = f"{sign} " if terms else sign
-                terms.append(f"{lead}{mag}{var}")
-        return " ".join(terms) if terms else "0"
 
     def __repr__(self):
         return f"Series({list(self.coeffs)!r})"
@@ -195,8 +168,3 @@ def poly_divide_series(num, den, order):
                 acc -= dj * out[k - j]
         out[k] = acc * d0
     return Series(out)
-
-
-def poly_to_series(coeffs, order):
-    """View a polynomial as a Series truncated at the given order."""
-    return Series(tuple(coeffs), order)

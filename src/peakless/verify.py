@@ -244,7 +244,7 @@ def run_checks(level="quick"):
     it: OracleLimitError and ResourceLimitError propagate.
     """
     checks = checks_for_level(level)
-    paths.oracle_cap()  # a malformed PEAKLESS_ORACLE_CAP is a usage error (exit 2)
+    paths.check_oracle_length(0)  # a malformed PEAKLESS_ORACLE_CAP exits 2
     results = []
     for name, fn in checks:
         try:

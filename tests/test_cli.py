@@ -180,6 +180,17 @@ def test_enumerate_cap_env(capsys, monkeypatch):
     assert code == 3
 
 
+def test_negative_oracle_cap_is_a_usage_error(capsys, monkeypatch):
+    # a malformed cap exits 2 from either source, never 3 as a resource cap
+    code, out, err = run_cli(capsys, "enumerate", "-n", "3", "--oracle-cap", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "nonnegative" in err
+    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "-1")
+    code, out, err = run_cli(capsys, "enumerate", "-n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "nonnegative" in err
+
+
 def test_verify_quick(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
@@ -242,6 +253,13 @@ def test_asympt_resource_cap(capsys):
     code, _, err = run_cli(capsys, "asympt", "--kind", "avg_height", "-n", "501")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("cap", ["--count-cap", "--height-cap"])
+def test_asympt_negative_cap_is_a_usage_error(capsys, cap):
+    code, out, err = run_cli(capsys, "asympt", "--kind", "count", "-n", "5", cap, "-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "nonnegative" in err
 
 
 def test_byte_stable_machine_output(capsys):

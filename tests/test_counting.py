@@ -9,7 +9,6 @@ from peakless import counting, oracle
 from peakless.paths import PathConstraints
 from peakless.series import (
     Series,
-    poly_add,
     poly_divide_series,
     poly_mul,
     poly_neg,
@@ -173,9 +172,7 @@ def _permutation_determinant(matrix):
         term = (1,)
         for row in range(size):
             term = poly_mul(term, matrix[row][perm[row]])
-        if inversions % 2:
-            term = poly_neg(term)
-        total = poly_add(total, term)
+        total = poly_sub(total, term if inversions % 2 else poly_neg(term))
     return total
 
 
@@ -291,7 +288,7 @@ def test_height_distribution_consistency():
     series = counting.peakless_series(60)
     for n in range(61):
         stats = counting.height_distribution(n)
-        assert stats.total() == series[n]
+        assert sum(stats.distribution) == series[n]
         assert stats.distribution[0] == 1
         # tail form of the expectation must agree exactly with the moment form
         tail = sum(

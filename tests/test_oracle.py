@@ -70,9 +70,17 @@ def test_cap_enforced(monkeypatch):
         oracle.brute_force_count(17)
     with pytest.raises(OracleLimitError):
         oracle.brute_force_count(5, cap=4)
+    # a negative cap is a malformed setting, not an exceeded one
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle.brute_force_count(3, cap=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle.height_counts(3, cap=-1)
     monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "3")
     with pytest.raises(OracleLimitError):
         oracle.height_counts(4)
+    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "-1")
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle.brute_force_count(3)
 
 
 def test_classification_table_is_read_only():

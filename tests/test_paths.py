@@ -10,10 +10,8 @@ from peakless.paths import (
     enumerate_paths,
     has_peak,
     height,
-    is_motzkin,
     is_valid_prefix,
     level_profile,
-    parse_path,
 )
 
 
@@ -112,7 +110,6 @@ def test_enumerate_respects_all_constraints():
 def test_empty_length():
     assert list(enumerate_paths(0)) == [""]
     assert list(enumerate_paths(0, PathConstraints(end_level=1))) == []
-    assert is_motzkin("")
 
 
 def test_oracle_cap():
@@ -129,13 +126,6 @@ def test_oracle_cap_env(monkeypatch):
         list(enumerate_paths(5))
     monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "5")
     assert len(list(enumerate_paths(5))) == 21
-
-
-def test_parse_path():
-    assert parse_path(" UFDF\n") == "UFDF"
-    assert parse_path("") == ""
-    with pytest.raises(ValueError):
-        parse_path("UXD")
 
 
 def test_constraint_validation():

