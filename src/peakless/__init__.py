@@ -20,6 +20,7 @@ from .asymptotics import (
 )
 from .counting import (
     HeightStats,
+    bounded_column_dp,
     bounded_count_dp,
     bounded_count_table,
     bounded_series_cf,
@@ -72,6 +73,7 @@ __all__ = [
     "SINGULAR_AMPLITUDE",
     "UP",
     "automaton_accepts",
+    "bounded_column_dp",
     "bounded_count_dp",
     "bounded_count_table",
     "bounded_series_cf",

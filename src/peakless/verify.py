@@ -10,6 +10,8 @@ quick: lengths <= 10, bounds <= 4, plus at least one example for every
        public counting and path operation.
 full:  lengths <= 14, bounds <= 7, recurrence exactness to n = 5000, and
        the defining series identities to order 200.
+At both levels every height distribution up to the level's length is held
+to the oracle's height census.
 """
 import itertools
 from fractions import Fraction
@@ -87,6 +89,7 @@ def check_five_way(n_limit, l_limit):
     recurrence = counting.peakless_recurrence(n_limit)
     if series != recurrence:
         return _fail("series != recurrence")
+    dp = {l: counting.bounded_column_dp(l, n_limit) for l in range(l_limit + 1)}
     cf = {l: counting.bounded_series_cf(l, n_limit) for l in range(l_limit + 1)}
     det = {l: counting.bounded_series_det(l, n_limit) for l in range(1, l_limit + 1)}
     for n in range(n_limit + 1):
@@ -102,10 +105,10 @@ def check_five_way(n_limit, l_limit):
             want = oracle.brute_force_count(
                 n, paths.PathConstraints(peakless=True, max_height=l)
             )
-            got_dp = counting.bounded_count_dp(n, l)
+            got_dp = dp[l][n]
             got_cf = cf[l][n]
             if want != got_dp:
-                return _fail(f"bounded_count_dp(n={n}, l={l}): {got_dp} != {want}")
+                return _fail(f"bounded_column_dp(l={l})[{n}]: {got_dp} != {want}")
             if want != got_cf:
                 return _fail(f"bounded_series_cf(l={l})[{n}]: {got_cf} != {want}")
             if l >= 1 and det[l][n] != want:
@@ -161,12 +164,17 @@ def check_kernel_identities(order):
     return _ok()
 
 
-def check_height_stats():
+def check_height_stats(n_limit):
     stats = counting.height_distribution(4)
     if stats.distribution != (1, 3) or stats.expected_height != Fraction(3, 4):
         return _fail(f"n=4 stats {stats}")
     if counting.height_distribution(0).expected_height != 0:
         return _fail("n=0 stats")
+    for n in range(n_limit + 1):
+        engine = list(counting.height_distribution(n).distribution)
+        want = oracle.height_counts(n, peakless=True)
+        if engine != want:
+            return _fail(f"height distribution n={n}: {engine} != oracle {want}")
     heights = oracle.height_counts(4, peakless=False)
     if heights != [1, 7, 1]:
         return _fail(f"length-4 height multiset {heights}")
@@ -232,7 +240,7 @@ def checks_for_level(level):
         ("five_way_agreement", lambda: check_five_way(n, l)),
         ("end_level_counts", lambda: check_end_levels(min(n, 10))),
         ("determinant_fixtures", check_determinants),
-        ("height_stats", check_height_stats),
+        ("height_stats", lambda: check_height_stats(n)),
         ("pretty_cf", check_pretty_cf),
     ] + extra
 

@@ -130,7 +130,7 @@ def test_bounded_names_every_mismatching_index(capsys, monkeypatch):
     for i in range(3, 8):  # the first five are named, the rest only counted
         assert f"n={i}:" in err
     assert "n=8:" not in err and "n=9:" not in err
-    assert "ladder 2, determinant 3" in err  # n = 3
+    assert "automaton 2, determinant 3" in err  # n = 3
 
 
 def test_dist_text(capsys):
@@ -282,6 +282,21 @@ def test_export_bounded(capsys):
     payload = json.loads(out)
     assert payload["method"] == "dp"
     assert payload["rows"][0] == {"n": 0, "ell": 0, "count": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "export bounded -n 5 -l -2",
+        "export bounded -n 5 -l -2 --method det",
+        "export bounded -n 5 -l -2 --method dp",
+        "export bounded -n -1 -l 2 --method dp",
+    ],
+)
+def test_export_bounded_negative_size_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "nonnegative" in err
 
 
 def test_export_report(capsys):

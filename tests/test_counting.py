@@ -223,6 +223,20 @@ def test_det_series_fixtures():
         counting.bounded_series_det(0, 10)
 
 
+def test_det_series_truncates_the_strip_family():
+    # E_l has degree 2l + 1; the quotient to order n reads only its first
+    # n + 1 coefficients, so a truncated family gives the same series
+    order = 30
+    full = poly_divide_series(
+        poly_neg(counting.strip_denominator_poly(39)),
+        counting.strip_denominator_poly(40),
+        order,
+    )
+    assert counting.bounded_series_det(40, order) == full
+    dp = counting.bounded_column_dp(1500, 200)
+    assert list(counting.bounded_series_det(1500, 200).coeffs) == dp
+
+
 def test_det_series_division_contract():
     order = 30
     e0 = counting.strip_denominator_poly(0)
@@ -257,8 +271,24 @@ def test_dp_fixtures():
     assert counting.bounded_count_dp(6, 3) == 17
     assert counting.bounded_count_dp(4, 0) == 1
     assert counting.bounded_count_dp(0, 0) == 1
+    assert counting.bounded_column_dp(1, 14) == HEIGHT_LE_1
+    assert counting.bounded_column_dp(0, 0) == [1]
     with pytest.raises(ValueError):
         counting.bounded_count_dp(-1, 2)
+    with pytest.raises(ValueError):
+        counting.bounded_column_dp(-1, 2)
+    # levels past n_max // 2 are never packed, however large the bound
+    assert counting.bounded_column_dp(10**6, 11) == counting.peakless_series(11)
+
+
+def test_dp_column_slots_hold_large_counts():
+    # every level of the automaton shares one int; a slot too narrow for
+    # 3^n_max carries into its neighbour only far past the oracle's lengths
+    series = counting.peakless_series(1000)
+    assert counting.bounded_column_dp(500, 1000)[1000] == series[1000]
+    for bound in (30, 150):
+        det = counting.bounded_series_det(bound, 300)
+        assert counting.bounded_column_dp(bound, 300) == list(det.coeffs), bound
 
 
 def test_dp_matches_oracle():
@@ -284,16 +314,22 @@ def test_height_distribution_fixtures():
     assert twelve.expected_height == Fraction(5281, 2283)
 
 
+def test_height_distribution_matches_oracle():
+    for n in range(17):
+        want = oracle.height_counts(n, peakless=True)
+        assert list(counting.height_distribution(n).distribution) == want, n
+
+
 def test_height_distribution_consistency():
     series = counting.peakless_series(60)
+    # ladder columns: an engine independent of the automaton behind the stats
+    ladder = {(n, l): c for n, l, c in counting.bounded_count_table(60, 30)}
     for n in range(61):
         stats = counting.height_distribution(n)
         assert sum(stats.distribution) == series[n]
         assert stats.distribution[0] == 1
         # tail form of the expectation must agree exactly with the moment form
-        tail = sum(
-            series[n] - counting.bounded_count_dp(n, l) for l in range(max(n // 2, 1))
-        )
+        tail = sum(series[n] - ladder[n, l] for l in range(max(n // 2, 1)))
         assert stats.expected_height == Fraction(tail, series[n])
 
 
@@ -317,6 +353,10 @@ def test_bounded_count_table_and_csv():
         assert counting.bounded_count_table(4, 2, method=method) == rows
     with pytest.raises(ValueError):
         counting.bounded_count_table(4, 2, method="magic")
+    for method in ("cf", "det", "dp"):
+        for n_max, l_max in ((5, -2), (-1, 2)):
+            with pytest.raises(ValueError):
+                counting.bounded_count_table(n_max, l_max, method=method)
     csv = counting.bounded_table_csv(rows)
     lines = csv.splitlines()
     assert lines[0] == "n,ell,count"

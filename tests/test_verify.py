@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from peakless import counting, verify
@@ -47,3 +49,20 @@ def test_crashing_engine_becomes_failure(monkeypatch):
     by_name = {r["check"]: r for r in results}
     assert not by_name["kernel_identities"]["ok"]
     assert "boom" in by_name["kernel_identities"]["detail"]
+
+
+def test_height_stats_held_to_the_oracle(monkeypatch):
+    # a distribution wrong at one length past the fixed n = 4 example
+    real = counting.height_distribution
+
+    def skewed(n):
+        stats = real(n)
+        if n != 9:
+            return stats
+        shifted = (stats.distribution[0] + 1,) + stats.distribution[1:]
+        return dataclasses.replace(stats, distribution=shifted)
+
+    monkeypatch.setattr(counting, "height_distribution", skewed)
+    by_name = {r["check"]: r for r in verify.run_checks("quick")}
+    assert not by_name["height_stats"]["ok"]
+    assert "n=9" in by_name["height_stats"]["detail"]
