@@ -66,13 +66,12 @@ def cmd_bounded(args):
         values = [c for _, _, c in rows[bound :: bound + 1]]
     else:
         values = counting.bounded_column_dp(bound, n)
-    if bound >= 1:
-        checked = values[: CROSS_CHECK_LIMIT + 1]
-        det = list(counting.bounded_series_det(bound, len(checked) - 1).coeffs)
-        if det != checked:
-            raise _disagreement(
-                f" for bound={bound}", ("automaton", "determinant"), checked, det
-            )
+    checked = values[: CROSS_CHECK_LIMIT + 1]
+    det = list(counting.bounded_series_det(bound, len(checked) - 1).coeffs)
+    if det != checked:
+        raise _disagreement(
+            f" for bound={bound}", ("automaton", "determinant"), checked, det
+        )
     if args.table:
         return render.Output(
             text=lambda: "".join(

@@ -25,6 +25,9 @@ cross-check each other and the brute-force oracle:
   pass of n big-int steps yields A(0..n, l); `bounded_count_dp` is the
   last entry of that column.
 
+The three bounded engines share one domain: every bound l >= 0, with a
+bound above n/2 read as n/2, because no path of length <= n rises higher.
+
 `bounded_count_table` builds each column once: the ladder once for all
 bounds (one inverse per bound), or one quotient or one automaton pass per
 bound.  `height_distribution` reads A(n, l) off one automaton pass per
@@ -158,11 +161,13 @@ def bounded_series_cf(bound, order):
     """Generating function of height <= bound paths via the ladder.
 
     Applies A_l = 1 / (1 - z + z^2 - z^2 A_{l-1}) starting from
-    A_0 = 1/(1-z); coefficient n is A(n, bound).
+    A_0 = 1/(1-z); coefficient n is A(n, bound).  No path of length
+    <= order rises above order // 2, so a larger bound is read as that
+    one: at most order // 2 + 1 rungs.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    return next(itertools.islice(_ladder(order), bound, None))
+    return next(itertools.islice(_ladder(order), min(bound, order // 2), None))
 
 
 def _ladder(order):
@@ -174,10 +179,7 @@ def _ladder(order):
         a = (q - a.shift(2)).inverse()
 
 
-def _three_term_family(bound, seed0, order=None):
-    # with an order, every member is kept mod z^(order + 1): the recurrence
-    # commutes with that truncation, and a quotient expanded to that order
-    # reads no higher coefficient
+def _three_term_family(bound, seed0):
     if bound < -1:
         raise ValueError("index must be >= -1")
     prev, cur = (1,), seed0
@@ -186,8 +188,6 @@ def _three_term_family(bound, seed0, order=None):
     step = KERNEL_U1  # z - z^2 - 1
     for _ in range(bound):
         prev, cur = cur, poly_sub(poly_mul(step, cur), poly_mul((0, 0, 1), prev))
-        if order is not None:
-            cur = cur[: order + 1]
     return cur
 
 
@@ -213,18 +213,16 @@ def bounded_series_det(bound, order):
 
     Expands -E_{bound-1}/E_bound with one exact series division, then
     normalizes the sign so the constant term is +1 (never by reasoning
-    about the parity of the constant terms).  Only the first order + 1
-    coefficients of E_{bound-1} and E_bound enter the division, so only
-    those are built: O(bound * order) work before it.  Refuses bound 0,
-    where the quotient machinery adds nothing; use `bounded_series_cf`
-    there.
+    about the parity of the constant terms).  Bound 0 is -E_{-1}/E_0 =
+    1/(1 - z).  No path of length <= order rises above order // 2, so a
+    larger bound is read as that one, and E_bound has at most order + 2
+    coefficients.
     """
-    if bound < 1:
-        raise ValueError(
-            "determinant route needs bound >= 1; use bounded_series_cf for bound 0"
-        )
-    num = poly_neg(_three_term_family(bound - 1, (-1, 1), order))
-    den = _three_term_family(bound, (-1, 1), order)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    bound = min(bound, order // 2)
+    num = poly_neg(_three_term_family(bound - 1, (-1, 1)))
+    den = _three_term_family(bound, (-1, 1))
     out = poly_divide_series(num, den, order)
     if out[0] == -1:
         out = -out
@@ -276,7 +274,7 @@ def bounded_count_table(n_max, l_max, method="cf"):
 
     method picks the engine for the columns l = 0..l_max: "cf" (one ladder
     built once, one inverse per column), "det" (a determinant quotient per
-    column, the ladder for l = 0), or "dp" (one automaton pass per column).
+    column), or "dp" (one automaton pass per column).
     """
     if method not in ("cf", "det", "dp"):
         raise ValueError(f"unknown method {method!r}")
@@ -289,9 +287,7 @@ def bounded_count_table(n_max, l_max, method="cf"):
     elif method == "cf":
         columns = [a.coeffs for a in itertools.islice(_ladder(n_max), l_max + 1)]
     else:
-        columns = [bounded_series_cf(0, n_max).coeffs] + [
-            bounded_series_det(l, n_max).coeffs for l in range(1, l_max + 1)
-        ]
+        columns = [bounded_series_det(l, n_max).coeffs for l in range(l_max + 1)]
     return [
         (n, l, columns[l][n]) for n in range(n_max + 1) for l in range(l_max + 1)
     ]

@@ -122,21 +122,7 @@ class Series:
 
     def inverse(self):
         """Multiplicative inverse to the same order; needs c_0 in {1, -1}."""
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise ValueError(
-                f"series inverse needs a constant term of +1 or -1, got {c0}"
-            )
-        n = self.order
-        out = [c0] + [0] * n
-        for k in range(1, n + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                aj = self.coeffs[j]
-                if aj:
-                    acc += aj * out[k - j]
-            out[k] = -c0 * acc  # 1/c0 == c0 for a unit constant term
-        return Series(out)
+        return poly_divide_series((1,), self.coeffs, self.order)
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -149,8 +135,8 @@ def poly_divide_series(num, den, order):
     """Expand num/den as a Series to the given order, exactly.
 
     Both arguments are polynomial coefficient sequences (lowest degree
-    first).  The denominator needs a unit constant term, same as
-    `Series.inverse`, so the long division stays in the integers.
+    first).  The denominator needs a unit constant term, so the long
+    division stays in the integers; `Series.inverse` is the case num = 1.
     """
     num = tuple(num)
     den = tuple(den)

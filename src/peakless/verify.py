@@ -91,7 +91,7 @@ def check_five_way(n_limit, l_limit):
         return _fail("series != recurrence")
     dp = {l: counting.bounded_column_dp(l, n_limit) for l in range(l_limit + 1)}
     cf = {l: counting.bounded_series_cf(l, n_limit) for l in range(l_limit + 1)}
-    det = {l: counting.bounded_series_det(l, n_limit) for l in range(1, l_limit + 1)}
+    det = {l: counting.bounded_series_det(l, n_limit) for l in range(l_limit + 1)}
     for n in range(n_limit + 1):
         unbounded = oracle.brute_force_count(
             n, paths.PathConstraints(peakless=True)
@@ -111,7 +111,7 @@ def check_five_way(n_limit, l_limit):
                 return _fail(f"bounded_column_dp(l={l})[{n}]: {got_dp} != {want}")
             if want != got_cf:
                 return _fail(f"bounded_series_cf(l={l})[{n}]: {got_cf} != {want}")
-            if l >= 1 and det[l][n] != want:
+            if det[l][n] != want:
                 return _fail(f"bounded_series_det(l={l})[{n}]: {det[l][n]} != {want}")
     return _ok()
 
@@ -200,19 +200,17 @@ def check_recurrence_exactness(n_limit):
 
 
 def check_table_invariants(n_limit):
-    table = [counting.bounded_series_cf(l, n_limit) for l in range(n_limit // 2 + 1)]
     series = counting.peakless_series(n_limit)
-    for n in range(n_limit + 1):
-        if table[0][n] != 1:
+    prev = None
+    # rows run n-major, l = 0..n_limit // 2 within each n
+    for n, l, val in counting.bounded_count_table(n_limit, n_limit // 2):
+        if l == 0 and val != 1:
             return _fail(f"A({n}, 0) != 1")
-        prev = None
-        for l in range(n_limit // 2 + 1):
-            val = table[l][n]
-            if prev is not None and val < prev:
-                return _fail(f"A({n}, l) decreasing at l={l}")
-            prev = val
-            if l >= (n + 1) // 2 and val != series[n]:
-                return _fail(f"A({n}, {l}) != m({n}) past the active range")
+        if l and val < prev:
+            return _fail(f"A({n}, l) decreasing at l={l}")
+        prev = val
+        if l >= (n + 1) // 2 and val != series[n]:
+            return _fail(f"A({n}, {l}) != m({n}) past the active range")
     return _ok()
 
 

@@ -31,8 +31,7 @@ def test_criterion_02_five_way_agreement():
         l: counting.bounded_series_cf(l, FIVE_WAY_N) for l in range(FIVE_WAY_L + 1)
     }
     quotients = {
-        l: counting.bounded_series_det(l, FIVE_WAY_N)
-        for l in range(1, FIVE_WAY_L + 1)
+        l: counting.bounded_series_det(l, FIVE_WAY_N) for l in range(FIVE_WAY_L + 1)
     }
     for n in range(FIVE_WAY_N + 1):
         unbounded = oracle.brute_force_count(n, PathConstraints(peakless=True))
@@ -44,8 +43,7 @@ def test_criterion_02_five_way_agreement():
             )
             assert counting.bounded_count_dp(n, l) == brute, (n, l)
             assert ladders[l][n] == brute, (n, l)
-            if l >= 1:
-                assert quotients[l][n] == brute, (n, l)
+            assert quotients[l][n] == brute, (n, l)
 
 
 def test_criterion_03_length_four_census():

@@ -110,9 +110,10 @@ def test_bounded_cross_checks_engines(capsys, monkeypatch):
         return Series(warped, order)
 
     monkeypatch.setattr(counting, "bounded_series_det", broken)
-    code, _, err = run_cli(capsys, "bounded", "-n", "6", "-l", "2")
-    assert code == 1
-    assert "determinant" in err
+    for bound in ("0", "2"):
+        code, _, err = run_cli(capsys, "bounded", "-n", "6", "-l", bound)
+        assert code == 1
+        assert "determinant" in err
 
 
 def test_bounded_names_every_mismatching_index(capsys, monkeypatch):
@@ -367,19 +368,32 @@ def test_usage_errors_exit_2(capsys):
     assert info.value.code == 2
 
 
-def test_module_entry_point():
+def run_module(*argv, timeout=None):
     # the child imports the same checkout as this test run, installed or not
     src = str(Path(peakless.__file__).parent.parent)
     search = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(search))
-    proc = subprocess.run(
-        [sys.executable, "-m", "peakless", "count", "-n", "4"],
+    return subprocess.run(
+        [sys.executable, "-m", "peakless", *argv],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
+
+
+def test_module_entry_point():
+    proc = run_module("count", "-n", "4")
     assert proc.returncode == 0
     assert proc.stdout == "1 1 1 2 4\n"
+
+
+def test_bounded_huge_bound_is_read_as_half_the_length():
+    # no path of length <= 10 rises above 5, so the row and its cross-check
+    # cost no more than bound 5; a timeout fails the test instead of hanging
+    proc = run_module("bounded", "-n", "10", "-l", "100000000", timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout == "1 1 1 2 4 8 17 37 82 185 423\n"
 
 
 # sha256 of the exact stdout of every subcommand x format pair at small sizes;

@@ -219,13 +219,22 @@ def test_determinant_families_against_leibniz_oracle(bound):
 def test_det_series_fixtures():
     assert counting.bounded_series_det(1, 4).coeffs == (1, 1, 1, 2, 4)
     assert counting.bounded_series_det(5, 40) == counting.bounded_series_cf(5, 40)
+    assert counting.bounded_series_det(0, 10) == counting.bounded_series_cf(0, 10)
     with pytest.raises(ValueError):
-        counting.bounded_series_det(0, 10)
+        counting.bounded_series_det(-1, 10)
+
+
+def test_bounds_past_half_the_order_are_clamped():
+    # a peakless path of length n is at most (n - 1) // 2 high; at an odd
+    # order a clamp one level too low would drop the highest paths
+    series = Series(counting.peakless_series(41), 41)
+    assert counting.bounded_series_cf(10**8, 41) == series
+    assert counting.bounded_series_det(10**8, 41) == series
 
 
 def test_det_series_truncates_the_strip_family():
-    # E_l has degree 2l + 1; the quotient to order n reads only its first
-    # n + 1 coefficients, so a truncated family gives the same series
+    # a bound past order // 2 is read as order // 2: the quotient equals the
+    # one of the unclamped E_40 / E_39 and, at bound 1500, the DP column
     order = 30
     full = poly_divide_series(
         poly_neg(counting.strip_denominator_poly(39)),
