@@ -273,7 +273,7 @@ def build_parser():
     p.add_argument("-l", "--bound", type=int, required=True, help="height bound")
     p.add_argument(
         "--method",
-        choices=("cf", "det", "dp"),
+        choices=counting.COLUMN_STREAMS,
         default="cf",
         help="counting engine (default %(default)s)",
     )

@@ -28,10 +28,10 @@ cross-check each other and the brute-force oracle:
 The three bounded engines share one domain: every bound l >= 0, with a
 bound above n/2 read as n/2, because no path of length <= n rises higher.
 
-`bounded_count_table` builds each column once: the ladder once for all
-bounds (one inverse per bound), or one quotient or one automaton pass per
-bound.  `height_distribution` reads A(n, l) off one automaton pass per
-bound l <= n/2.
+Each bounded engine is one stream of the columns l = 0, 1, ...: the ladder,
+one run of the strip family (one quotient per column) or one automaton pass
+per column.  `bounded_count_table` builds at most min(l, n/2) + 1 of them.
+`height_distribution` reads A(n, l) off one automaton pass per l <= n/2.
 
 The strip transfer matrix is tridiagonal with diagonal z - z^2 - 1 and
 off-diagonal z, except that the row of the top level has no -z^2 term (no
@@ -45,9 +45,9 @@ only in the seed (D_0 = z - z^2 - 1 versus E_0 = z - 1); the uncorrected
 quotient first deviates from the true count at n = 2l + 2, the shortest
 length at which a path can touch level l + 1.
 """
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice, pairwise, repeat
 
 from . import render
 from .series import Series, poly_divide_series, poly_mul, poly_neg, poly_sub
@@ -122,9 +122,7 @@ def peakless_recurrence(n_max):
     """m(0)..m(n_max) from the holonomic recurrence, exact division only."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if n_max < len(PEAKLESS_INITIAL):
-        return list(PEAKLESS_INITIAL[: n_max + 1])
-    return _extend_recurrence(PEAKLESS_INITIAL, n_max)
+    return _extend_recurrence(PEAKLESS_INITIAL, n_max)[: n_max + 1]
 
 
 def end_level_series(k, n_max):
@@ -167,7 +165,7 @@ def bounded_series_cf(bound, order):
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    return next(itertools.islice(_ladder(order), min(bound, order // 2), None))
+    return next(islice(_ladder(order), min(bound, order // 2), None))
 
 
 def _ladder(order):
@@ -179,22 +177,24 @@ def _ladder(order):
         a = (q - a.shift(2)).inverse()
 
 
-def _three_term_family(bound, seed0):
-    if bound < -1:
-        raise ValueError("index must be >= -1")
+def _three_term_family(seed0=(-1, 1)):
     prev, cur = (1,), seed0
-    if bound == -1:
-        return prev
-    step = KERNEL_U1  # z - z^2 - 1
-    for _ in range(bound):
-        prev, cur = cur, poly_sub(poly_mul(step, cur), poly_mul((0, 0, 1), prev))
-    return cur
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, poly_sub(poly_mul(KERNEL_U1, cur), (0, 0) + prev)
+
+
+def _family_member(seed0, index):
+    if index < -1:
+        raise ValueError("index must be >= -1")
+    return next(islice(_three_term_family(seed0), index + 1, None))
 
 
 def determinant_poly(bound):
     """Determinant D_l of the (l+1) x (l+1) tridiagonal matrix with
     diagonal z - z^2 - 1 and off-diagonal z; D_{-1} = 1 by convention."""
-    return _three_term_family(bound, (-1, 1, -1))
+    return _family_member((-1, 1, -1), bound)
 
 
 def strip_denominator_poly(bound):
@@ -205,7 +205,7 @@ def strip_denominator_poly(bound):
     nothing may rise above the ceiling.  -E_{l-1}/E_l expands to the exact
     height <= l counts for every l >= 0.
     """
-    return _three_term_family(bound, (-1, 1))
+    return _family_member((-1, 1), bound)
 
 
 def bounded_series_det(bound, order):
@@ -220,13 +220,14 @@ def bounded_series_det(bound, order):
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    bound = min(bound, order // 2)
-    num = poly_neg(_three_term_family(bound - 1, (-1, 1)))
-    den = _three_term_family(bound, (-1, 1))
-    out = poly_divide_series(num, den, order)
-    if out[0] == -1:
-        out = -out
-    return out
+    pairs = pairwise(_three_term_family())
+    return _strip_quotient(next(islice(pairs, min(bound, order // 2), None)), order)
+
+
+def _strip_quotient(pair, order):
+    # -E_{l-1}/E_l from the pair (E_{l-1}, E_l), constant term made +1
+    out = poly_divide_series(poly_neg(pair[0]), pair[1], order)
+    return -out if out[0] == -1 else out
 
 
 def bounded_column_dp(bound, n_max):
@@ -269,25 +270,28 @@ def bounded_count_dp(n, bound):
     return bounded_column_dp(bound, n)[n]
 
 
+COLUMN_STREAMS = {
+    "cf": _ladder,
+    "det": lambda n: map(_strip_quotient, pairwise(_three_term_family()), repeat(n)),
+    "dp": lambda n: map(bounded_column_dp, count(), repeat(n)),
+}
+
+
 def bounded_count_table(n_max, l_max, method="cf"):
     """Rows (n, l, A(n, l)) for 0 <= n <= n_max, 0 <= l <= l_max.
 
-    method picks the engine for the columns l = 0..l_max: "cf" (one ladder
-    built once, one inverse per column), "det" (a determinant quotient per
-    column), or "dp" (one automaton pass per column).
+    method names a column stream of `COLUMN_STREAMS`: "cf" (the ladder),
+    "det" (the strip family) or "dp" (the automaton).  No path of length
+    <= n_max rises above n_max // 2, so wider columns repeat that one.
     """
-    if method not in ("cf", "det", "dp"):
+    if method not in COLUMN_STREAMS:
         raise ValueError(f"unknown method {method!r}")
     if n_max < 0 or l_max < 0:
         raise ValueError(
             f"table sizes must be nonnegative, got n_max={n_max}, l_max={l_max}"
         )
-    if method == "dp":
-        columns = [bounded_column_dp(l, n_max) for l in range(l_max + 1)]
-    elif method == "cf":
-        columns = [a.coeffs for a in itertools.islice(_ladder(n_max), l_max + 1)]
-    else:
-        columns = [bounded_series_det(l, n_max).coeffs for l in range(l_max + 1)]
+    columns = list(islice(COLUMN_STREAMS[method](n_max), min(l_max, n_max // 2) + 1))
+    columns += columns[-1:] * (l_max + 1 - len(columns))
     return [
         (n, l, columns[l][n]) for n in range(n_max + 1) for l in range(l_max + 1)
     ]

@@ -183,8 +183,4 @@ def enumerate_paths(n, constraints=None, cap=None):
             yield from walk(prefix, new_level, remaining - 1)
             prefix.pop()
 
-    if n == 0:
-        if end == 0:
-            yield ""
-        return
     yield from walk([], 0, n)

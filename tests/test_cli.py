@@ -328,6 +328,7 @@ def test_out_writes_file(tmp_path, capsys):
         "export bounded -n 6 -l 2 --kind count",
         "export bounded -n 6 -l 2 --count-cap 100",
         "export bounded -n 6 -l 2 --height-cap 100",
+        "export bounded -n 4 -l 2 --method magic",
     ],
 )
 def test_export_rejects_options_its_table_ignores(capsys, argv):

@@ -93,7 +93,8 @@ def test_functional_equation_residual():
 
 def test_recurrence_matches_series():
     assert counting.peakless_recurrence(1000) == counting.peakless_series(1000)
-    assert counting.peakless_recurrence(2) == [1, 1, 1]
+    for n in (0, 1, 2, 3):
+        assert counting.peakless_recurrence(n) == A004148[: n + 1]
     assert counting.peakless_recurrence(4)[4] == 4  # (9*2 + 3*1 + 3*1 - 0) / 6
 
 
@@ -360,6 +361,16 @@ def test_bounded_count_table_and_csv():
     assert rows == sorted(rows)
     for method in ("det", "dp"):
         assert counting.bounded_count_table(4, 2, method=method) == rows
+    # l_max past n_max // 2 reads the wider columns as the last one built
+    for n_max, l_max in ((12, 9), (10, 40)):
+        wide = counting.bounded_count_table(n_max, l_max)
+        for method in ("det", "dp"):
+            assert counting.bounded_count_table(n_max, l_max, method=method) == wide
+        for n, l, count in wide:
+            want = oracle.brute_force_count(
+                n, PathConstraints(peakless=True, max_height=l)
+            )
+            assert count == want, (n, l)
     with pytest.raises(ValueError):
         counting.bounded_count_table(4, 2, method="magic")
     for method in ("cf", "det", "dp"):
@@ -372,6 +383,34 @@ def test_bounded_count_table_and_csv():
     assert lines[1] == "0,0,1"
     assert len(lines) == 1 + len(rows)
     assert csv.endswith("\n")
+
+
+def test_column_streams_build_each_column_once(monkeypatch):
+    # one run of the strip family and one ladder per table, never more than
+    # min(l_max, n_max // 2) + 1 columns; a step of the family costs at most
+    # two polynomial products
+    calls = {"mul": 0, "inverse": 0}
+    real_mul, real_inverse = counting.poly_mul, Series.inverse
+
+    def mul(*args):
+        calls["mul"] += 1
+        return real_mul(*args)
+
+    def inverse(self):
+        calls["inverse"] += 1
+        return real_inverse(self)
+
+    monkeypatch.setattr(counting, "poly_mul", mul)
+    monkeypatch.setattr(Series, "inverse", inverse)
+    for n_max, l_max in ((40, 20), (10, 1500)):
+        calls["mul"] = 0
+        counting.bounded_count_table(n_max, l_max, method="det")
+        assert calls["mul"] <= 2 * (min(l_max, n_max // 2) + 1), (n_max, l_max)
+    counting.bounded_count_table(10, 1500, method="cf")
+    assert calls["inverse"] <= 6
+    calls["mul"] = 0
+    counting.bounded_series_det(20, 40)
+    assert calls["mul"] <= 42
 
 
 def test_pretty_cf_agreement_orders():
