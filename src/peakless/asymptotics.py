@@ -140,8 +140,9 @@ def convergence_report(kind, n_values, count_cap=None, height_cap=None):
         exact average height costs n/2 packed automaton passes (about
         0.12 s at n = 300 and 0.82 s at n = 500 on a 2-CPU machine), so
         the default cap is 500.  Out-of-budget requests raise
-        ResourceLimitError rather than silently truncating; a negative cap
-        is a malformed setting and raises ValueError.
+        ResourceLimitError rather than silently truncating; a negative cap,
+        or the cap of the other kind, is a malformed setting and raises
+        ValueError.
     """
     if kind not in ("count", "avg_height"):
         raise ValueError(f"unknown report kind {kind!r}")
@@ -153,11 +154,16 @@ def convergence_report(kind, n_values, count_cap=None, height_cap=None):
             f"report caps must be nonnegative, got count_cap={count_cap}, "
             f"height_cap={height_cap}"
         )
-    cap = (
-        (DEFAULT_COUNT_CAP if count_cap is None else count_cap)
-        if kind == "count"
-        else (DEFAULT_HEIGHT_CAP if height_cap is None else height_cap)
-    )
+    if kind == "count":
+        cap, default = count_cap, DEFAULT_COUNT_CAP
+        foreign, name = height_cap, "height_cap"
+    else:
+        cap, default = height_cap, DEFAULT_HEIGHT_CAP
+        foreign, name = count_cap, "count_cap"
+    if foreign is not None:
+        raise ValueError(f"{name} does not apply to {kind} reports")
+    if cap is None:
+        cap = default
     over = [n for n in ns if n > cap]
     if over:
         raise ResourceLimitError(

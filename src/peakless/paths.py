@@ -41,7 +41,12 @@ ORACLE_CAP_ENV = "PEAKLESS_ORACLE_CAP"
 def oracle_cap():
     """Brute-force length cap: PEAKLESS_ORACLE_CAP env var or the default."""
     raw = os.environ.get(ORACLE_CAP_ENV)
-    return DEFAULT_ORACLE_CAP if raw is None else int(raw)
+    if raw is None:
+        return DEFAULT_ORACLE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def check_oracle_length(n, cap=None):

@@ -1,7 +1,7 @@
+import cmath
 import json
 import math
 
-import numpy as np
 import pytest
 
 from peakless import asymptotics, counting
@@ -15,7 +15,8 @@ def test_singularity_constants():
     assert abs(asymptotics.INV_RHO - golden**2) < 1e-12
     assert abs(asymptotics.SINGULAR_AMPLITUDE**4 - 5.0) < 1e-12
     # the companion factor 1 + z + z^2 only has unit-modulus roots
-    for root in np.roots([1.0, 1.0, 1.0]):
+    for root in ((-1 + cmath.sqrt(-3)) / 2, (-1 - cmath.sqrt(-3)) / 2):
+        assert abs(1 + root + root * root) < 1e-12
         assert abs(abs(root) - 1.0) < 1e-12
 
 
@@ -127,6 +128,11 @@ def test_report_validation():
         asymptotics.convergence_report("count", [5], count_cap=-3)
     with pytest.raises(ValueError, match="nonnegative"):
         asymptotics.convergence_report("avg_height", [5], height_cap=-1)
+    # the other kind's cap would be silently ignored
+    with pytest.raises(ValueError, match="height_cap"):
+        asymptotics.convergence_report("count", [100], height_cap=1)
+    with pytest.raises(ValueError, match="count_cap"):
+        asymptotics.convergence_report("avg_height", [100], count_cap=1)
 
 
 def test_report_serialization_is_stable():

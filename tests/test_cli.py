@@ -235,6 +235,7 @@ def test_verify_malformed_oracle_cap_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify")
     assert code == 2
     assert "error" in err
+    assert "PEAKLESS_ORACLE_CAP" in err
     assert out == ""
 
 
@@ -261,6 +262,13 @@ def test_asympt_negative_cap_is_a_usage_error(capsys, cap):
     code, out, err = run_cli(capsys, "asympt", "--kind", "count", "-n", "5", cap, "-3")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "nonnegative" in err
+
+
+def test_asympt_rejects_the_other_kinds_cap(capsys):
+    argv = "asympt --kind count -n 100 --height-cap 1".split()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "height_cap" in err
 
 
 def test_byte_stable_machine_output(capsys):
@@ -369,18 +377,29 @@ def test_usage_errors_exit_2(capsys):
     assert info.value.code == 2
 
 
-def run_module(*argv, timeout=None):
+def run_python(*args, timeout=None):
     # the child imports the same checkout as this test run, installed or not
     src = str(Path(peakless.__file__).parent.parent)
     search = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(search))
     return subprocess.run(
-        [sys.executable, "-m", "peakless", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=timeout,
     )
+
+
+def run_module(*argv, timeout=None):
+    return run_python("-m", "peakless", *argv, timeout=timeout)
+
+
+def test_import_loads_no_numpy():
+    # the package depends on no numpy, so no request pays for importing it
+    code = "import sys, peakless, peakless.cli; print('numpy' in sys.modules)"
+    proc = run_python("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_module_entry_point():
