@@ -14,9 +14,9 @@ sequences of each half length, groups the halves into classes with
 multiplicities, and combines every pair of classes by the concatenation
 law, so each of the 3^n sequences is counted exactly once without being
 walked.  Nothing here comes from the automaton or the counting engines.
-`_classify_python_loop` is a reference loop, one sequence at a time,
-that the tests hold the kernel to.  `height_counts` is the one
-query; it checks the length cap with `paths.check_oracle_length`.
+The tests hold the kernel to a reference loop over one sequence at a
+time.  `height_counts` is the one query; it checks the length cap with
+`paths.check_oracle_length`.
 
 Step digit coding, shared with the enumeration order in `paths`:
 0 = flat, 1 = up, 2 = down.
@@ -67,44 +67,6 @@ def _classify_halves(n):
             if pend >= sneg:
                 peakless = 0 if pp or sp or (pu and sd) else 1
                 counts[peakless][pend + send][max(ph, pend + smax)] += pw * sw
-    return counts
-
-
-def _classify_python_loop(n):
-    # reference loop, one sequence at a time; used by the tests only
-    counts = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(2)]
-    if n == 0:
-        counts[1][0][0] = 1
-        return counts
-    total = 3**n
-    for idx in range(total):
-        rem = idx
-        level = 0
-        hgt = 0
-        prev_up = False
-        peak = False
-        ok = True
-        for _ in range(n):
-            d = rem % 3
-            rem //= 3
-            if d == 0:
-                prev_up = False
-            elif d == 1:
-                level += 1
-                prev_up = True
-                if level > hgt:
-                    hgt = level
-            else:
-                if prev_up:
-                    peak = True
-                level -= 1
-                prev_up = False
-                if level < 0:
-                    ok = False
-                    break
-        if ok:
-            pk = 0 if peak else 1
-            counts[pk][level][hgt] += 1
     return counts
 
 

@@ -86,35 +86,31 @@ class PathConstraints:
                 raise ValueError("end_level cannot exceed max_height")
 
 
+def _unknown_step(step):
+    return ValueError(f"unknown step {step!r}: a path is a string over U, D, F")
+
+
 def level_profile(path):
     """Levels p_0..p_n visited along the path, starting from p_0 = 0."""
     levels = [0]
     for step in path:
+        if step not in STEP_INCREMENTS:
+            raise _unknown_step(step)
         levels.append(levels[-1] + STEP_INCREMENTS[step])
     return levels
 
 
 def is_valid_prefix(path):
     """True if the walk never goes below level 0."""
-    level = 0
-    for step in path:
-        level += STEP_INCREMENTS[step]
-        if level < 0:
-            return False
-    return True
+    return min(level_profile(path)) >= 0
 
 
 def height(path):
     """Maximal level along the path.  Rejects walks that dip below 0."""
-    best = 0
-    level = 0
-    for step in path:
-        level += STEP_INCREMENTS[step]
-        if level < 0:
-            raise ValueError(f"path {path!r} goes below the axis")
-        if level > best:
-            best = level
-    return best
+    levels = level_profile(path)
+    if min(levels) < 0:
+        raise ValueError(f"path {path!r} goes below the axis")
+    return max(levels)
 
 
 def has_peak(path):
@@ -132,6 +128,7 @@ def automaton_accepts(path):
 
     Acceptance is equivalent to: valid prefix and no peak.  Recognizing a
     peakless Motzkin path additionally requires end_level == 0.
+    A step other than U, D or F raises ValueError when the walk reaches it.
     """
     level = 0
     bottom = False  # bottom layer: previous step was an up-step
@@ -143,8 +140,10 @@ def automaton_accepts(path):
             if bottom or level == 0:
                 return False, level
             level -= 1
-        else:
+        elif step == FLAT:
             bottom = False
+        else:
+            raise _unknown_step(step)
     return True, level
 
 

@@ -2,49 +2,68 @@
 
 Every check pits independent computations of the same quantity against
 each other: brute-force scan, automaton DP, ladder series, determinant
-quotient, functional equation, recurrence.  `run_checks` returns one
-record per check so the CLI can print a line each and emit a
-machine-readable failure list.
+quotient, functional equation, recurrence.  Two routes to one sequence
+are compared by `check_agreement`, which `count` and `bounded` use too;
+any other condition raises AssertionError.  A check returns nothing and
+fails only by raising, and `run_checks` returns one record per check so
+the CLI can print a line each and emit a machine-readable failure list.
 
-quick: lengths <= 10, bounds <= 4, plus at least one example for every
-       public counting and path operation.
-full:  lengths <= 14, bounds <= 7, recurrence exactness to n = 5000, and
-       the defining series identities to order 200.
+quick: lengths <= 10, bounds <= 4, fixed examples for the path, sequence,
+       determinant, height and continued-fraction routines, the kernel
+       identities to order 30 and recurrence exactness to n = 500.
+full:  lengths <= 14, bounds <= 7, recurrence exactness to n = 5000, the
+       defining series identities to order 200, and the invariants of
+       `bounded_count_table` to n = 60.
 At both levels every height distribution up to the level's length is held
-to the oracle's height census.
+to the oracle's height census.  Only full runs `bounded_count_table`, and
+neither level runs `bounded_table_csv`.
 """
 import itertools
 from fractions import Fraction
 
 from . import counting, oracle, paths
-from .errors import OracleLimitError, ResourceLimitError
+from .errors import EngineDisagreement, ResourceLimitError
 from .series import Series
 
 QUICK_N, QUICK_L = 10, 4
 FULL_N, FULL_L = 14, 7
+MISMATCHES_SHOWN = 5  # a disagreement lists at most this many indices
 
 
-def _fail(detail):
-    return False, detail
+def check_agreement(names, first, second, where=""):
+    """Raise EngineDisagreement unless two routes give the same sequence.
 
-
-def _ok():
-    return True, ""
+    `names` labels the two routes; the message counts the indices n that
+    differ and shows both values at the first few.  Sequences of unequal
+    length disagree too.
+    """
+    first, second = list(first), list(second)
+    if len(first) != len(second):
+        raise EngineDisagreement(
+            f"engine disagreement{where}: {names[0]} has {len(first)} terms, "
+            f"{names[1]} {len(second)}"
+        )
+    bad = [i for i, (a, b) in enumerate(zip(first, second)) if a != b]
+    if bad:
+        shown = "; ".join(
+            f"n={i}: {names[0]} {first[i]}, {names[1]} {second[i]}"
+            for i in bad[:MISMATCHES_SHOWN]
+        )
+        raise EngineDisagreement(
+            f"engine disagreement{where}: {len(bad)} mismatching terms, first {shown}"
+        )
 
 
 def check_path_predicates():
-    if paths.level_profile("") != [0]:
-        return _fail("empty profile")
-    if paths.level_profile("UUDD") != [0, 1, 2, 1, 0]:
-        return _fail("UUDD profile")
-    if paths.level_profile("UFDF") != [0, 1, 1, 0, 0]:
-        return _fail("UFDF profile")
+    profiles = (("", [0]), ("UUDD", [0, 1, 2, 1, 0]), ("UFDF", [0, 1, 1, 0, 0]))
+    for path, want in profiles:
+        got = paths.level_profile(path)
+        check_agreement(("level_profile", "fixture"), got, want, f" on {path!r}")
     for path, expect in (("FFFF", 0), ("UUDD", 2), ("UFDF", 1)):
         if paths.height(path) != expect:
-            return _fail(f"height({path})")
+            raise AssertionError(f"height({path})")
     if not paths.has_peak("UUDD") or paths.has_peak("UFDF") or paths.has_peak(""):
-        return _fail("has_peak examples")
-    return _ok()
+        raise AssertionError("has_peak examples")
 
 
 def check_automaton():
@@ -52,151 +71,131 @@ def check_automaton():
     for path, accept, end in cases:
         got_accept, got_end = paths.automaton_accepts(path)
         if got_accept != accept or (end is not None and got_end != end):
-            return _fail(f"automaton on {path}")
+            raise AssertionError(f"automaton on {path}")
     for n in range(8):
         for tup in itertools.product("FUD", repeat=n):
             path = "".join(tup)
             expect = paths.is_valid_prefix(path) and not paths.has_peak(path)
             if paths.automaton_accepts(path)[0] != expect:
-                return _fail(f"automaton mismatch on {path}")
-    return _ok()
+                raise AssertionError(f"automaton mismatch on {path}")
 
 
 def check_enumeration():
-    figure = list(paths.enumerate_paths(4, paths.PathConstraints(peakless=True)))
-    if figure != ["FFFF", "FUFD", "UFFD", "UFDF"]:
-        return _fail(f"peakless length-4 list: {figure}")
+    check_agreement(
+        ("enumerate_paths", "figure"),
+        paths.enumerate_paths(4, paths.PathConstraints(peakless=True)),
+        ["FFFF", "FUFD", "UFFD", "UFDF"],
+        " on the peakless length-4 list",
+    )
     if len(list(paths.enumerate_paths(4))) != 9:
-        return _fail("all Motzkin length-4 count")
+        raise AssertionError("all Motzkin length-4 count")
     if list(paths.enumerate_paths(0)) != [""]:
-        return _fail("empty path enumeration")
-    return _ok()
+        raise AssertionError("empty path enumeration")
 
 
 def check_sequence_fixture():
-    expect = [1, 1, 1, 2, 4, 8, 17]
-    if counting.peakless_series(6) != expect:
-        return _fail("functional-equation prefix")
-    if counting.peakless_recurrence(6) != expect:
-        return _fail("recurrence prefix")
-    if counting.motzkin_numbers(6) != [1, 1, 2, 4, 9, 21, 51]:
-        return _fail("Motzkin prefix")
-    return _ok()
+    for name, got, want in (
+        ("functional equation", counting.peakless_series(6), [1, 1, 1, 2, 4, 8, 17]),
+        ("recurrence", counting.peakless_recurrence(6), [1, 1, 1, 2, 4, 8, 17]),
+        ("Motzkin", counting.motzkin_numbers(6), [1, 1, 2, 4, 9, 21, 51]),
+    ):
+        check_agreement((name, "fixture"), got, want)
 
 
 def check_five_way(n_limit, l_limit):
+    lengths = range(n_limit + 1)
     series = counting.peakless_series(n_limit)
     recurrence = counting.peakless_recurrence(n_limit)
-    if series != recurrence:
-        return _fail("series != recurrence")
-    dp = {l: counting.bounded_column_dp(l, n_limit) for l in range(l_limit + 1)}
-    cf = {l: counting.bounded_series_cf(l, n_limit) for l in range(l_limit + 1)}
-    det = {l: counting.bounded_series_det(l, n_limit) for l in range(l_limit + 1)}
-    for n in range(n_limit + 1):
-        unbounded = oracle.brute_force_count(
-            n, paths.PathConstraints(peakless=True)
-        )
-        if unbounded != series[n]:
-            return _fail(f"m({n}): brute {unbounded} != series {series[n]}")
-        half = n // 2
-        if counting.bounded_count_dp(n, half) != series[n]:
-            return _fail(f"dp at inactive bound, n={n}")
-        for l in range(l_limit + 1):
-            want = oracle.brute_force_count(
-                n, paths.PathConstraints(peakless=True, max_height=l)
-            )
-            got_dp = dp[l][n]
-            got_cf = cf[l][n]
-            if want != got_dp:
-                return _fail(f"bounded_column_dp(l={l})[{n}]: {got_dp} != {want}")
-            if want != got_cf:
-                return _fail(f"bounded_series_cf(l={l})[{n}]: {got_cf} != {want}")
-            if det[l][n] != want:
-                return _fail(f"bounded_series_det(l={l})[{n}]: {det[l][n]} != {want}")
-    return _ok()
+    check_agreement(("series", "recurrence"), series, recurrence)
+    unbounded = paths.PathConstraints(peakless=True)
+    brute = [oracle.brute_force_count(n, unbounded) for n in lengths]
+    check_agreement(("brute force", "series"), brute, series)
+    inactive = [counting.bounded_count_dp(n, n // 2) for n in lengths]
+    check_agreement(("bounded_count_dp", "series"), inactive, series, " at bound n/2")
+    for l in range(l_limit + 1):
+        bounded = paths.PathConstraints(peakless=True, max_height=l)
+        brute = [oracle.brute_force_count(n, bounded) for n in lengths]
+        for name, column in (
+            ("bounded_column_dp", counting.bounded_column_dp(l, n_limit)),
+            ("bounded_series_cf", counting.bounded_series_cf(l, n_limit).coeffs),
+            ("bounded_series_det", counting.bounded_series_det(l, n_limit).coeffs),
+        ):
+            check_agreement((name, "brute force"), column, brute, f" for bound={l}")
 
 
 def check_end_levels(n_limit):
     for k in range(3):
-        engine = counting.end_level_series(k, n_limit)
-        for n in range(n_limit + 1):
-            want = oracle.brute_force_count(
-                n, paths.PathConstraints(peakless=True, end_level=k)
-            )
-            if engine[n] != want:
-                return _fail(f"end level {k}, n={n}: {engine[n]} != {want}")
+        at_k = paths.PathConstraints(peakless=True, end_level=k)
+        check_agreement(
+            ("end_level_series", "brute force"),
+            counting.end_level_series(k, n_limit),
+            [oracle.brute_force_count(n, at_k) for n in range(n_limit + 1)],
+            f" for end level {k}",
+        )
     if counting.end_level_series(1, 2)[1] != 1:
-        return _fail("single-step end level")
-    return _ok()
+        raise AssertionError("single-step end level")
 
 
 def check_determinants():
-    if counting.determinant_poly(0) != (-1, 1, -1):
-        return _fail("D_0")
-    if counting.determinant_poly(1) != (1, -2, 2, -2, 1):
-        return _fail("D_1 != (1-z)^2 (1+z^2)")
-    if counting.strip_denominator_poly(0) != (-1, 1):
-        return _fail("E_0")
-    prefix = counting.bounded_series_det(1, 4).coeffs
-    if prefix != (1, 1, 1, 2, 4):
-        return _fail(f"det quotient prefix {prefix}")
-    return _ok()
+    # D_1 = (1 - z)^2 (1 + z^2); the quotient for bound 1 is A(n, 1), n <= 4
+    for name, got, want in (
+        ("D_0", counting.determinant_poly(0), (-1, 1, -1)),
+        ("D_1", counting.determinant_poly(1), (1, -2, 2, -2, 1)),
+        ("E_0", counting.strip_denominator_poly(0), (-1, 1)),
+        ("det quotient", counting.bounded_series_det(1, 4).coeffs, (1, 1, 1, 2, 4)),
+    ):
+        check_agreement((name, "fixture"), got, want)
 
 
 def check_kernel_identities(order):
     f = Series(counting.peakless_series(order), order)
     one = Series.one(order)
     q = Series((1, -1, 1), order)
-    residual = (f * f).shift(2) - q * f + one
-    if not residual.is_zero():
-        return _fail("functional equation residual")
+    if not ((f * f).shift(2) - q * f + one).is_zero():
+        raise AssertionError("functional equation residual")
     s2 = counting.kernel_root_series(order)
-    if s2[0] != 0 or s2.coeffs[1:4] != (1, 1, 1):
-        return _fail("kernel root prefix")
+    check_agreement(("kernel root", "fixture"), s2.coeffs[:4], (0, 1, 1, 1))
     if not counting.kernel_residual(s2).is_zero():
-        return _fail("kernel residual")
+        raise AssertionError("kernel residual")
     hk = [Series(counting.end_level_series(k, order), order) for k in range(7)]
     qbar = Series((-1, 1, -1), order)
     for k in range(2, 7):
         lhs = hk[k].shift(1) + qbar * hk[k - 1] + hk[k - 2].shift(1)
         if not lhs.is_zero():
-            return _fail(f"three-term end-level identity at k={k}")
-    return _ok()
+            raise AssertionError(f"three-term end-level identity at k={k}")
 
 
 def check_height_stats(n_limit):
     stats = counting.height_distribution(4)
     if stats.distribution != (1, 3) or stats.expected_height != Fraction(3, 4):
-        return _fail(f"n=4 stats {stats}")
+        raise AssertionError(f"n=4 stats {stats}")
     if counting.height_distribution(0).expected_height != 0:
-        return _fail("n=0 stats")
-    for n in range(n_limit + 1):
-        engine = list(counting.height_distribution(n).distribution)
-        want = oracle.height_counts(n, peakless=True)
-        if engine != want:
-            return _fail(f"height distribution n={n}: {engine} != oracle {want}")
+        raise AssertionError("n=0 stats")
+    lengths = range(n_limit + 1)
+    check_agreement(
+        ("height_distribution", "oracle"),
+        [counting.height_distribution(n).distribution for n in lengths],
+        [tuple(oracle.height_counts(n, peakless=True)) for n in lengths],
+    )
     heights = oracle.height_counts(4, peakless=False)
     if heights != [1, 7, 1]:
-        return _fail(f"length-4 height multiset {heights}")
-    return _ok()
+        raise AssertionError(f"length-4 height multiset {heights}")
 
 
 def check_pretty_cf():
     orders = [counting.pretty_cf_agreement(d, 40) for d in range(1, 11)]
     if orders[0] != 1:
-        return _fail("depth-1 agreement")
+        raise AssertionError("depth-1 agreement")
     if any(a > b for a, b in zip(orders, orders[1:])):
-        return _fail(f"agreement not monotone: {orders}")
+        raise AssertionError(f"agreement not monotone: {orders}")
     if orders[6] < 7:
-        return _fail(f"depth-7 agreement {orders[6]}")
-    return _ok()
+        raise AssertionError(f"depth-7 agreement {orders[6]}")
 
 
 def check_recurrence_exactness(n_limit):
     values = counting.peakless_recurrence(n_limit)  # raises on inexact division
     if values[6] != 17:
-        return _fail("recurrence value drift")
-    return _ok()
+        raise AssertionError("recurrence value drift")
 
 
 def check_table_invariants(n_limit):
@@ -205,13 +204,12 @@ def check_table_invariants(n_limit):
     # rows run n-major, l = 0..n_limit // 2 within each n
     for n, l, val in counting.bounded_count_table(n_limit, n_limit // 2):
         if l == 0 and val != 1:
-            return _fail(f"A({n}, 0) != 1")
+            raise AssertionError(f"A({n}, 0) != 1")
         if l and val < prev:
-            return _fail(f"A({n}, l) decreasing at l={l}")
+            raise AssertionError(f"A({n}, l) decreasing at l={l}")
         prev = val
         if l >= (n + 1) // 2 and val != series[n]:
-            return _fail(f"A({n}, {l}) != m({n}) past the active range")
-    return _ok()
+            raise AssertionError(f"A({n}, {l}) != m({n}) past the active range")
 
 
 def checks_for_level(level):
@@ -247,17 +245,18 @@ def run_checks(level="quick"):
     """Run the suite; returns [{"check", "ok", "detail"}, ...] in order.
 
     A check that raises counts as failed, except when a cap or budget stops
-    it: OracleLimitError and ResourceLimitError propagate.
+    it: ResourceLimitError, OracleLimitError among it, propagates.
     """
     checks = checks_for_level(level)
     paths.check_oracle_length(0)  # a malformed PEAKLESS_ORACLE_CAP exits 2
     results = []
     for name, fn in checks:
+        ok, detail = True, ""
         try:
-            ok, detail = fn()
-        except (OracleLimitError, ResourceLimitError):
+            fn()
+        except ResourceLimitError:
             raise  # a budget stopped the suite: exit 3, not a failed check
-        except Exception as exc:  # a crashing engine is a failing check
+        except Exception as exc:  # a failed comparison or a crashing engine
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         results.append({"check": name, "ok": ok, "detail": detail})
     return results

@@ -445,6 +445,7 @@ GOLDEN_STDOUT = [
     ("export report --kind count -n 30", "6d2f1a63b3b522fb054cca4aa64ee92740fbcbffba5512684d590463045bea2c"),
     ("export report --kind avg_height -n 30 --format json", "3fadbe782e2d2dd267b1cfc9a859e5e893dd1550093a3706025d0dc2b126d141"),
     ("verify --format json", "7d8b51932668e8ac083fe0d59a05d248493804017056f8d7273a8da307b97ec1"),
+    ("verify --level full --format json", "db32058ca3c81e2465dce9bba07189f27011025800b28cf236585eea15c5e010"),
 ]
 
 

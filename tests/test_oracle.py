@@ -7,10 +7,48 @@ from peakless.errors import OracleLimitError
 from peakless.paths import PathConstraints, enumerate_paths
 
 
+def _classify_python_loop(n):
+    # reference loop, one sequence at a time, digits 0 = F, 1 = U, 2 = D
+    counts = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(2)]
+    if n == 0:
+        counts[1][0][0] = 1
+        return counts
+    total = 3**n
+    for idx in range(total):
+        rem = idx
+        level = 0
+        hgt = 0
+        prev_up = False
+        peak = False
+        ok = True
+        for _ in range(n):
+            d = rem % 3
+            rem //= 3
+            if d == 0:
+                prev_up = False
+            elif d == 1:
+                level += 1
+                prev_up = True
+                if level > hgt:
+                    hgt = level
+            else:
+                if prev_up:
+                    peak = True
+                level -= 1
+                prev_up = False
+                if level < 0:
+                    ok = False
+                    break
+        if ok:
+            pk = 0 if peak else 1
+            counts[pk][level][hgt] += 1
+    return counts
+
+
 def test_backends_agree_with_reference_loop():
     # n = 0 and 1 leave a half empty; odd and even n split unevenly and evenly
     for n in range(11):
-        reference = oracle._classify_python_loop(n)
+        reference = _classify_python_loop(n)
         rows = tuple(tuple(map(tuple, layer)) for layer in reference)
         assert oracle.classification_table(n) == rows
 

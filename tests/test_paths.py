@@ -34,6 +34,16 @@ def test_height_rejects_dipping_path():
         height("DU")
 
 
+@pytest.mark.parametrize(
+    "fn", [level_profile, is_valid_prefix, height, automaton_accepts]
+)
+@pytest.mark.parametrize("path,step", [("UXD", "X"), ("ud", "u"), ("F D", " ")])
+def test_unknown_step_rejected(fn, path, step):
+    # a step outside U/D/F is an error, not a silent flat step
+    with pytest.raises(ValueError, match=f"unknown step {step!r}"):
+        fn(path)
+
+
 def test_has_peak_examples():
     assert has_peak("UUDD")
     assert not has_peak("UFDF")

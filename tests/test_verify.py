@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from peakless import counting, verify
+from peakless.errors import EngineDisagreement
 from peakless.series import Series
 
 
@@ -66,3 +67,32 @@ def test_height_stats_held_to_the_oracle(monkeypatch):
     by_name = {r["check"]: r for r in verify.run_checks("quick")}
     assert not by_name["height_stats"]["ok"]
     assert "n=9" in by_name["height_stats"]["detail"]
+
+
+def test_recurrence_fault_is_located(monkeypatch):
+    # a recurrence wrong at one index is reported with that index and both values
+    real = counting.peakless_recurrence
+
+    def skewed(n_max):
+        values = real(n_max)
+        if n_max >= 7:
+            values[7] += 1
+        return values
+
+    monkeypatch.setattr(counting, "peakless_recurrence", skewed)
+    by_name = {r["check"]: r for r in verify.run_checks("quick")}
+    detail = by_name["five_way_agreement"]["detail"]
+    assert not by_name["five_way_agreement"]["ok"]
+    assert "n=7" in detail
+    assert "series 37, recurrence 38" in detail
+
+
+def test_check_agreement():
+    assert verify.check_agreement(("a", "b"), [1, 2, 3], (1, 2, 3)) is None
+    with pytest.raises(EngineDisagreement, match="a has 3 terms, b 2"):
+        verify.check_agreement(("a", "b"), [1, 2, 3], [1, 2])
+    with pytest.raises(
+        EngineDisagreement,
+        match=r"disagreement at x: 1 mismatching terms, first n=1: a 2, b 5$",
+    ):
+        verify.check_agreement(("a", "b"), [1, 2, 3], [1, 5, 3], " at x")
