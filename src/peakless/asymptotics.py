@@ -34,9 +34,8 @@ SINGULAR_AMPLITUDE = 5.0**0.25
 AVG_HEIGHT_CONSTANT = 2.0 * 5.0**-0.25  # 1.337480610...
 MOTZKIN_HEIGHT_CONSTANT = 3.0**-0.5  # 0.5773502691...
 
-# budgets for exact reference values (see convergence_report)
-DEFAULT_COUNT_CAP = 10_000
-DEFAULT_HEIGHT_CAP = 500
+# default budget (largest n) for each report kind; see convergence_report
+REPORT_CAPS = {"count": 10_000, "avg_height": 500}
 
 # comparison budgets recorded in report metadata: the count prediction has
 # an O(1/n) correction (1% at n = 2000); the height ratio is recorded
@@ -125,7 +124,7 @@ class ConvergenceReport:
         return render.json_text(self.payload())
 
 
-def convergence_report(kind, n_values, count_cap=None, height_cap=None):
+def convergence_report(kind, n_values, cap=None):
     """Exact counts or exact average heights against their predictions.
 
     Parameters
@@ -135,40 +134,23 @@ def convergence_report(kind, n_values, count_cap=None, height_cap=None):
         (exact expectations from the height-distribution DP).
     n_values : iterable of int
         Lengths to report, kept in the given order; may be empty.
-    count_cap, height_cap : int, optional
-        Budget knobs.  The recurrence is cheap (default cap 10000); each
-        exact average height costs n/2 packed automaton passes (about
-        0.12 s at n = 300 and 0.82 s at n = 500 on a 2-CPU machine), so
-        the default cap is 500.  Out-of-budget requests raise
-        ResourceLimitError rather than silently truncating; a negative cap,
-        or the cap of the other kind, is a malformed setting and raises
-        ValueError.
+    cap : int, optional
+        Largest n allowed, default REPORT_CAPS[kind].  The recurrence is
+        cheap (default 10000); each exact average height costs n/2 packed
+        automaton passes (0.26-0.30 s at n = 300 and 1.9-2.2 s at n = 500,
+        in-process on a shared 2-CPU machine), so the default is 500.  The
+        cap goes through `ResourceLimitError.check`: out-of-budget lengths
+        raise ResourceLimitError rather than being silently dropped, and a
+        negative cap raises ValueError.
     """
-    if kind not in ("count", "avg_height"):
+    if kind not in REPORT_CAPS:
         raise ValueError(f"unknown report kind {kind!r}")
     ns = [int(n) for n in n_values]
     if any(n < 1 for n in ns):
         raise ValueError("report lengths must be >= 1")
-    if min(count_cap or 0, height_cap or 0) < 0:
-        raise ValueError(
-            f"report caps must be nonnegative, got count_cap={count_cap}, "
-            f"height_cap={height_cap}"
-        )
-    if kind == "count":
-        cap, default = count_cap, DEFAULT_COUNT_CAP
-        foreign, name = height_cap, "height_cap"
-    else:
-        cap, default = height_cap, DEFAULT_HEIGHT_CAP
-        foreign, name = count_cap, "count_cap"
-    if foreign is not None:
-        raise ValueError(f"{name} does not apply to {kind} reports")
-    if cap is None:
-        cap = default
-    over = [n for n in ns if n > cap]
-    if over:
-        raise ResourceLimitError(
-            f"{kind} report limited to n <= {cap}; out of budget: {over}"
-        )
+    ResourceLimitError.check(
+        f"{kind} report", ns, REPORT_CAPS[kind] if cap is None else cap
+    )
 
     rows = []
     if kind == "count":

@@ -135,12 +135,7 @@ def cmd_verify(args):
 
 
 def cmd_asympt(args):
-    report = asymptotics.convergence_report(
-        args.kind,
-        args.order,
-        count_cap=args.count_cap,
-        height_cap=args.height_cap,
-    )
+    report = asymptotics.convergence_report(args.kind, args.order, cap=args.cap)
 
     def text():
         lines = [f"kind={report.kind} tolerance={report.tolerance}"]
@@ -214,8 +209,8 @@ def build_parser():
         "--oracle-cap",
         type=int,
         default=None,
-        help="override the brute-force length cap (default 16 or "
-        "PEAKLESS_ORACLE_CAP)",
+        help="override the brute-force length cap (default "
+        f"{paths.DEFAULT_ORACLE_CAP} or {paths.ORACLE_CAP_ENV})",
     )
     p.set_defaults(handler=cmd_enumerate)
 
@@ -226,10 +221,13 @@ def build_parser():
     output_options(p, formats=("text", "json"))
     p.set_defaults(handler=cmd_verify)
 
+    caps = "default: " + ", ".join(
+        f"{cap} for {kind}" for kind, cap in asymptotics.REPORT_CAPS.items()
+    )
+
     def report_options(p, formats, **kind):
-        p.add_argument(
-            "--kind", choices=("count", "avg_height"), help="report kind", **kind
-        )
+        kinds = tuple(asymptotics.REPORT_CAPS)
+        p.add_argument("--kind", choices=kinds, help="report kind", **kind)
         p.add_argument(
             "-n",
             "--order",
@@ -238,12 +236,7 @@ def build_parser():
             required=True,
             help="length to report (repeatable)",
         )
-        p.add_argument(
-            "--count-cap", type=int, default=None, help="budget for count rows"
-        )
-        p.add_argument(
-            "--height-cap", type=int, default=None, help="budget for avg_height rows"
-        )
+        p.add_argument("--cap", type=int, default=None, help=f"largest n ({caps})")
         output_options(p, formats)
 
     p = sub.add_parser("asympt", help="exact versus predicted convergence report")

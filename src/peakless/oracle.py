@@ -15,8 +15,8 @@ multiplicities, and combines every pair of classes by the concatenation
 law, so each of the 3^n sequences is counted exactly once without being
 walked.  Nothing here comes from the automaton or the counting engines.
 The tests hold the kernel to a reference loop over one sequence at a
-time.  `height_counts` is the one query; it checks the length cap with
-`paths.check_oracle_length`.
+time.  `height_counts` is the one query; it checks the length against
+`oracle_cap()` (PEAKLESS_ORACLE_CAP or 16) with `paths.check_oracle_length`.
 
 Step digit coding, shared with the enumeration order in `paths`:
 0 = flat, 1 = up, 2 = down.
@@ -91,20 +91,20 @@ def classification_table(n):
     return tuple(tuple(map(tuple, layer)) for layer in _classify_halves(n))
 
 
-def brute_force_count(n, constraints=None, cap=None):
+def brute_force_count(n, constraints=None):
     """Number of length-n paths satisfying the constraints, by full scan."""
     if constraints is None:
         constraints = PathConstraints()
-    counts = height_counts(n, constraints.peakless, constraints.end_level, cap)
+    counts = height_counts(n, constraints.peakless, constraints.end_level)
     top = constraints.max_height
     return sum(counts if top is None else counts[: top + 1])
 
 
-def height_counts(n, peakless=False, end_level=0, cap=None):
+def height_counts(n, peakless=False, end_level=0):
     """Counts of length-n paths by exact height, as a plain list."""
     if end_level < 0:
         raise ValueError("end level must be nonnegative")
-    check_oracle_length(n, cap)
+    check_oracle_length(n)
     table = classification_table(n)
     if end_level > n:
         return [0]

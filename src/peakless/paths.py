@@ -18,7 +18,9 @@ must never leave level >= 0.
 `enumerate_paths` is the exhaustive generator used as ground truth by the
 tests; the counting engines in `counting` must reproduce whatever it says.
 Every brute-force entry point, here and in `oracle`, checks the length
-against the cap in one place, `check_oracle_length`.
+against the cap in one place, `check_oracle_length`, which is the
+package's one budget gate `ResourceLimitError.check` raising
+OracleLimitError.
 """
 import os
 from dataclasses import dataclass
@@ -50,17 +52,9 @@ def oracle_cap():
 
 
 def check_oracle_length(n, cap=None):
-    """Raise OracleLimitError if n exceeds the cap (default `oracle_cap()`).
-
-    A negative cap from either source is a malformed setting: ValueError.
-    """
-    limit = oracle_cap() if cap is None else cap
-    if limit < 0:
-        raise ValueError(f"brute-force cap must be nonnegative, got {limit}")
-    if n > limit:
-        raise OracleLimitError(
-            f"oracle limit: length {n} exceeds brute-force cap {limit}"
-        )
+    """The budget gate for brute force; the cap defaults to `oracle_cap()`."""
+    cap = oracle_cap() if cap is None else cap
+    OracleLimitError.check("brute-force length", [n], cap)
 
 
 @dataclass(frozen=True)

@@ -113,8 +113,8 @@ def test_report_caps():
     with pytest.raises(ResourceLimitError):
         asymptotics.convergence_report("avg_height", [501])
     with pytest.raises(ResourceLimitError):
-        asymptotics.convergence_report("avg_height", [50], height_cap=30)
-    report = asymptotics.convergence_report("count", [220], count_cap=250)
+        asymptotics.convergence_report("avg_height", [50], cap=30)
+    report = asymptotics.convergence_report("count", [220], cap=250)
     assert report.rows[0].n == 220
 
 
@@ -125,14 +125,9 @@ def test_report_validation():
         asymptotics.convergence_report("count", [0])
     # a negative budget is a malformed setting, not an exhausted budget
     with pytest.raises(ValueError, match="nonnegative"):
-        asymptotics.convergence_report("count", [5], count_cap=-3)
+        asymptotics.convergence_report("count", [5], cap=-3)
     with pytest.raises(ValueError, match="nonnegative"):
-        asymptotics.convergence_report("avg_height", [5], height_cap=-1)
-    # the other kind's cap would be silently ignored
-    with pytest.raises(ValueError, match="height_cap"):
-        asymptotics.convergence_report("count", [100], height_cap=1)
-    with pytest.raises(ValueError, match="count_cap"):
-        asymptotics.convergence_report("avg_height", [100], count_cap=1)
+        asymptotics.convergence_report("avg_height", [5], cap=-1)
 
 
 def test_report_serialization_is_stable():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from math import comb
@@ -257,18 +258,43 @@ def test_asympt_resource_cap(capsys):
     assert "budget" in err
 
 
-@pytest.mark.parametrize("cap", ["--count-cap", "--height-cap"])
-def test_asympt_negative_cap_is_a_usage_error(capsys, cap):
-    code, out, err = run_cli(capsys, "asympt", "--kind", "count", "-n", "5", cap, "-3")
+@pytest.mark.parametrize("kind", ["count", "avg_height"])
+def test_asympt_negative_cap_is_a_usage_error(capsys, kind):
+    code, out, err = run_cli(capsys, "asympt", "--kind", kind, "-n", "5", "--cap", "-3")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "nonnegative" in err
 
 
-def test_asympt_rejects_the_other_kinds_cap(capsys):
-    argv = "asympt --kind count -n 100 --height-cap 1".split()
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "height_cap" in err
+# the budget gate's two message forms, one per exit code
+GATE_MESSAGES = {
+    3: re.compile(r"^resource cap: .+ limited to n <= \d+; out of budget: \[[\d, ]+]$"),
+    2: re.compile(r"^error: .+ cap must be nonnegative, got -2$"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("enumerate -n 20", 3),
+        ("enumerate -n 5 --oracle-cap 4", 3),
+        ("PEAKLESS_ORACLE_CAP=5 verify", 3),
+        ("asympt --kind avg_height -n 501", 3),
+        ("asympt --kind count -n 100 --cap 50", 3),
+        ("export report -n 30 --cap 10", 3),
+        ("enumerate -n 3 --oracle-cap -2", 2),
+        ("PEAKLESS_ORACLE_CAP=-2 enumerate -n 3", 2),
+        ("asympt --kind count -n 5 --cap -2", 2),
+        ("asympt --kind avg_height -n 5 --cap -2", 2),
+    ],
+)
+def test_every_budget_goes_through_one_gate(capsys, monkeypatch, argv, code):
+    # one message form per outcome, whichever route and cap source
+    words = argv.split()
+    if words[0].startswith("PEAKLESS_ORACLE_CAP="):
+        monkeypatch.setenv(*words.pop(0).split("="))
+    got, out, err = run_cli(capsys, *words)
+    assert (got, out) == (code, "")
+    assert err.endswith("\n") and GATE_MESSAGES[code].match(err[:-1]), err
 
 
 def test_byte_stable_machine_output(capsys):
@@ -336,6 +362,7 @@ def test_out_writes_file(tmp_path, capsys):
         "export bounded -n 6 -l 2 --kind count",
         "export bounded -n 6 -l 2 --count-cap 100",
         "export bounded -n 6 -l 2 --height-cap 100",
+        "export bounded -n 6 -l 2 --cap 100",
         "export bounded -n 4 -l 2 --method magic",
     ],
 )

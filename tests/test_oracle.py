@@ -101,25 +101,23 @@ def test_height_counts_rejects_negative_end_level():
 
 
 def test_end_level_beyond_length():
-    assert oracle.brute_force_count(2, PathConstraints(end_level=5), cap=16) == 0
+    assert oracle.brute_force_count(2, PathConstraints(end_level=5)) == 0
 
 
 def test_cap_enforced(monkeypatch):
     with pytest.raises(OracleLimitError):
         oracle.brute_force_count(17)
+    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "4")
     with pytest.raises(OracleLimitError):
-        oracle.brute_force_count(5, cap=4)
+        oracle.brute_force_count(5)
+    with pytest.raises(OracleLimitError):
+        oracle.height_counts(5)
     # a negative cap is a malformed setting, not an exceeded one
-    with pytest.raises(ValueError, match="nonnegative"):
-        oracle.brute_force_count(3, cap=-1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        oracle.height_counts(3, cap=-1)
-    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "3")
-    with pytest.raises(OracleLimitError):
-        oracle.height_counts(4)
     monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "-1")
     with pytest.raises(ValueError, match="nonnegative"):
         oracle.brute_force_count(3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle.height_counts(3)
 
 
 def test_classification_table_is_read_only():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from peakless import counting
-from peakless.errors import OracleLimitError
+from peakless.errors import OracleLimitError, ResourceLimitError
 from peakless.paths import (
     PathConstraints,
     automaton_accepts,
@@ -128,6 +128,18 @@ def test_oracle_cap():
     with pytest.raises(OracleLimitError):
         list(enumerate_paths(5, cap=4))
     assert len(list(enumerate_paths(5, cap=5))) == 21
+
+
+def test_budget_gate_boundary():
+    # n == cap passes, n == cap + 1 raises the class the gate is called on
+    ResourceLimitError.check("report", [3, 5], 5)
+    OracleLimitError.check("brute-force length", [5], 5)
+    with pytest.raises(OracleLimitError, match=r"n <= 5; out of budget: \[6\]$"):
+        OracleLimitError.check("brute-force length", [6], 5)
+    with pytest.raises(ResourceLimitError, match=r"out of budget: \[6, 7\]$"):
+        ResourceLimitError.check("report", [5, 6, 7], 5)
+    with pytest.raises(ValueError, match="^report cap must be nonnegative, got -1$"):
+        ResourceLimitError.check("report", [], -1)
 
 
 def test_oracle_cap_env(monkeypatch):
