@@ -25,7 +25,6 @@ from .counting import (
     bounded_count_table,
     bounded_series_cf,
     bounded_series_det,
-    bounded_table_csv,
     determinant_poly,
     end_level_series,
     height_distribution,
@@ -78,7 +77,6 @@ __all__ = [
     "bounded_count_table",
     "bounded_series_cf",
     "bounded_series_det",
-    "bounded_table_csv",
     "brute_force_count",
     "classification_table",
     "convergence_report",

@@ -10,7 +10,7 @@ gives the coefficient prediction
     m(n) ~ 5^{1/4} rho^{-n-1} / (2 sqrt(pi) n^{3/2}),
 
 which the reports compare against exact values from the recurrence
-engine.  `predicted_avg_height` renders the recorded large-n prediction
+engine.  `predicted_avg_height` gives the recorded large-n prediction
 2 * 5^{-1/4} * sqrt(pi n) for the average height; the convergence reports
 log the measured exact-to-predicted ratios verbatim, without smoothing.
 Those ratios approach 1/2: a long path's height is asymptotically
@@ -23,9 +23,9 @@ to a float would overflow; math.log takes arbitrary-size ints directly,
 so no manual mantissa splitting is needed.
 """
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
-from . import counting, render
+from . import counting
 from .errors import ResourceLimitError
 
 RHO = (3.0 - math.sqrt(5.0)) / 2.0
@@ -78,7 +78,7 @@ def predicted_avg_height(n):
     return AVG_HEIGHT_CONSTANT * math.sqrt(math.pi * n)
 
 
-def _render_value(value, log_value=None):
+def _display_value(value, log_value=None):
     # floats stay floats; out-of-range magnitudes become mantissa/exponent
     # strings derived from the (always finite) natural log
     if value is not None and value != math.inf:
@@ -107,21 +107,6 @@ class ConvergenceReport:
     kind: str
     tolerance: float
     rows: tuple
-
-    def csv_rows(self):
-        """One (n, exact, predicted, ratio) tuple per row, REPORT_HEADER order."""
-        return [astuple(row) for row in self.rows]
-
-    def payload(self):
-        """The report as the json object that `to_json` prints."""
-        rows = [asdict(row) for row in self.rows]
-        return {"kind": self.kind, "tolerance": self.tolerance, "rows": rows}
-
-    def to_csv(self):
-        return render.csv_text(REPORT_HEADER, self.csv_rows())
-
-    def to_json(self):
-        return render.json_text(self.payload())
 
 
 def convergence_report(kind, n_values, cap=None):
@@ -157,18 +142,17 @@ def convergence_report(kind, n_values, cap=None):
         values = counting.peakless_recurrence(max(ns)) if ns else []
         for n in ns:
             exact = values[n]
-            log_exact = math.log(exact)
-            log_pred = log_predicted_count(n)
-            exact_rendered = _render_value(
-                float(exact) if exact.bit_length() < 1000 else math.inf, log_exact
-            )
-            pred_rendered = _render_value(predicted_count(n), log_pred)
             rows.append(
                 ReportRow(
                     n=n,
-                    exact=exact_rendered,
-                    predicted=pred_rendered,
-                    ratio=math.exp(log_exact - log_pred),
+                    exact=_display_value(
+                        float(exact) if exact.bit_length() < 1000 else math.inf,
+                        math.log(exact),
+                    ),
+                    predicted=_display_value(
+                        predicted_count(n), log_predicted_count(n)
+                    ),
+                    ratio=count_ratio(n, exact),
                 )
             )
     else:

@@ -10,12 +10,14 @@ disagreement, 2 usage error, 3 resource-cap error.
 import argparse
 import sys
 import time
+from dataclasses import asdict, astuple
 
 from . import asymptotics, counting, paths, render, verify
 from .errors import EngineDisagreement, ResourceLimitError
 
 CROSS_CHECK_LIMIT = 200  # count engines are cross-checked up to here
 FORMATS = ("text", "csv", "json")
+TABLE_HEADER = ("n", "ell", "count")  # csv columns of A(n, l) rows
 
 
 def _emit(text, out):
@@ -26,8 +28,16 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _table_payload(rows, **meta):
-    return dict(meta, rows=[{"n": n, "ell": l, "count": c} for n, l, c in rows])
+def _table_output(columns, text=None, **meta):
+    # columns[l][n] = A(n, l); csv and json rows run n-major, l fastest
+    lengths = range(len(columns[0]))
+    rows = [(n, l, column[n]) for n in lengths for l, column in enumerate(columns)]
+    return render.Output(
+        text=text,
+        payload=dict(meta, rows=[{"n": n, "ell": l, "count": c} for n, l, c in rows]),
+        header=TABLE_HEADER,
+        rows=rows,
+    )
 
 
 def cmd_count(args):
@@ -47,29 +57,28 @@ def cmd_count(args):
 def cmd_bounded(args):
     n, bound = args.order, args.bound
     if args.table:
-        rows = counting.bounded_count_table(n, bound, method="dp")
-        # rows run n-major, so column l is every (bound + 1)-th row from l
-        values = [c for _, _, c in rows[bound :: bound + 1]]
+        columns = counting.bounded_count_table(n, bound, method="dp")
     else:
-        values = counting.bounded_column_dp(bound, n)
+        columns = [counting.bounded_column_dp(bound, n)]
+    values = columns[-1]
     checked = values[: CROSS_CHECK_LIMIT + 1]
     det = counting.bounded_series_det(bound, len(checked) - 1).coeffs
     where = f" for bound={bound}"
     verify.check_agreement(("automaton", "determinant"), checked, det, where)
     if args.table:
-        return render.Output(
+        return _table_output(
+            columns,
             text=lambda: "".join(
-                f"l={l}: " + " ".join(str(c) for _, _, c in rows[l :: bound + 1]) + "\n"
-                for l in range(bound + 1)
+                f"l={l}: " + " ".join(map(str, column)) + "\n"
+                for l, column in enumerate(columns)
             ),
-            payload=_table_payload(rows, n_max=n, l_max=bound),
-            header=counting.TABLE_HEADER,
-            rows=rows,
+            n_max=n,
+            l_max=bound,
         )
     return render.Output(
         text=lambda: " ".join(map(str, values)) + "\n",
         payload={"n_max": n, "bound": bound, "counts": values},
-        header=counting.TABLE_HEADER,
+        header=TABLE_HEADER,
         rows=((i, bound, v) for i, v in enumerate(values)),
     )
 
@@ -147,20 +156,20 @@ def cmd_asympt(args):
 
     return render.Output(
         text=text,
-        payload=report.payload(),
+        payload={
+            "kind": report.kind,
+            "tolerance": report.tolerance,
+            "rows": [asdict(row) for row in report.rows],
+        },
         header=asymptotics.REPORT_HEADER,
-        rows=report.csv_rows(),
+        rows=map(astuple, report.rows),
     )
 
 
 def cmd_export(args):
-    rows = counting.bounded_count_table(args.order, args.bound, method=args.method)
-    return render.Output(
-        payload=_table_payload(
-            rows, n_max=args.order, l_max=args.bound, method=args.method
-        ),
-        header=counting.TABLE_HEADER,
-        rows=rows,
+    columns = counting.bounded_count_table(args.order, args.bound, method=args.method)
+    return _table_output(
+        columns, n_max=args.order, l_max=args.bound, method=args.method
     )
 
 

@@ -30,7 +30,8 @@ bound above n/2 read as n/2, because no path of length <= n rises higher.
 
 Each bounded engine is one stream of the columns l = 0, 1, ...: the ladder,
 one run of the strip family (one quotient per column) or one automaton pass
-per column.  `bounded_count_table` builds at most min(l, n/2) + 1 of them.
+per column.  `bounded_count_table` builds at most min(l, n/2) + 1 of them
+and returns the columns themselves, each a tuple A(0..n, l).
 `height_distribution` reads A(n, l) off one automaton pass per l <= n/2.
 
 The strip transfer matrix is tridiagonal with diagonal z - z^2 - 1 and
@@ -48,8 +49,8 @@ length at which a path can touch level l + 1.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, pairwise, repeat
+from operator import attrgetter
 
-from . import render
 from .series import Series, poly_divide_series, poly_mul, poly_neg, poly_sub
 
 # kernel of the end-level recursion: z u^2 + (z - z^2 - 1) u + z
@@ -58,8 +59,6 @@ KERNEL_U1 = (-1, 1, -1)
 KERNEL_U0 = (0, 1)
 
 PEAKLESS_INITIAL = (1, 1, 1, 2)
-
-TABLE_HEADER = ("n", "ell", "count")  # csv columns of bounded_count_table rows
 
 # numerators of the continued fraction for F: a leading z, then the
 # repeating block z, z, z^3 (each written as polynomial coefficients)
@@ -211,12 +210,12 @@ def strip_denominator_poly(bound):
 def bounded_series_det(bound, order):
     """Height <= bound generating function as a determinant quotient.
 
-    Expands -E_{bound-1}/E_bound with one exact series division, then
-    normalizes the sign so the constant term is +1 (never by reasoning
-    about the parity of the constant terms).  Bound 0 is -E_{-1}/E_0 =
-    1/(1 - z).  No path of length <= order rises above order // 2, so a
-    larger bound is read as that one, and E_bound has at most order + 2
-    coefficients.
+    Expands -E_{bound-1}/E_bound with one exact series division.  At z = 0
+    the three-term step reads E_l(0) = -E_{l-1}(0), so E_l(0) = (-1)^{l+1}
+    and the constant term -E_{l-1}(0)/E_l(0) is +1 for every l.  Bound 0
+    is -E_{-1}/E_0 = 1/(1 - z).  No path of length <= order rises above
+    order // 2, so a larger bound is read as that one, and E_bound has at
+    most order + 2 coefficients.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -225,9 +224,8 @@ def bounded_series_det(bound, order):
 
 
 def _strip_quotient(pair, order):
-    # -E_{l-1}/E_l from the pair (E_{l-1}, E_l), constant term made +1
-    out = poly_divide_series(poly_neg(pair[0]), pair[1], order)
-    return -out if out[0] == -1 else out
+    # -E_{l-1}/E_l from the pair (E_{l-1}, E_l)
+    return poly_divide_series(poly_neg(pair[0]), pair[1], order)
 
 
 def bounded_column_dp(bound, n_max):
@@ -270,18 +268,24 @@ def bounded_count_dp(n, bound):
     return bounded_column_dp(bound, n)[n]
 
 
+_coeffs = attrgetter("coeffs")
+
+# each stream yields the columns A(0..n, l), l = 0, 1, ..., as tuples of ints
 COLUMN_STREAMS = {
-    "cf": _ladder,
-    "det": lambda n: map(_strip_quotient, pairwise(_three_term_family()), repeat(n)),
-    "dp": lambda n: map(bounded_column_dp, count(), repeat(n)),
+    "cf": lambda n: map(_coeffs, _ladder(n)),
+    "det": lambda n: map(
+        _coeffs, map(_strip_quotient, pairwise(_three_term_family()), repeat(n))
+    ),
+    "dp": lambda n: map(tuple, map(bounded_column_dp, count(), repeat(n))),
 }
 
 
 def bounded_count_table(n_max, l_max, method="cf"):
-    """Rows (n, l, A(n, l)) for 0 <= n <= n_max, 0 <= l <= l_max.
+    """Columns of A(n, l): l_max + 1 tuples with table[l][n] = A(n, l).
 
-    method names a column stream of `COLUMN_STREAMS`: "cf" (the ladder),
-    "det" (the strip family) or "dp" (the automaton).  No path of length
+    Each column holds A(0..n_max, l).  method names a column stream of
+    `COLUMN_STREAMS`: "cf" (the ladder), "det" (the strip family) or "dp"
+    (the automaton), and the three give equal tables.  No path of length
     <= n_max rises above n_max // 2, so wider columns repeat that one.
     """
     if method not in COLUMN_STREAMS:
@@ -291,15 +295,7 @@ def bounded_count_table(n_max, l_max, method="cf"):
             f"table sizes must be nonnegative, got n_max={n_max}, l_max={l_max}"
         )
     columns = list(islice(COLUMN_STREAMS[method](n_max), min(l_max, n_max // 2) + 1))
-    columns += columns[-1:] * (l_max + 1 - len(columns))
-    return [
-        (n, l, columns[l][n]) for n in range(n_max + 1) for l in range(l_max + 1)
-    ]
-
-
-def bounded_table_csv(rows):
-    """Render (n, l, count) rows in the stable CSV schema."""
-    return render.csv_text(TABLE_HEADER, rows)
+    return columns + columns[-1:] * (l_max + 1 - len(columns))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ full:  lengths <= 14, bounds <= 7, recurrence exactness to n = 5000, the
        defining series identities to order 200, and the invariants of
        `bounded_count_table` to n = 60.
 At both levels every height distribution up to the level's length is held
-to the oracle's height census.  Only full runs `bounded_count_table`, and
-neither level runs `bounded_table_csv`.
+to the oracle's height census.  Only full runs `bounded_count_table`.
 """
 import itertools
 from fractions import Fraction
@@ -200,16 +199,16 @@ def check_recurrence_exactness(n_limit):
 
 def check_table_invariants(n_limit):
     series = counting.peakless_series(n_limit)
-    prev = None
-    # rows run n-major, l = 0..n_limit // 2 within each n
-    for n, l, val in counting.bounded_count_table(n_limit, n_limit // 2):
-        if l == 0 and val != 1:
+    columns = counting.bounded_count_table(n_limit, n_limit // 2)
+    for n, cells in enumerate(zip(*columns)):
+        if cells[0] != 1:
             raise AssertionError(f"A({n}, 0) != 1")
-        if l and val < prev:
-            raise AssertionError(f"A({n}, l) decreasing at l={l}")
-        prev = val
-        if l >= (n + 1) // 2 and val != series[n]:
-            raise AssertionError(f"A({n}, {l}) != m({n}) past the active range")
+        for l in range(1, len(cells)):
+            if cells[l] < cells[l - 1]:
+                raise AssertionError(f"A({n}, l) decreasing at l={l}")
+        for l in range((n + 1) // 2, len(cells)):
+            if cells[l] != series[n]:
+                raise AssertionError(f"A({n}, {l}) != m({n}) past the active range")
 
 
 def checks_for_level(level):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from peakless import asymptotics, counting
+from peakless.cli import main
 from peakless.errors import ResourceLimitError
 
 
@@ -81,13 +82,14 @@ def test_count_report():
     assert isinstance(report.rows[0].exact, float)
 
 
-def test_count_report_renders_huge_values():
+def test_count_report_renders_huge_values(capsys):
     report = asymptotics.convergence_report("count", [1200])
     row = report.rows[0]
     assert isinstance(row.exact, str) and "e+" in row.exact
     assert isinstance(row.predicted, str) and "e+" in row.predicted
     assert 0.9 < row.ratio < 1.1
-    csv = report.to_csv()
+    assert main(["asympt", "--kind", "count", "-n", "1200", "--format", "csv"]) == 0
+    csv = capsys.readouterr().out
     assert "'" not in csv and '"' not in csv
 
 
@@ -104,7 +106,6 @@ def test_avg_height_report_is_verbatim():
 def test_empty_report():
     report = asymptotics.convergence_report("count", [])
     assert report.rows == ()
-    assert report.to_csv() == "n,exact,predicted,ratio\n"
 
 
 def test_report_caps():
@@ -130,14 +131,16 @@ def test_report_validation():
         asymptotics.convergence_report("avg_height", [5], cap=-1)
 
 
-def test_report_serialization_is_stable():
-    first = asymptotics.convergence_report("count", [100, 250])
-    second = asymptotics.convergence_report("count", [100, 250])
-    assert first.to_csv() == second.to_csv()
-    assert first.to_json() == second.to_json()
-    payload = json.loads(first.to_json())
+def test_report_serialization_is_stable(capsys):
+    out = {}
+    for fmt in ("csv", "json"):
+        argv = ["asympt", "--kind", "count", "-n", "100", "-n", "250", "--format", fmt]
+        assert main(argv) == 0
+        out[fmt] = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out[fmt]
+    payload = json.loads(out["json"])
     assert payload["kind"] == "count"
     assert payload["tolerance"] == 0.01
     assert [row["n"] for row in payload["rows"]] == [100, 250]
-    header = first.to_csv().splitlines()[0]
-    assert header == "n,exact,predicted,ratio"
+    assert out["csv"].splitlines()[0] == "n,exact,predicted,ratio"

@@ -221,6 +221,8 @@ def test_det_series_fixtures():
     assert counting.bounded_series_det(1, 4).coeffs == (1, 1, 1, 2, 4)
     assert counting.bounded_series_det(5, 40) == counting.bounded_series_cf(5, 40)
     assert counting.bounded_series_det(0, 10) == counting.bounded_series_cf(0, 10)
+    # E_l(0) = (-1)^{l+1}, so every quotient -E_{l-1}/E_l starts at +1
+    assert all(counting.bounded_series_det(l, 40)[0] == 1 for l in range(41))
     with pytest.raises(ValueError):
         counting.bounded_series_det(-1, 10)
 
@@ -333,13 +335,13 @@ def test_height_distribution_matches_oracle():
 def test_height_distribution_consistency():
     series = counting.peakless_series(60)
     # ladder columns: an engine independent of the automaton behind the stats
-    ladder = {(n, l): c for n, l, c in counting.bounded_count_table(60, 30)}
+    ladder = counting.bounded_count_table(60, 30)
     for n in range(61):
         stats = counting.height_distribution(n)
         assert sum(stats.distribution) == series[n]
         assert stats.distribution[0] == 1
         # tail form of the expectation must agree exactly with the moment form
-        tail = sum(series[n] - ladder[n, l] for l in range(max(n // 2, 1)))
+        tail = sum(series[n] - ladder[l][n] for l in range(max(n // 2, 1)))
         assert stats.expected_height == Fraction(tail, series[n])
 
 
@@ -355,34 +357,30 @@ def test_bounded_table_invariants():
 
 
 def test_bounded_count_table_and_csv():
-    rows = counting.bounded_count_table(4, 2)
-    assert rows[0] == (0, 0, 1)
-    assert (4, 1, 4) in rows and (4, 2, 4) in rows
-    assert rows == sorted(rows)
+    # the table is its columns, table[l][n] = A(n, l); its csv lines are
+    # pinned through the CLI (golden `export bounded` bytes, route test)
+    table = counting.bounded_count_table(4, 2)
+    assert table == [(1, 1, 1, 1, 1), (1, 1, 1, 2, 4), (1, 1, 1, 2, 4)]
     for method in ("det", "dp"):
-        assert counting.bounded_count_table(4, 2, method=method) == rows
+        assert counting.bounded_count_table(4, 2, method=method) == table
     # l_max past n_max // 2 reads the wider columns as the last one built
     for n_max, l_max in ((12, 9), (10, 40)):
         wide = counting.bounded_count_table(n_max, l_max)
+        assert len(wide) == l_max + 1
+        assert {(type(column), len(column)) for column in wide} == {(tuple, n_max + 1)}
+        assert wide[n_max // 2 :] == [wide[n_max // 2]] * (l_max + 1 - n_max // 2)
         for method in ("det", "dp"):
             assert counting.bounded_count_table(n_max, l_max, method=method) == wide
-        for n, l, count in wide:
-            want = oracle.brute_force_count(
-                n, PathConstraints(peakless=True, max_height=l)
-            )
-            assert count == want, (n, l)
+        for l, column in enumerate(wide):
+            bounded = PathConstraints(peakless=True, max_height=l)
+            for n, count in enumerate(column):
+                assert count == oracle.brute_force_count(n, bounded), (n, l)
     with pytest.raises(ValueError):
         counting.bounded_count_table(4, 2, method="magic")
     for method in ("cf", "det", "dp"):
         for n_max, l_max in ((5, -2), (-1, 2)):
             with pytest.raises(ValueError):
                 counting.bounded_count_table(n_max, l_max, method=method)
-    csv = counting.bounded_table_csv(rows)
-    lines = csv.splitlines()
-    assert lines[0] == "n,ell,count"
-    assert lines[1] == "0,0,1"
-    assert len(lines) == 1 + len(rows)
-    assert csv.endswith("\n")
 
 
 def test_column_streams_build_each_column_once(monkeypatch):
