@@ -30,25 +30,33 @@ def _emit(text, out):
 
 def _table_output(columns, text=None, **meta):
     # columns[l][n] = A(n, l); csv and json rows run n-major, l fastest
-    lengths = range(len(columns[0]))
-    rows = [(n, l, column[n]) for n in lengths for l, column in enumerate(columns)]
+    def cells():
+        lengths = range(len(columns[0]))
+        return ((n, l, column[n]) for n in lengths for l, column in enumerate(columns))
+
     return render.Output(
         text=text,
-        payload=dict(meta, rows=[{"n": n, "ell": l, "count": c} for n, l, c in rows]),
+        json=lambda: render.json_text(
+            dict(meta, rows=[{"n": n, "ell": l, "count": c} for n, l, c in cells()])
+        ),
         header=TABLE_HEADER,
-        rows=rows,
+        rows=cells(),
     )
 
 
 def cmd_count(args):
     n = args.order
-    values = counting.peakless_recurrence(n)
+    values = counting.peakless_decimals(n)  # exact, and linear to print
     checked = values[: CROSS_CHECK_LIMIT + 1]
     series = counting.peakless_series(len(checked) - 1)
     verify.check_agreement(("functional equation", "recurrence"), series, checked)
+    closed = counting.peakless_closed_form(n)
+    verify.check_agreement(
+        ("closed form", "recurrence"), [closed], values[-1:], f" at n={n}"
+    )
     return render.Output(
         text=lambda: " ".join(map(str, values)) + "\n",
-        payload={"n_max": n, "counts": values},
+        json=lambda: render.json_numbers({"n_max": n, "counts": values}),
         header=("n", "count"),
         rows=enumerate(values),
     )
@@ -77,7 +85,7 @@ def cmd_bounded(args):
         )
     return render.Output(
         text=lambda: " ".join(map(str, values)) + "\n",
-        payload={"n_max": n, "bound": bound, "counts": values},
+        json=lambda: render.json_text({"n_max": n, "bound": bound, "counts": values}),
         header=TABLE_HEADER,
         rows=((i, bound, v) for i, v in enumerate(values)),
     )
@@ -89,12 +97,14 @@ def cmd_dist(args):
     return render.Output(
         text=lambda: " ".join(f"{h}:{c}" for h, c in pairs)
         + f"  E[H]={stats.expected_height}\n",
-        payload={
-            "n": stats.n,
-            "distribution": list(stats.distribution),
-            "expected_height": str(stats.expected_height),
-            "expected_height_float": stats.expected_height_float,
-        },
+        json=lambda: render.json_text(
+            {
+                "n": stats.n,
+                "distribution": list(stats.distribution),
+                "expected_height": str(stats.expected_height),
+                "expected_height_float": stats.expected_height_float,
+            }
+        ),
         header=("height", "count"),
         rows=pairs,
     )
@@ -109,7 +119,7 @@ def cmd_enumerate(args):
     walked = list(paths.enumerate_paths(args.order, constraints, cap=args.oracle_cap))
     return render.Output(
         text=lambda: "\n".join(walked) + "\n" if walked else "",
-        payload={"n": args.order, "paths": walked},
+        json=lambda: render.json_text({"n": args.order, "paths": walked}),
     )
 
 
@@ -138,7 +148,9 @@ def cmd_verify(args):
     return render.Output(
         text=text,
         # no timing here: json output is byte-stable for identical flags
-        payload={"level": args.level, "results": results, "failures": failures},
+        json=lambda: render.json_text(
+            {"level": args.level, "results": results, "failures": failures}
+        ),
         code=1 if failures else 0,
     )
 
@@ -156,11 +168,13 @@ def cmd_asympt(args):
 
     return render.Output(
         text=text,
-        payload={
-            "kind": report.kind,
-            "tolerance": report.tolerance,
-            "rows": [asdict(row) for row in report.rows],
-        },
+        json=lambda: render.json_text(
+            {
+                "kind": report.kind,
+                "tolerance": report.tolerance,
+                "rows": [asdict(row) for row in report.rows],
+            }
+        ),
         header=asymptotics.REPORT_HEADER,
         rows=map(astuple, report.rows),
     )

@@ -11,7 +11,14 @@ cross-check each other and the brute-force oracle:
   equation one at a time (O(n^2) products).
 * `peakless_recurrence`: the holonomic recurrence
   n m(n) - (2n+3) m(n+1) - (n+3) m(n+2) - (2n+9) m(n+3) + (n+6) m(n+4) = 0
-  with exact division at every step.
+  with exact division at every step.  `peakless_decimals` runs the same
+  loop on `Decimal` terms under `EXACT_DECIMAL`, a context in which a lost
+  digit raises instead of rounding; libmpdec keeps base-10^19 digits, so
+  printing those terms is linear in their length where `str(int)` is
+  quadratic.
+* `peakless_closed_form`: the single term m(n) = sum_k C(n-k, k) C(n-k-1, k)
+  / (k+1), sharing no code with any engine, for checking the far end of a
+  long sequence.
 * `end_level_series`: paths ending at level k, h_k = z^k F^{k+1}; these
   satisfy the three-term relation z h_k + (z - z^2 - 1) h_{k-1} + z h_{k-2} = 0.
 * `bounded_series_cf`: the bounded-height ladder
@@ -46,6 +53,7 @@ only in the seed (D_0 = z - z^2 - 1 versus E_0 = z - 1); the uncorrected
 quotient first deviates from the true count at n = 2l + 2, the shortest
 length at which a path can touch level l + 1.
 """
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, pairwise, repeat
@@ -59,6 +67,13 @@ KERNEL_U1 = (-1, 1, -1)
 KERNEL_U0 = (0, 1)
 
 PEAKLESS_INITIAL = (1, 1, 1, 2)
+
+# exact integer arithmetic on Decimals: as many digits as libmpdec allows,
+# and any result that would lose one raises instead of rounding
+EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+)
+EXACT_DECIMAL.traps[decimal.Inexact] = EXACT_DECIMAL.traps[decimal.Rounded] = True
 
 # numerators of the continued fraction for F: a leading z, then the
 # repeating block z, z, z^3 (each written as polynomial coefficients)
@@ -122,6 +137,30 @@ def peakless_recurrence(n_max):
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     return _extend_recurrence(PEAKLESS_INITIAL, n_max)[: n_max + 1]
+
+
+def peakless_decimals(n_max):
+    """`peakless_recurrence(n_max)` as exact Decimals, whose str() is linear."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    with decimal.localcontext(EXACT_DECIMAL):
+        seeds = map(decimal.Decimal, PEAKLESS_INITIAL)
+        return _extend_recurrence(seeds, n_max)[: n_max + 1]
+
+
+def peakless_closed_form(n):
+    """m(n) = sum_k C(n-k, k) C(n-k-1, k) / (k+1), each term from the last.
+
+    t_{k+1} = t_k (n-2k)(n-2k-1)^2 (n-2k-2) / ((n-k)(n-k-1)(k+1)(k+2)): one
+    big-by-small product and one exact division per k, O(n^2) bit work.
+    """
+    total = term = 1  # k = 0, also for n = 0
+    for k in range((n - 1) // 2):
+        j = n - 2 * k
+        term = term * (j * (j - 1) ** 2 * (j - 2))
+        term //= (n - k) * (n - k - 1) * (k + 1) * (k + 2)
+        total += term
+    return total
 
 
 def end_level_series(k, n_max):

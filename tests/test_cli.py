@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import os
@@ -50,20 +51,62 @@ def test_count_csv_and_json(capsys):
     assert json.loads(out) == {"n_max": 3, "counts": [1, 1, 1, 2]}
 
 
+LAST_COUNT = {
+    "text": lambda out: out.split()[-1],
+    "csv": lambda out: out.splitlines()[-1].split(",")[1],
+    "json": lambda out: json.loads(out)["counts"][-1],
+}
+
+
 def test_count_past_int_str_digit_limit(capsys):
-    # m(1600) has 664 digits; the CLI prints it even under a 640-digit limit
-    # and leaves the limit as it found it
+    # m(1600) has 664 digits; the CLI prints it in every format even under
+    # a 640-digit limit and leaves the limit as it found it
+    n = 1600  # closed form m(n) = sum_k C(n-k, k) C(n-k-1, k) / (k+1)
+    want = sum(comb(n - k, k) * comb(n - k - 1, k) // (k + 1) for k in range(n // 2 + 1))
+    for fmt, last in LAST_COUNT.items():
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run_cli(capsys, "count", "-n", str(n), "--format", fmt)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert code == 0
+        assert int(last(out)) == want, fmt
+
+
+@pytest.mark.parametrize("n", [*range(41), 1600])
+def test_count_json_is_json_dumps(capsys, n):
+    # the Decimal emitter writes what json.dumps writes for the ints,
+    # also under a 640-digit int-to-str limit (m(1600) has 664 digits)
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        code, out, _ = run_cli(capsys, "count", "-n", "1600")
-        assert sys.get_int_max_str_digits() == 640
+        code, out, _ = run_cli(capsys, "count", "-n", str(n), "--format", "json")
     finally:
         sys.set_int_max_str_digits(saved)
     assert code == 0
-    n = 1600  # closed form m(n) = sum_k C(n-k, k) C(n-k-1, k) / (k+1)
-    want = sum(comb(n - k, k) * comb(n - k - 1, k) // (k + 1) for k in range(n // 2 + 1))
-    assert int(out.split()[-1]) == want
+    payload = {"n_max": n, "counts": counting.peakless_recurrence(n)}
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_count_checks_its_last_term_against_the_closed_form(capsys, monkeypatch):
+    # past the 201 cross-checked terms only the closed form sees the error
+    exact = counting.peakless_decimals
+
+    def skewed(n_max):
+        values = exact(n_max)
+        if n_max >= 250:
+            with decimal.localcontext(counting.EXACT_DECIMAL):
+                values[250] += 1
+        return values
+
+    monkeypatch.setattr(counting, "peakless_decimals", skewed)
+    code, out, err = run_cli(capsys, "count", "-n", "250")
+    assert (code, out) == (1, "")
+    assert "engine disagreement at n=250:" in err
+    assert "closed form" in err and "recurrence" in err
+    assert run_cli(capsys, "count", "-n", "249")[0] == 0
 
 
 def test_count_cross_checks_engines(capsys, monkeypatch):

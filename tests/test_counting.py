@@ -1,3 +1,4 @@
+import decimal
 import itertools
 from fractions import Fraction
 from math import comb
@@ -84,6 +85,14 @@ def test_peakless_series_matches_closed_form():
         assert series[n] == _closed_form(n), n
 
 
+def test_closed_form_updates_term_by_term():
+    # the term-ratio update against the sum of binomials, and m(0) = 1
+    values = counting.peakless_recurrence(300)
+    assert [counting.peakless_closed_form(n) for n in range(301)] == values
+    for n in (1, 2, 3, 999, 1000):
+        assert counting.peakless_closed_form(n) == _closed_form(n), n
+
+
 def test_functional_equation_residual():
     order = 64
     f = Series(counting.peakless_series(order), order)
@@ -102,6 +111,31 @@ def test_recurrence_exactness_and_failure():
     counting.peakless_recurrence(1500)  # raises if any division is inexact
     with pytest.raises(ArithmeticError):
         counting._extend_recurrence((1, 1, 1, 3), 10)
+
+
+def test_decimal_recurrence_is_the_int_one():
+    ints = counting.peakless_recurrence(1500)
+    decimals = counting.peakless_decimals(1500)
+    assert all(type(v) is int for v in ints)
+    assert all(type(v) is decimal.Decimal for v in decimals)
+    assert decimals == ints
+    assert [str(v) for v in decimals] == [str(v) for v in ints]
+    assert counting.peakless_decimals(0) == [1]
+    with pytest.raises(ValueError):
+        counting.peakless_decimals(-1)
+
+
+def test_exact_decimal_context_raises_instead_of_rounding():
+    ctx = counting.EXACT_DECIMAL
+    assert ctx.prec == decimal.MAX_PREC
+    assert (ctx.Emax, ctx.Emin) == (decimal.MAX_EMAX, decimal.MIN_EMIN)
+    assert ctx.traps[decimal.Inexact] and ctx.traps[decimal.Rounded]
+    # the same recurrence with too few digits raises, it never rounds
+    tiny = ctx.copy()
+    tiny.prec = 5
+    seeds = map(decimal.Decimal, counting.PEAKLESS_INITIAL)
+    with decimal.localcontext(tiny), pytest.raises(decimal.Inexact):
+        counting._extend_recurrence(seeds, 40)
 
 
 def test_end_level_series():
