@@ -121,12 +121,12 @@ def convergence_report(kind, n_values, cap=None):
         Lengths to report, kept in the given order; may be empty.
     cap : int, optional
         Largest n allowed, default REPORT_CAPS[kind].  The recurrence is
-        cheap (default 10000); each exact average height costs n/2 packed
-        automaton passes (0.26-0.30 s at n = 300 and 1.9-2.2 s at n = 500,
-        in-process on a shared 2-CPU machine), so the default is 500.  The
-        cap goes through `ResourceLimitError.check`: out-of-budget lengths
-        raise ResourceLimitError rather than being silently dropped, and a
-        negative cap raises ValueError.
+        cheap (default 10000); each exact average height costs n/2 middle
+        joins of half-length automaton walks (0.06-0.09 s at n = 300 and
+        0.43-0.58 s at n = 500, in-process on a shared 2-CPU machine), so
+        the default is 500.  The cap goes through `ResourceLimitError.check`:
+        out-of-budget lengths raise ResourceLimitError rather than being
+        silently dropped, and a negative cap raises ValueError.
     """
     if kind not in REPORT_CAPS:
         raise ValueError(f"unknown report kind {kind!r}")

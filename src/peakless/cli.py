@@ -73,6 +73,10 @@ def cmd_bounded(args):
     det = counting.bounded_series_det(bound, len(checked) - 1).coeffs
     where = f" for bound={bound}"
     verify.check_agreement(("automaton", "determinant"), checked, det, where)
+    join = counting.bounded_count_dp(n, bound)
+    verify.check_agreement(
+        ("automaton column", "middle join"), values[-1:], [join], f"{where} at n={n}"
+    )
     if args.table:
         return _table_output(
             columns,

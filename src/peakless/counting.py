@@ -29,8 +29,9 @@ cross-check each other and the brute-force oracle:
   three-term polynomial recurrence and one exact series division.
 * `bounded_column_dp`: dynamic programming over the two-layer automaton
   with levels capped at l, every level packed into one int so that one
-  pass of n big-int steps yields A(0..n, l); `bounded_count_dp` is the
-  last entry of that column.
+  pass of n big-int steps yields A(0..n, l).  `bounded_count_dp` gives
+  A(n, l) alone from one pass of n/2 steps on slots half as wide: it joins
+  the walks of length n/2 at the middle, a quarter of the bit work.
 
 The three bounded engines share one domain: every bound l >= 0, with a
 bound above n/2 read as n/2, because no path of length <= n rises higher.
@@ -39,7 +40,7 @@ Each bounded engine is one stream of the columns l = 0, 1, ...: the ladder,
 one run of the strip family (one quotient per column) or one automaton pass
 per column.  `bounded_count_table` builds at most min(l, n/2) + 1 of them
 and returns the columns themselves, each a tuple A(0..n, l).
-`height_distribution` reads A(n, l) off one automaton pass per l <= n/2.
+`height_distribution` reads A(n, l) off one middle join per l <= n/2.
 
 The strip transfer matrix is tridiagonal with diagonal z - z^2 - 1 and
 off-diagonal z, except that the row of the top level has no -z^2 term (no
@@ -299,12 +300,60 @@ def bounded_column_dp(bound, n_max):
     return column
 
 
-def bounded_count_dp(n, bound):
-    """Count height <= bound peakless Motzkin paths of length n by DP.
+def _slots(packed, w, levels):
+    # the counts at levels 0..levels-1 of one packed automaton layer, split
+    # in halves so that reading all of them costs O(size * log(levels))
+    if levels == 1:
+        return [packed]
+    half = levels // 2
+    low = packed & ((1 << (w * half)) - 1)
+    return _slots(low, w, half) + _slots(packed >> (w * half), w, levels - half)
 
-    The last entry of `bounded_column_dp(bound, n)`.
+
+def bounded_count_dp(n, bound):
+    """A(n, bound) by joining half-length automaton walks at the middle.
+
+    One packed pass of `bounded_column_dp`'s step runs h = n // 2 steps
+    from level 0; T_j and B_j then count the walks of length h that stay
+    within levels 0..bound and end at level j, in the top and the bottom
+    layer.  Read backwards, with up and down swapped, a peakless path is
+    still peakless (UD turns into UD) and visits the same levels, so the
+    second half of a path is one such walk read backwards: a second half
+    that starts with D is a walk that ends with U, in the bottom layer.
+    Two halves meeting at level j join into a peakless path unless the
+    first ends with U and the second starts with D, that is unless both
+    end in the bottom layer.  For even n
+
+        A(n, bound) = sum_j (T_j + B_j)^2 - B_j^2 = sum_j T_j (T_j + 2 B_j),
+
+    and for odd n, with T'_j, B'_j read off the same pass one step later
+    (a first half of h + 1 steps),
+
+        A(n, bound) = sum_j T'_j (T_j + B_j) + B'_j T_j.
+
+    Cells stay below 3^(h + n % 2) and no level above h can return to 0 in
+    h steps, so the pass keeps min(bound, h) + 1 slots of that width: half
+    the steps of the whole column on slots half as wide.
     """
-    return bounded_column_dp(bound, n)[n]
+    if n < 0 or bound < 0:
+        raise ValueError(
+            f"bound and length must be nonnegative, got bound={bound}, n={n}"
+        )
+    h, odd = divmod(n, 2)
+    w = (3 ** (h + odd)).bit_length()
+    levels = min(bound, h) + 1
+    keep = (1 << (w * levels)) - 1
+    top, bot = 1, 0
+    for _ in range(h):
+        both = top + bot
+        top, bot = both + (top >> w), (both << w) & keep
+    tops, bots = _slots(top, w, levels), _slots(bot, w, levels)
+    if not odd:
+        return sum(t * (t + 2 * b) for t, b in zip(tops, bots))
+    both = top + bot  # one step more: the first half of odd n
+    tops1 = _slots(both + (top >> w), w, levels)
+    bots1 = _slots((both << w) & keep, w, levels)
+    return sum(t1 * (t + b) + b1 * t for t, b, t1, b1 in zip(tops, bots, tops1, bots1))
 
 
 _coeffs = attrgetter("coeffs")
@@ -354,10 +403,9 @@ def height_distribution(n):
     """Distribution of heights among peakless Motzkin paths of length n.
 
     distribution[l] is the number of such paths of height exactly l,
-    computed as A(n, l) - A(n, l-1) from one packed automaton pass per
-    bound l <= n/2 (`bounded_count_dp`), so O(n^2) big-int steps in all;
-    trailing zero entries are trimmed.  The expectation is the exact
-    rational sum(l * distribution[l]) / m(n).
+    computed as A(n, l) - A(n, l-1) from one middle join per bound
+    l <= n/2 (`bounded_count_dp`); trailing zero entries are trimmed.  The
+    expectation is the exact rational sum(l * distribution[l]) / m(n).
     """
     if n < 0:
         raise ValueError("length must be nonnegative")

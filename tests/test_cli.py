@@ -181,6 +181,23 @@ def test_bounded_cross_checks_engines(capsys, monkeypatch):
         assert "determinant" in err
 
 
+@pytest.mark.parametrize("table", [(), ("--table",)])
+def test_bounded_checks_its_last_term_against_the_join(capsys, monkeypatch, table):
+    # past the 201 cross-checked terms only the middle join sees the error
+    exact = counting.bounded_column_dp
+
+    def skewed(bound, n_max):
+        column = exact(bound, n_max)
+        column[-1] += 1
+        return column
+
+    monkeypatch.setattr(counting, "bounded_column_dp", skewed)
+    code, out, err = run_cli(capsys, "bounded", "-n", "250", "-l", "10", *table)
+    assert (code, out) == (1, "")
+    assert "engine disagreement for bound=10 at n=250:" in err
+    assert "automaton column" in err and "middle join" in err
+
+
 def test_bounded_names_every_mismatching_index(capsys, monkeypatch):
     def broken(bound, order):
         warped = list(counting.bounded_series_cf(bound, order).coeffs)

@@ -346,6 +346,28 @@ def test_dp_matches_oracle():
             assert counting.bounded_count_dp(n, bound) == want
 
 
+def test_middle_join_matches_the_column():
+    # n = 0 and 1, odd n, bound 0 and bounds past n/2
+    for n in range(40):
+        for bound in range(n // 2 + 2):
+            column = counting.bounded_column_dp(bound, n)
+            assert counting.bounded_count_dp(n, bound) == column[n], (n, bound)
+
+
+def test_height_distribution_matches_the_column_table():
+    # the dp table reads whole columns, not the join behind the distribution
+    n = 200
+    table = counting.bounded_count_table(n, n // 2, "dp")
+    counts = [column[n] for column in table]
+    want = [counts[0]] + [b - a for a, b in itertools.pairwise(counts)]
+    while want[-1] == 0:  # a peakless path of length 200 stays below 100
+        want.pop()
+    stats = counting.height_distribution(n)
+    assert stats.distribution == tuple(want)
+    mean = Fraction(sum(l * c for l, c in enumerate(want)), counts[-1])
+    assert stats.expected_height == mean
+
+
 def test_height_distribution_fixtures():
     stats = counting.height_distribution(4)
     assert stats.distribution == (1, 3)
