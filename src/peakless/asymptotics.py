@@ -25,7 +25,7 @@ so no manual mantissa splitting is needed.
 import math
 from dataclasses import dataclass, fields
 
-from . import counting
+from . import counting, verify
 from .errors import ResourceLimitError
 
 RHO = (3.0 - math.sqrt(5.0)) / 2.0
@@ -116,7 +116,8 @@ def convergence_report(kind, n_values, cap=None):
     ----------
     kind : str
         "count" (exact values from the recurrence engine) or "avg_height"
-        (exact expectations from the height-distribution DP).
+        (exact expectations from the height-distribution DP, whose total
+        is held to the closed form m(n); EngineDisagreement if it is not).
     n_values : iterable of int
         Lengths to report, kept in the given order; may be empty.
     cap : int, optional
@@ -158,6 +159,7 @@ def convergence_report(kind, n_values, cap=None):
     else:
         for n in ns:
             stats = counting.height_distribution(n)
+            verify.check_height_total(stats)
             exact = stats.expected_height_float
             predicted = predicted_avg_height(n)
             rows.append(

@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: count, bounded, dist, enumerate, verify, asympt, export.
-Each handler computes its data once and returns a `render.Output`; `main`
-prints it in the requested format.  Text output is for humans; --format
-csv and --format json are stable machine formats whose bytes depend only
-on the flags.  Exit codes: 0 success, 1 verification failure or engine
-disagreement, 2 usage error, 3 resource-cap error.
+Each handler computes and checks its data once and returns a
+`render.Output`; `main` then writes it in the requested format, chunk by
+chunk, so nothing reaches stdout or --out unless every check has passed.
+Text output is for humans; --format csv and --format json are stable
+machine formats whose bytes depend only on the flags.  Exit codes: 0
+success, 1 verification failure or engine disagreement, 2 usage error,
+3 resource-cap error.
 """
 import argparse
 import sys
@@ -20,12 +22,23 @@ FORMATS = ("text", "csv", "json")
 TABLE_HEADER = ("n", "ell", "count")  # csv columns of A(n, l) rows
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, out):
+    """Write text chunks to the file `out`, or to stdout without one.
+
+    Exact counts can run past Python's int-to-str digit limit (4300 digits
+    by default, m(n) for n > ~10 290), so the limit is lifted while the
+    chunks are formatted and written, and restored afterwards.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _table_output(columns, text=None, **meta):
@@ -52,10 +65,10 @@ def cmd_count(args):
     verify.check_agreement(("functional equation", "recurrence"), series, checked)
     closed = counting.peakless_closed_form(n)
     verify.check_agreement(
-        ("closed form", "recurrence"), [closed], values[-1:], f" at n={n}"
+        ("closed form", "recurrence"), [closed], values[-1:], f" at n={n}", start=n
     )
     return render.Output(
-        text=lambda: " ".join(map(str, values)) + "\n",
+        text=lambda: render.batched(map(str, values), " ", "\n"),
         json=lambda: render.json_numbers({"n_max": n, "counts": values}),
         header=("n", "count"),
         rows=enumerate(values),
@@ -75,12 +88,16 @@ def cmd_bounded(args):
     verify.check_agreement(("automaton", "determinant"), checked, det, where)
     join = counting.bounded_count_dp(n, bound)
     verify.check_agreement(
-        ("automaton column", "middle join"), values[-1:], [join], f"{where} at n={n}"
+        ("automaton column", "middle join"),
+        values[-1:],
+        [join],
+        f"{where} at n={n}",
+        start=n,
     )
     if args.table:
         return _table_output(
             columns,
-            text=lambda: "".join(
+            text=lambda: render.batched(
                 f"l={l}: " + " ".join(map(str, column)) + "\n"
                 for l, column in enumerate(columns)
             ),
@@ -88,7 +105,7 @@ def cmd_bounded(args):
             l_max=bound,
         )
     return render.Output(
-        text=lambda: " ".join(map(str, values)) + "\n",
+        text=lambda: render.batched(map(str, values), " ", "\n"),
         json=lambda: render.json_text({"n_max": n, "bound": bound, "counts": values}),
         header=TABLE_HEADER,
         rows=((i, bound, v) for i, v in enumerate(values)),
@@ -97,10 +114,12 @@ def cmd_bounded(args):
 
 def cmd_dist(args):
     stats = counting.height_distribution(args.order)
+    verify.check_height_total(stats)
     pairs = list(enumerate(stats.distribution))
     return render.Output(
-        text=lambda: " ".join(f"{h}:{c}" for h, c in pairs)
-        + f"  E[H]={stats.expected_height}\n",
+        text=lambda: render.batched(
+            (f"{h}:{c}" for h, c in pairs), " ", f"  E[H]={stats.expected_height}\n"
+        ),
         json=lambda: render.json_text(
             {
                 "n": stats.n,
@@ -122,7 +141,7 @@ def cmd_enumerate(args):
     )
     walked = list(paths.enumerate_paths(args.order, constraints, cap=args.oracle_cap))
     return render.Output(
-        text=lambda: "\n".join(walked) + "\n" if walked else "",
+        text=lambda: render.batched(walked, "\n", "\n") if walked else (),
         json=lambda: render.json_text({"n": args.order, "paths": walked}),
     )
 
@@ -134,20 +153,17 @@ def cmd_verify(args):
     failures = [r for r in results if not r["ok"]]
 
     def text():
-        lines = []
         for r in results:
             mark = "PASS" if r["ok"] else "FAIL"
             suffix = f": {r['detail']}" if r["detail"] else ""
-            lines.append(f"{mark} {r['check']}{suffix}")
-        lines.append(
+            yield f"{mark} {r['check']}{suffix}\n"
+        yield (
             f"{len(results) - len(failures)}/{len(results)} checks passed "
-            f"({args.level}) in {elapsed:.2f}s"
+            f"({args.level}) in {elapsed:.2f}s\n"
         )
-        text = "\n".join(lines) + "\n"
         if failures:
             # machine-readable failure list on top of the human summary
-            text += render.json_text({"failures": failures})
-        return text
+            yield from render.json_text({"failures": failures})
 
     return render.Output(
         text=text,
@@ -163,12 +179,12 @@ def cmd_asympt(args):
     report = asymptotics.convergence_report(args.kind, args.order, cap=args.cap)
 
     def text():
-        lines = [f"kind={report.kind} tolerance={report.tolerance}"]
+        yield f"kind={report.kind} tolerance={report.tolerance}\n"
         for row in report.rows:
-            lines.append(
-                f"n={row.n} exact={row.exact} predicted={row.predicted} ratio={row.ratio:.6f}"
+            yield (
+                f"n={row.n} exact={row.exact} predicted={row.predicted} "
+                f"ratio={row.ratio:.6f}\n"
             )
-        return "\n".join(lines) + "\n"
 
     return render.Output(
         text=text,
@@ -294,7 +310,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         output = args.handler(args)
-        text = render.render(output, args.format)
     except EngineDisagreement as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
@@ -305,7 +320,7 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:
-        _emit(text, args.out)
+        _emit(render.render(output, args.format), args.out)
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,41 +1,69 @@
 """The csv, json and text output rules shared by every CLI subcommand.
 
-A subcommand computes its data once and returns an `Output`; `render`
-builds only the requested format from it.  csv is a header line and one
-line per row, cells joined by commas as `str()` gives them; json is
-sorted, two-space indented and newline-terminated.  Both are byte-stable
-for identical flags.  Text and json are built by callables, so no request
-pays, in time or memory, for a format it did not ask for.
+A subcommand computes and checks its data once and returns an `Output`;
+`render` formats only the requested format from it, as an iterable of
+text chunks of about CHUNK characters that the CLI writes one by one.  So
+a request holds its data and one chunk, never its whole output.  csv is a
+header line and one line per row, cells joined by commas as `str()` gives
+them; json is sorted, two-space indented and newline-terminated.  Both are
+byte-stable for identical flags.  Text and json are built by callables,
+so no request pays, in time or memory, for a format it did not ask for.
 
 Exact counts print in full.  `count` hands over its terms as exact
 `Decimal`s, whose `str()` is linear in the digits, so its csv and text
 are linear in their length and `json_numbers` writes its json, which
 `json.dumps` would refuse.  Every other payload goes through `json_text`.
+Integers past Python's int-to-str digit limit format only while the
+writer has lifted it.
 """
 import json
-import sys
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from typing import Callable, Iterable, NamedTuple
+
+CHUNK = 1 << 16  # characters per chunk, about 64 KB
 
 
 class Output(NamedTuple):
     """What a subcommand prints, in each format it supports, and its exit code."""
 
-    text: Callable[[], str] | None = None
-    json: Callable[[], str] | None = None
+    text: Callable[[], Iterable[str]] | None = None  # returns text chunks
+    json: Callable[[], Iterable[str]] | None = None  # returns json chunks
     header: tuple = ()  # csv column names
     rows: Iterable = ()  # csv cells, one sequence per line; iterated once
     code: int = 0
 
 
+def batched(pieces, sep="", end=""):
+    """`sep.join(pieces) + end` as chunks of about CHUNK characters.
+
+    Each batch takes as many pieces as the last batch's mean piece length
+    fits in CHUNK, but at most twice as many as the last, so pieces that
+    grow (counts gain digits with n) never make one huge chunk.
+    """
+    pieces = iter(pieces)
+    count, lead = 1, ""
+    while batch := list(islice(pieces, count)):
+        text = lead + sep.join(batch)
+        yield text
+        count = max(1, min(2 * count, count * CHUNK // max(len(text), 1)))
+        lead = sep
+    yield end
+
+
 def csv_text(header, rows):
     """A header line, then one line of comma-joined `str()` cells per row."""
-    return "\n".join([",".join(map(str, row)) for row in chain([header], rows)]) + "\n"
+    lines = map(",".join, map(partial(map, str), chain([header], rows)))
+    return batched(lines, "\n", "\n")
 
 
 def json_text(payload):
-    """Sorted, two-space indented json with a trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Sorted, two-space indented json with a trailing newline.
+
+    `json.dumps` with an indent joins the chunks of this same encoder.
+    """
+    encoder = json.JSONEncoder(sort_keys=True, indent=2)
+    return batched(encoder.iterencode(payload), end="\n")
 
 
 def json_numbers(payload):
@@ -44,36 +72,25 @@ def json_numbers(payload):
     Numbers are written as `str()` gives them, so exact integer Decimals,
     which `json.dumps` rejects, print like the ints they equal.
     """
-
-    def chunks():
-        for i, key in enumerate(sorted(payload)):
-            yield ("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": "
-            value = payload[key]
-            if isinstance(value, list):
-                yield "[\n    "
-                yield ",\n    ".join(map(str, value))
-                yield "\n  ]"
-            else:
-                yield str(value)
-        yield "\n}\n"
-
-    return "".join(chunks())
+    for i, key in enumerate(sorted(payload)):
+        yield ("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": "
+        value = payload[key]
+        if isinstance(value, list):
+            yield "[\n    "
+            yield from batched(map(str, value), ",\n    ", "\n  ]")
+        else:
+            yield str(value)
+    yield "\n}\n"
 
 
 def render(output, fmt):
-    """The bytes of `output` in format `fmt` ("text", "csv" or "json").
+    """The chunks of `output` in format `fmt` ("text", "csv" or "json").
 
-    Exact counts can run past Python's int-to-str digit limit (4300 digits
-    by default, m(n) for n > ~10 290), so the limit is lifted while the
-    program's own integers are rendered and restored afterwards.
+    Nothing is formatted until the chunks are consumed.
     """
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        if fmt == "json":
-            return output.json()
-        if fmt == "csv":
-            return csv_text(output.header, output.rows)
-        return output.text()
-    finally:
-        sys.set_int_max_str_digits(limit)
+    if fmt == "json":
+        yield from output.json()
+    elif fmt == "csv":
+        yield from csv_text(output.header, output.rows)
+    else:
+        yield from output.text()

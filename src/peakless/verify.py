@@ -3,7 +3,8 @@
 Every check pits independent computations of the same quantity against
 each other: brute-force scan, automaton DP, ladder series, determinant
 quotient, functional equation, recurrence.  Two routes to one sequence
-are compared by `check_agreement`, which `count` and `bounded` use too;
+are compared by `check_agreement`, which `count` and `bounded` use too,
+as do `dist` and the avg_height report through `check_height_total`;
 any other condition raises AssertionError.  A check returns nothing and
 fails only by raising, and `run_checks` returns one record per check so
 the CLI can print a line each and emit a machine-readable failure list.
@@ -29,12 +30,12 @@ FULL_N, FULL_L = 14, 7
 MISMATCHES_SHOWN = 5  # a disagreement lists at most this many indices
 
 
-def check_agreement(names, first, second, where=""):
+def check_agreement(names, first, second, where="", start=0):
     """Raise EngineDisagreement unless two routes give the same sequence.
 
     `names` labels the two routes; the message counts the indices n that
-    differ and shows both values at the first few.  Sequences of unequal
-    length disagree too.
+    differ and shows both values at the first few, numbering the terms
+    from n = `start`.  Sequences of unequal length disagree too.
     """
     first, second = list(first), list(second)
     if len(first) != len(second):
@@ -45,12 +46,28 @@ def check_agreement(names, first, second, where=""):
     bad = [i for i, (a, b) in enumerate(zip(first, second)) if a != b]
     if bad:
         shown = "; ".join(
-            f"n={i}: {names[0]} {first[i]}, {names[1]} {second[i]}"
+            f"n={start + i}: {names[0]} {first[i]}, {names[1]} {second[i]}"
             for i in bad[:MISMATCHES_SHOWN]
         )
         raise EngineDisagreement(
             f"engine disagreement{where}: {len(bad)} mismatching terms, first {shown}"
         )
+
+
+def check_height_total(stats):
+    """Hold a height distribution's total, A(n, n/2) = m(n), to the closed form.
+
+    A fault in `bounded_count_dp` at the top bound shows here; one at a
+    lower bound cancels in the telescoping sum and does not.
+    """
+    n = stats.n
+    check_agreement(
+        ("height distribution total", "closed form"),
+        [sum(stats.distribution)],
+        [counting.peakless_closed_form(n)],
+        f" at n={n}",
+        start=n,
+    )
 
 
 def check_path_predicates():

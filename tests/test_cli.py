@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import peakless
-from peakless import counting, oracle
+from peakless import counting, oracle, render
 from peakless.cli import main
 from peakless.paths import PathConstraints
 from peakless.series import Series
@@ -53,26 +53,36 @@ def test_count_csv_and_json(capsys):
 
 LAST_COUNT = {
     "text": lambda out: out.split()[-1],
-    "csv": lambda out: out.splitlines()[-1].split(",")[1],
+    "csv": lambda out: out.splitlines()[-1].split(",")[-1],
     "json": lambda out: json.loads(out)["counts"][-1],
 }
 
 
-def test_count_past_int_str_digit_limit(capsys):
-    # m(1600) has 664 digits; the CLI prints it in every format even under
-    # a 640-digit limit and leaves the limit as it found it
+def test_count_past_int_str_digit_limit(capsys, tmp_path):
+    # m(1600) has 664 digits and A(1600, 10) 648; the CLI prints them in
+    # every format even under a 640-digit limit, and leaves the limit as it
+    # found it, also when the --out file cannot be opened
     n = 1600  # closed form m(n) = sum_k C(n-k, k) C(n-k-1, k) / (k+1)
     want = sum(comb(n - k, k) * comb(n - k - 1, k) // (k + 1) for k in range(n // 2 + 1))
-    for fmt, last in LAST_COUNT.items():
+    join = counting.bounded_count_dp(n, 10)  # a route apart from the printed column
+    missing = tmp_path / "missing" / "counts.csv"
+    cases = [(f"count -n {n} --format {fmt}", fmt, want) for fmt in LAST_COUNT]
+    cases.append((f"bounded -n {n} -l 10 --format csv", "csv", join))
+    cases.append((f"count -n {n} --out {missing}", None, None))
+    for argv, fmt, expect in cases:
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            code, out, _ = run_cli(capsys, "count", "-n", str(n), "--format", fmt)
+            code, out, err = run_cli(capsys, *argv.split())
             assert sys.get_int_max_str_digits() == 640
         finally:
             sys.set_int_max_str_digits(saved)
-        assert code == 0
-        assert int(last(out)) == want, fmt
+        if fmt is None:  # the --out file cannot be opened
+            assert (code, out) == (2, "") and err.startswith("error: ")
+        else:
+            assert code == 0
+            assert int(LAST_COUNT[fmt](out)) == expect, argv
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("n", [*range(41), 1600])
@@ -104,18 +114,25 @@ def test_count_checks_its_last_term_against_the_closed_form(capsys, monkeypatch)
     monkeypatch.setattr(counting, "peakless_decimals", skewed)
     code, out, err = run_cli(capsys, "count", "-n", "250")
     assert (code, out) == (1, "")
-    assert "engine disagreement at n=250:" in err
+    assert "engine disagreement at n=250: 1 mismatching terms, first n=250: " in err
     assert "closed form" in err and "recurrence" in err
     assert run_cli(capsys, "count", "-n", "249")[0] == 0
 
 
-def test_count_cross_checks_engines(capsys, monkeypatch):
-    def skewed(n_max):
-        values = counting.peakless_recurrence(n_max)
-        values[-1] += 1
-        return values
+def _skewed_series(n_max):
+    values = counting.peakless_recurrence(n_max)
+    values[-1] += 1
+    return values
 
-    monkeypatch.setattr(counting, "peakless_series", skewed)
+
+def _skewed_det(bound, order):
+    warped = list(counting.bounded_series_cf(bound, order).coeffs)
+    warped[-1] += 1
+    return Series(warped, order)
+
+
+def test_count_cross_checks_engines(capsys, monkeypatch):
+    monkeypatch.setattr(counting, "peakless_series", _skewed_series)
     code, _, err = run_cli(capsys, "count", "-n", "6")
     assert code == 1
     assert "disagreement" in err
@@ -168,13 +185,7 @@ def test_bounded_table_routes_agree(capsys, n, l):
 
 
 def test_bounded_cross_checks_engines(capsys, monkeypatch):
-    def broken(bound, order):
-        good = counting.bounded_series_cf(bound, order)
-        warped = list(good.coeffs)
-        warped[-1] += 1
-        return Series(warped, order)
-
-    monkeypatch.setattr(counting, "bounded_series_det", broken)
+    monkeypatch.setattr(counting, "bounded_series_det", _skewed_det)
     for bound in ("0", "2"):
         code, _, err = run_cli(capsys, "bounded", "-n", "6", "-l", bound)
         assert code == 1
@@ -194,8 +205,33 @@ def test_bounded_checks_its_last_term_against_the_join(capsys, monkeypatch, tabl
     monkeypatch.setattr(counting, "bounded_column_dp", skewed)
     code, out, err = run_cli(capsys, "bounded", "-n", "250", "-l", "10", *table)
     assert (code, out) == (1, "")
-    assert "engine disagreement for bound=10 at n=250:" in err
+    assert "engine disagreement for bound=10 at n=250: 1 mismatching terms, first n=250: " in err
     assert "automaton column" in err and "middle join" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv, engine, skewed",
+    [
+        ("count -n 6", "peakless_series", _skewed_series),
+        ("bounded -n 6 -l 2", "bounded_series_det", _skewed_det),
+        ("bounded -n 6 -l 2 --table", "bounded_series_det", _skewed_det),
+    ],
+    ids=["count", "bounded", "table"],
+)
+def test_a_disagreement_writes_nothing(
+    capsys, monkeypatch, tmp_path, argv, engine, skewed, fmt
+):
+    # every check runs before the first chunk is written, to stdout or --out
+    monkeypatch.setattr(counting, engine, skewed)
+    words = argv.split()
+    code, out, err = run_cli(capsys, *words, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert "engine disagreement" in err
+    target = tmp_path / f"{fmt}.out"
+    code, out, err = run_cli(capsys, *words, "--format", fmt, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert "engine disagreement" in err and not target.exists()
 
 
 def test_bounded_names_every_mismatching_index(capsys, monkeypatch):
@@ -214,6 +250,35 @@ def test_bounded_names_every_mismatching_index(capsys, monkeypatch):
         assert f"n={i}:" in err
     assert "n=8:" not in err and "n=9:" not in err
     assert "automaton 2, determinant 3" in err  # n = 3
+
+
+@pytest.mark.parametrize("argv", ["dist -n 300", "asympt --kind avg_height -n 300"])
+def test_height_distribution_total_meets_the_closed_form(capsys, monkeypatch, argv):
+    # a middle join wrong at the top bound shifts the distribution's total
+    exact = counting.bounded_count_dp
+
+    def skewed(n, bound):
+        count = exact(n, bound)
+        return count + 1 if bound == n // 2 else count
+
+    monkeypatch.setattr(counting, "bounded_count_dp", skewed)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert "engine disagreement at n=300: 1 mismatching terms, first n=300: " in err
+    assert "height distribution total" in err and "closed form" in err
+
+
+def test_output_is_written_in_bounded_chunks(monkeypatch):
+    # m(0..3000) is 1.9 MB of csv; no single write holds much of it
+    writes = []
+
+    class Sink:
+        def writelines(self, chunks):
+            writes.extend(map(len, chunks))
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["count", "-n", "3000", "--format", "csv"]) == 0
+    assert len(writes) > 20 and max(writes) <= 2 * render.CHUNK
 
 
 def test_dist_text(capsys):
