@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 from dataclasses import asdict, astuple
+from itertools import chain
 
 from . import asymptotics, counting, paths, render, verify
 from .errors import EngineDisagreement, ResourceLimitError
@@ -49,8 +50,8 @@ def _table_output(columns, text=None, **meta):
 
     return render.Output(
         text=text,
-        json=lambda: render.json_text(
-            dict(meta, rows=[{"n": n, "ell": l, "count": c} for n, l, c in cells()])
+        json=lambda: render.json_numbers(
+            dict(meta, rows=cells()), render.json_record(TABLE_HEADER)
         ),
         header=TABLE_HEADER,
         rows=cells(),
@@ -139,10 +140,14 @@ def cmd_enumerate(args):
         max_height=args.bound,
         end_level=args.end_level,
     )
-    walked = list(paths.enumerate_paths(args.order, constraints, cap=args.oracle_cap))
+    found = paths.enumerate_paths(args.order, constraints, cap=args.oracle_cap)
+    # the first path settles every error and an empty listing here, before
+    # any output; text then streams the rest, and only json holds the list
+    first = next(found, None)
+    walked = () if first is None else chain([first], found)
     return render.Output(
-        text=lambda: render.batched(walked, "\n", "\n") if walked else (),
-        json=lambda: render.json_text({"n": args.order, "paths": walked}),
+        text=lambda: () if first is None else render.batched(walked, "\n", "\n"),
+        json=lambda: render.json_text({"n": args.order, "paths": list(walked)}),
     )
 
 

@@ -15,8 +15,15 @@ the bottom layer a down-step is forbidden (it would close a peak); flat
 moves to top/i and up moves to bottom/i+1.  The walk starts at top/0 and
 must never leave level >= 0.
 
-`enumerate_paths` is the exhaustive generator used as ground truth by the
+`enumerate_paths` is the exhaustive listing used as ground truth by the
 tests; the counting engines in `counting` must reproduce whatever it says.
+It splits each path in halves: a lex-ordered list of the half-length
+prefixes, each with its end state, and for every state the lex-ordered
+list of suffixes that finish the path admissibly from it, the seam
+included.  Every prefix has the same length, so prefix order then suffix
+order is the F < U < D lex order of the whole paths, and the listing
+costs one string concatenation per path.  Both lists are built, and every
+argument checked, when it is called; only the concatenations are lazy.
 Every brute-force entry point, here and in `oracle`, checks the length
 against the cap in one place, `check_oracle_length`, which is the
 package's one budget gate `ResourceLimitError.check` raising
@@ -32,9 +39,6 @@ DOWN = "D"
 FLAT = "F"
 
 STEP_INCREMENTS = {FLAT: 0, UP: 1, DOWN: -1}
-
-# enumeration order of steps; fixes the lexicographic order of output paths
-STEP_ORDER = (FLAT, UP, DOWN)
 
 DEFAULT_ORACLE_CAP = 16
 ORACLE_CAP_ENV = "PEAKLESS_ORACLE_CAP"
@@ -142,13 +146,26 @@ def automaton_accepts(path):
 
 
 def enumerate_paths(n, constraints=None, cap=None):
-    """Yield every length-n path satisfying the constraints, in lex order.
+    """Every length-n path satisfying the constraints, in lex order.
 
-    Paths are emitted in lexicographic order under F < U < D.  Validity
-    (never below level 0) always applies on top of the constraints.  The
-    search is exhaustive with pruning, so it is the ground-truth oracle;
-    lengths beyond the cap (default 16) raise OracleLimitError from
-    `check_oracle_length` because the 3^n search space becomes unreasonable.
+    Paths come in lexicographic order under F < U < D.  Validity (never
+    below level 0) always applies on top of the constraints.  The listing
+    is exhaustive, so it is ground truth for the counting engines.
+
+    A path is a prefix of a = n // 2 steps followed by a suffix of the
+    other b = n - a steps.  The prefix list holds every admissible prefix
+    in lex order with its state: its end level and, for peakless paths,
+    whether its last step is U.  The suffix table maps each state to the
+    lex-ordered list of suffixes that, started in that state, stay in
+    [0, bound], close no UD factor (a D right after a U-ended prefix
+    included) and finish at the end level.  Because all prefixes have one
+    length, prefix order then suffix order is the lex order of the paths.
+
+    The length is checked against the cap (default 16;
+    OracleLimitError from `check_oracle_length`) and both lists are
+    built at the call, so every error is raised before the first path.
+    Only the concatenations are lazy: the returned iterator yields
+    `prefix + suffix` one path at a time.
     """
     if constraints is None:
         constraints = PathConstraints()
@@ -157,28 +174,44 @@ def enumerate_paths(n, constraints=None, cap=None):
         raise ValueError("length must be nonnegative")
 
     end = constraints.end_level
-    bound = constraints.max_height
     peakless = constraints.peakless
+    # no level above n is reachable, so a huge bound costs what n does
+    top = n if constraints.max_height is None else min(constraints.max_height, n)
 
-    def walk(prefix, level, remaining):
-        if remaining == 0:
-            if level == end:
-                yield "".join(prefix)
-            return
-        last = prefix[-1] if prefix else None
-        for step in STEP_ORDER:
-            new_level = level + STEP_INCREMENTS[step]
-            if new_level < 0:
-                continue
-            if bound is not None and new_level > bound:
-                continue
-            if peakless and last == UP and step == DOWN:
-                continue
-            # must still be able to reach the end level in remaining-1 steps
-            if abs(new_level - end) > remaining - 1:
-                continue
-            prefix.append(step)
-            yield from walk(prefix, new_level, remaining - 1)
-            prefix.pop()
+    def moves(level, after_up):
+        # (step, new level, new state flag); F < U < D here fixes the
+        # lex order of the output
+        yield FLAT, level, False
+        if level < top:
+            yield UP, level + 1, peakless
+        if level > 0 and not after_up:
+            yield DOWN, level - 1, False
 
-    yield from walk([], 0, n)
+    a = n // 2
+    prefixes = [("", 0, False)]
+    for _ in range(a):
+        prefixes = [
+            (path + step, new, flag)
+            for path, level, after_up in prefixes
+            for step, new, flag in moves(level, after_up)
+        ]
+
+    # suffixes[(level, after_up)] after k rounds: the admissible length-k
+    # suffixes from that state, in lex order
+    states = [(level, flag) for level in range(top + 1) for flag in {False, peakless}]
+    suffixes = {state: [""] if state[0] == end else [] for state in states}
+    for _ in range(n - a):
+        suffixes = {
+            state: [
+                step + rest
+                for step, new, flag in moves(*state)
+                for rest in suffixes[new, flag]
+            ]
+            for state in states
+        }
+
+    return (
+        path + rest
+        for path, level, after_up in prefixes
+        for rest in suffixes[level, after_up]
+    )

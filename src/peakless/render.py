@@ -12,7 +12,9 @@ so no request pays, in time or memory, for a format it did not ask for.
 Exact counts print in full.  `count` hands over its terms as exact
 `Decimal`s, whose `str()` is linear in the digits, so its csv and text
 are linear in their length and `json_numbers` writes its json, which
-`json.dumps` would refuse.  Every other payload goes through `json_text`.
+`json.dumps` would refuse.  `json_numbers` also writes the A(n, l) tables,
+one row object at a time through `json_record`, so no table is held as
+dicts.  Every other payload goes through `json_text`.
 Integers past Python's int-to-str digit limit format only while the
 writer has lifted it.
 """
@@ -66,21 +68,34 @@ def json_text(payload):
     return batched(encoder.iterencode(payload), end="\n")
 
 
-def json_numbers(payload):
-    """`json_text(payload)` for a dict of numbers and nonempty lists of them.
+def json_numbers(payload, item=str):
+    """`json_text(payload)` for a dict of ints, strings and nonempty lists.
 
-    Numbers are written as `str()` gives them, so exact integer Decimals,
-    which `json.dumps` rejects, print like the ints they equal.
+    A list may be any iterable; it is iterated once, and `item` writes
+    each element.  The default `str()` prints exact integer Decimals,
+    which `json.dumps` rejects, like the ints they equal.
     """
     for i, key in enumerate(sorted(payload)):
         yield ("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": "
         value = payload[key]
-        if isinstance(value, list):
-            yield "[\n    "
-            yield from batched(map(str, value), ",\n    ", "\n  ]")
+        if isinstance(value, (int, str)):
+            yield json.dumps(value)
         else:
-            yield str(value)
+            yield "[\n    "
+            yield from batched(map(item, value), ",\n    ", "\n  ]")
     yield "\n}\n"
+
+
+def json_record(keys):
+    """An `item` for `json_numbers`: a tuple of numbers as a json object.
+
+    The object maps keys[i] to the tuple's i-th number, keys sorted, as
+    `json_text` indents an object inside a list inside the payload.
+    """
+    fields = sorted((key, i) for i, key in enumerate(keys))
+    template = ",".join(f"\n      {json.dumps(key)}: {{{i}}}" for key, i in fields)
+    template = "{{" + template + "\n    }}"
+    return lambda values: template.format(*values)
 
 
 def render(output, fmt):

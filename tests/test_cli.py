@@ -182,6 +182,18 @@ def test_bounded_table_routes_agree(capsys, n, l):
         assert line.startswith(prefix)
         row = run_cli(capsys, "bounded", "-n", str(n), "-l", str(k))
         assert row == (0, line[len(prefix) :] + "\n", ""), k
+    # the json that is written row by row is the encoder's, byte for byte
+    cells = [map(int, line.split(",")) for line in table.splitlines()[1:]]
+    rows = [dict(zip(("n", "ell", "count"), cell)) for cell in cells]
+    want = {"n_max": n, "l_max": l, "rows": rows}
+    code, out, _ = run_cli(capsys, "bounded", *size, "--table", "--format", "json")
+    assert (code, out) == (0, json.dumps(want, sort_keys=True, indent=2) + "\n")
+    for method in ("cf", "det", "dp"):
+        code, out, _ = run_cli(
+            capsys, "export", "bounded", *size, "--method", method, "--format", "json"
+        )
+        expected = json.dumps(dict(want, method=method), sort_keys=True, indent=2)
+        assert (code, out) == (0, expected + "\n"), method
 
 
 def test_bounded_cross_checks_engines(capsys, monkeypatch):
@@ -279,6 +291,24 @@ def test_output_is_written_in_bounded_chunks(monkeypatch):
     monkeypatch.setattr(sys, "stdout", Sink())
     assert main(["count", "-n", "3000", "--format", "csv"]) == 0
     assert len(writes) > 20 and max(writes) <= 2 * render.CHUNK
+
+
+def test_enumerate_text_is_streamed(monkeypatch):
+    # `enumerate -n 14 -l 3` lists 98 514 paths, 1.5 MB of text, without
+    # holding them; an empty listing still writes nothing at all
+    writes = []
+
+    class Sink:
+        def writelines(self, chunks):
+            writes.extend(map(len, chunks))
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["enumerate", "-n", "14", "-l", "3"]) == 0
+    assert sum(writes) == 1477710
+    assert len(writes) > 10 and max(writes) <= 2 * render.CHUNK
+    writes.clear()
+    assert main(["enumerate", "-n", "1", "--end-level", "2"]) == 0
+    assert sum(writes) == 0
 
 
 def test_dist_text(capsys):

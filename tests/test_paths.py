@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -103,18 +104,36 @@ def test_enumeration_order_and_uniqueness():
 
 
 def test_enumerate_respects_all_constraints():
-    constraints = PathConstraints(peakless=True, max_height=2, end_level=1)
-    for n in range(9):
-        got = set(enumerate_paths(n, constraints))
-        want = {
-            "".join(t)
-            for t in itertools.product("FUD", repeat=n)
-            if is_valid_prefix("".join(t))
-            and level_profile("".join(t))[-1] == 1
-            and not has_peak("".join(t))
-            and height("".join(t)) <= 2
-        }
-        assert got == want
+    # the listing is the ordered filter of all 3^n step sequences, which
+    # itertools.product yields in F < U < D order
+    for n in range(11):
+        profiles = []
+        for steps in itertools.product("FUD", repeat=n):
+            levels = level_profile(steps)
+            if min(levels) >= 0:
+                path = "".join(steps)
+                profiles.append((path, levels, has_peak(path)))
+        for peakless, bound, end in itertools.product(
+            (False, True), (None, 0, 1, 2, 3, 4, n), range(4)
+        ):
+            if bound is not None and end > bound:
+                continue
+            constraints = PathConstraints(peakless, bound, end)
+            want = [
+                path
+                for path, levels, peak in profiles
+                if levels[-1] == end
+                and (bound is None or max(levels) <= bound)
+                and not (peakless and peak)
+            ]
+            assert list(enumerate_paths(n, constraints)) == want, constraints
+
+
+def test_huge_bound_costs_what_the_length_does():
+    start = time.perf_counter()
+    got = list(enumerate_paths(12, PathConstraints(max_height=10**9)))
+    assert got == list(enumerate_paths(12))
+    assert time.perf_counter() - start < 5
 
 
 def test_empty_length():
@@ -123,10 +142,13 @@ def test_empty_length():
 
 
 def test_oracle_cap():
+    # every error is raised at the call, before the first path is asked for
     with pytest.raises(OracleLimitError):
-        list(enumerate_paths(17))
+        enumerate_paths(17)
     with pytest.raises(OracleLimitError):
-        list(enumerate_paths(5, cap=4))
+        enumerate_paths(5, cap=4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_paths(-1)
     assert len(list(enumerate_paths(5, cap=5))) == 21
 
 
