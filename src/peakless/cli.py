@@ -13,7 +13,6 @@ import argparse
 import sys
 import time
 from dataclasses import asdict, astuple
-from itertools import chain
 
 from . import asymptotics, counting, paths, render, verify
 from .errors import EngineDisagreement, ResourceLimitError
@@ -21,6 +20,7 @@ from .errors import EngineDisagreement, ResourceLimitError
 CROSS_CHECK_LIMIT = 200  # count engines are cross-checked up to here
 FORMATS = ("text", "csv", "json")
 TABLE_HEADER = ("n", "ell", "count")  # csv columns of A(n, l) rows
+COLUMN_ROUTES = {"cf": "ladder", "det": "strip family", "dp": "automaton"}
 
 
 def _emit(chunks, out):
@@ -42,6 +42,23 @@ def _emit(chunks, out):
         sys.set_int_max_str_digits(limit)
 
 
+def _check_columns(columns, n, bound, route="automaton"):
+    """Hold columns A(0..n, l), l = bound - len(columns) + 1..bound, to two routes.
+
+    The last column's first 201 terms meet the determinant quotient, and
+    the last term of each distinct column, the last first, the middle join.
+    """
+    checked = columns[-1][: CROSS_CHECK_LIMIT + 1]
+    det = counting.bounded_series_det(bound, len(checked) - 1).coeffs
+    verify.check_agreement((route, "determinant"), checked, det, f" for bound={bound}")
+    first = bound + 1 - len(columns)
+    # columns past n // 2 repeat that one, so a huge bound costs n // 2 + 1 joins
+    for l in (bound, *range(min(bound, n // 2) - 1, first - 1, -1)):
+        join, where = counting.bounded_count_dp(n, l), f" for bound={l} at n={n}"
+        names = (f"{route} column", "middle join")
+        verify.check_agreement(names, columns[l - first][-1:], [join], where, start=n)
+
+
 def _table_output(columns, text=None, **meta):
     # columns[l][n] = A(n, l); csv and json rows run n-major, l fastest
     def cells():
@@ -50,7 +67,7 @@ def _table_output(columns, text=None, **meta):
 
     return render.Output(
         text=text,
-        json=lambda: render.json_numbers(
+        json=lambda: render.json_text(
             dict(meta, rows=cells()), render.json_record(TABLE_HEADER)
         ),
         header=TABLE_HEADER,
@@ -70,7 +87,7 @@ def cmd_count(args):
     )
     return render.Output(
         text=lambda: render.batched(map(str, values), " ", "\n"),
-        json=lambda: render.json_numbers({"n_max": n, "counts": values}),
+        json=lambda: render.json_text({"n_max": n, "counts": values}, str),
         header=("n", "count"),
         rows=enumerate(values),
     )
@@ -78,38 +95,25 @@ def cmd_count(args):
 
 def cmd_bounded(args):
     n, bound = args.order, args.bound
-    if args.table:
-        columns = counting.bounded_count_table(n, bound, method="dp")
-    else:
-        columns = [counting.bounded_column_dp(bound, n)]
-    values = columns[-1]
-    checked = values[: CROSS_CHECK_LIMIT + 1]
-    det = counting.bounded_series_det(bound, len(checked) - 1).coeffs
-    where = f" for bound={bound}"
-    verify.check_agreement(("automaton", "determinant"), checked, det, where)
-    join = counting.bounded_count_dp(n, bound)
-    verify.check_agreement(
-        ("automaton column", "middle join"),
-        values[-1:],
-        [join],
-        f"{where} at n={n}",
-        start=n,
-    )
-    if args.table:
-        return _table_output(
-            columns,
-            text=lambda: render.batched(
-                f"l={l}: " + " ".join(map(str, column)) + "\n"
-                for l, column in enumerate(columns)
-            ),
-            n_max=n,
-            l_max=bound,
+    if not args.table:
+        values = counting.bounded_column_dp(bound, n)
+        _check_columns([values], n, bound)
+        return render.Output(
+            text=lambda: render.batched(map(str, values), " ", "\n"),
+            json=lambda: render.json_text(dict(n_max=n, bound=bound, counts=values)),
+            header=TABLE_HEADER,
+            rows=((i, bound, v) for i, v in enumerate(values)),
         )
-    return render.Output(
-        text=lambda: render.batched(map(str, values), " ", "\n"),
-        json=lambda: render.json_text({"n_max": n, "bound": bound, "counts": values}),
-        header=TABLE_HEADER,
-        rows=((i, bound, v) for i, v in enumerate(values)),
+    columns = counting.bounded_count_table(n, bound, method="dp")
+    _check_columns(columns, n, bound)
+    return _table_output(
+        columns,
+        text=lambda: render.batched(
+            f"l={l}: " + " ".join(map(str, column)) + "\n"
+            for l, column in enumerate(columns)
+        ),
+        n_max=n,
+        l_max=bound,
     )
 
 
@@ -124,7 +128,7 @@ def cmd_dist(args):
         json=lambda: render.json_text(
             {
                 "n": stats.n,
-                "distribution": list(stats.distribution),
+                "distribution": stats.distribution,
                 "expected_height": str(stats.expected_height),
                 "expected_height_float": stats.expected_height_float,
             }
@@ -140,14 +144,11 @@ def cmd_enumerate(args):
         max_height=args.bound,
         end_level=args.end_level,
     )
+    # every error is raised at the call, before any output; both formats stream
     found = paths.enumerate_paths(args.order, constraints, cap=args.oracle_cap)
-    # the first path settles every error and an empty listing here, before
-    # any output; text then streams the rest, and only json holds the list
-    first = next(found, None)
-    walked = () if first is None else chain([first], found)
     return render.Output(
-        text=lambda: () if first is None else render.batched(walked, "\n", "\n"),
-        json=lambda: render.json_text({"n": args.order, "paths": list(walked)}),
+        text=lambda: render.batched(found, "\n", "\n"),
+        json=lambda: render.json_text({"n": args.order, "paths": found}),
     )
 
 
@@ -207,6 +208,7 @@ def cmd_asympt(args):
 
 def cmd_export(args):
     columns = counting.bounded_count_table(args.order, args.bound, method=args.method)
+    _check_columns(columns, args.order, args.bound, COLUMN_ROUTES[args.method])
     return _table_output(
         columns, n_max=args.order, l_max=args.bound, method=args.method
     )

@@ -9,14 +9,12 @@ them; json is sorted, two-space indented and newline-terminated.  Both are
 byte-stable for identical flags.  Text and json are built by callables,
 so no request pays, in time or memory, for a format it did not ask for.
 
-Exact counts print in full.  `count` hands over its terms as exact
-`Decimal`s, whose `str()` is linear in the digits, so its csv and text
-are linear in their length and `json_numbers` writes its json, which
-`json.dumps` would refuse.  `json_numbers` also writes the A(n, l) tables,
-one row object at a time through `json_record`, so no table is held as
-dicts.  Every other payload goes through `json_text`.
-Integers past Python's int-to-str digit limit format only while the
-writer has lifted it.
+One writer, `json_text`, writes every json payload, each list element by
+element.  Exact counts print in full: `count` hands over exact `Decimal`s,
+whose `str()` is linear in the digits, so its csv, text and json are
+linear in their length, and the A(n, l) tables write one row object at a
+time through `json_record`.  Integers past Python's int-to-str digit
+limit format only while the writer has lifted it.
 """
 import json
 from functools import partial
@@ -24,13 +22,14 @@ from itertools import chain, islice
 from typing import Callable, Iterable, NamedTuple
 
 CHUNK = 1 << 16  # characters per chunk, about 64 KB
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 class Output(NamedTuple):
     """What a subcommand prints, in each format it supports, and its exit code."""
 
     text: Callable[[], Iterable[str]] | None = None  # returns text chunks
-    json: Callable[[], Iterable[str]] | None = None  # returns json chunks
+    json: Callable[[], Iterable[str]] | None = None  # returns the one writer's chunks
     header: tuple = ()  # csv column names
     rows: Iterable = ()  # csv cells, one sequence per line; iterated once
     code: int = 0
@@ -41,16 +40,16 @@ def batched(pieces, sep="", end=""):
 
     Each batch takes as many pieces as the last batch's mean piece length
     fits in CHUNK, but at most twice as many as the last, so pieces that
-    grow (counts gain digits with n) never make one huge chunk.
+    grow (counts gain digits with n) never make one huge chunk.  No pieces
+    give no chunk at all, not even `end`.
     """
     pieces = iter(pieces)
-    count, lead = 1, ""
-    while batch := list(islice(pieces, count)):
+    batch, count, lead = list(islice(pieces, 1)), 1, ""
+    while batch:
         text = lead + sep.join(batch)
-        yield text
         count = max(1, min(2 * count, count * CHUNK // max(len(text), 1)))
-        lead = sep
-    yield end
+        batch, lead = list(islice(pieces, count)), sep
+        yield text if batch else text + end
 
 
 def csv_text(header, rows):
@@ -59,38 +58,37 @@ def csv_text(header, rows):
     return batched(lines, "\n", "\n")
 
 
-def json_text(payload):
-    """Sorted, two-space indented json with a trailing newline.
-
-    `json.dumps` with an indent joins the chunks of this same encoder.
-    """
-    encoder = json.JSONEncoder(sort_keys=True, indent=2)
-    return batched(encoder.iterencode(payload), end="\n")
+def _nested(value):
+    # a list element as `json.dumps(payload, indent=2)` writes it, two
+    # levels deep; json escapes every newline inside a string
+    return _ENCODER.encode(value).replace("\n", "\n    ")
 
 
-def json_numbers(payload, item=str):
-    """`json_text(payload)` for a dict of ints, strings and nonempty lists.
+def json_text(payload, item=_nested):
+    """`json.dumps(payload, sort_keys=True, indent=2) + "\\n"` as chunks.
 
-    A list may be any iterable; it is iterated once, and `item` writes
-    each element.  The default `str()` prints exact integer Decimals,
-    which `json.dumps` rejects, like the ints they equal.
+    `payload` maps keys to numbers, strings and lists.  A list may be any
+    iterable, read once (an empty one is written `[]`), and `item` writes
+    each element.  `str` writes ints and exact integer Decimals, which
+    `json.dumps` rejects, like the ints they equal.
     """
     for i, key in enumerate(sorted(payload)):
         yield ("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": "
         value = payload[key]
-        if isinstance(value, (int, str)):
-            yield json.dumps(value)
+        if isinstance(value, (int, float, str)):
+            yield _ENCODER.encode(value)
         else:
-            yield "[\n    "
-            yield from batched(map(item, value), ",\n    ", "\n  ]")
+            chunks = batched(map(item, value), ",\n    ", "\n  ]")
+            yield next(map("[\n    ".__add__, chunks), "[]")
+            yield from chunks
     yield "\n}\n"
 
 
 def json_record(keys):
-    """An `item` for `json_numbers`: a tuple of numbers as a json object.
+    """An `item` for `json_text`: a tuple of numbers as a json object.
 
     The object maps keys[i] to the tuple's i-th number, keys sorted, as
-    `json_text` indents an object inside a list inside the payload.
+    the one writer's default `item` indents an object inside a list.
     """
     fields = sorted((key, i) for i, key in enumerate(keys))
     template = ",".join(f"\n      {json.dumps(key)}: {{{i}}}" for key, i in fields)

@@ -221,6 +221,62 @@ def test_bounded_checks_its_last_term_against_the_join(capsys, monkeypatch, tabl
     assert "automaton column" in err and "middle join" in err
 
 
+def _skew_column_stream(monkeypatch, method, n, l):
+    # the `method` column stream with A(n, l) off by one
+    exact = counting.COLUMN_STREAMS[method]
+
+    def skewed(n_max):
+        for k, column in enumerate(exact(n_max)):
+            yield column[:n] + (column[n] + (k == l),) + column[n + 1 :]
+
+    monkeypatch.setitem(counting.COLUMN_STREAMS, method, skewed)
+
+
+@pytest.mark.parametrize(
+    "argv, method, cell, route",
+    [
+        ("export bounded -n 30 -l 5", "cf", (30, 3), "ladder"),
+        ("export bounded -n 30 -l 5 --format json", "cf", (30, 3), "ladder"),
+        ("export bounded -n 30 -l 5 --method det", "det", (30, 3), "strip family"),
+        ("export bounded -n 30 -l 5 --method dp", "dp", (30, 0), "automaton"),
+        ("bounded -n 30 -l 5 --table", "dp", (30, 3), "automaton"),
+        ("bounded -n 30 -l 5 --table --format json", "dp", (30, 4), "automaton"),
+        # accepted gap: only last terms and the last column have a second
+        # route, A(5, 2) is neither, and every cell would cost a second table
+        ("bounded -n 30 -l 5 --table --format csv", "dp", (5, 2), None),
+    ],
+)
+def test_every_table_column_meets_the_join(
+    capsys, monkeypatch, tmp_path, argv, method, cell, route
+):
+    n, l = cell
+    _skew_column_stream(monkeypatch, method, n, l)
+    target = tmp_path / "table.out"
+    code, out, err = run_cli(capsys, *argv.split(), "--out", str(target))
+    if route is None:
+        assert (code, out, err) == (0, "", "")
+        assert f"\n{n},{l},{counting.bounded_count_dp(n, l) + 1}\n" in target.read_text()
+        return
+    assert (code, out) == (1, "") and not target.exists()
+    assert f"engine disagreement for bound={l} at n={n}: 1 mismatching terms, first n={n}: " in err
+    assert f"{route} column" in err and "middle join" in err
+    assert run_cli(capsys, *argv.split()) == (1, "", err)
+
+
+def test_a_huge_table_bound_joins_each_distinct_column_once(capsys, monkeypatch):
+    # no path of length 10 rises above 5: bound 1000 is joined for the
+    # printed column, which repeats column 5, and then bounds 4..0
+    exact, bounds = counting.bounded_count_dp, []
+
+    def recorded(n, bound):
+        bounds.append(bound)
+        return exact(n, bound)
+
+    monkeypatch.setattr(counting, "bounded_count_dp", recorded)
+    assert run_cli(capsys, "bounded", "-n", "10", "-l", "1000", "--table")[0] == 0
+    assert bounds == [1000, 4, 3, 2, 1, 0]
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize(
     "argv, engine, skewed",
@@ -309,6 +365,27 @@ def test_enumerate_text_is_streamed(monkeypatch):
     writes.clear()
     assert main(["enumerate", "-n", "1", "--end-level", "2"]) == 0
     assert sum(writes) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "enumerate -n 1 --end-level 2",
+        "enumerate -n 0",
+        "dist -n 0",
+        "count -n 0",
+        "bounded -n 0 -l 0",
+        "bounded -n 0 -l 0 --table",
+        "verify --level quick",
+        "asympt --kind count -n 1 -n 3000",
+        "asympt --kind avg_height -n 30",
+    ],
+)
+def test_json_is_the_encoders(capsys, argv):
+    # every payload goes through one writer, with json.dumps's bytes
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_dist_text(capsys):
