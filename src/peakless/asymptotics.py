@@ -10,9 +10,10 @@ gives the coefficient prediction
     m(n) ~ 5^{1/4} rho^{-n-1} / (2 sqrt(pi) n^{3/2}),
 
 which the reports compare against exact values from the recurrence
-engine.  `predicted_avg_height` gives the recorded large-n prediction
-2 * 5^{-1/4} * sqrt(pi n) for the average height; the convergence reports
-log the measured exact-to-predicted ratios verbatim, without smoothing.
+engine, each held to the closed form.  `predicted_avg_height` gives the
+recorded large-n prediction 2 * 5^{-1/4} * sqrt(pi n) for the average
+height; the convergence reports log the measured exact-to-predicted
+ratios verbatim, without smoothing.
 Those ratios approach 1/2: a long path's height is asymptotically
 sigma sqrt(n) times the maximum of a Brownian excursion (mean
 sqrt(pi/2)), and the no-UD step variance sigma^2 = 2/sqrt(5) gives
@@ -23,19 +24,16 @@ to a float would overflow; math.log takes arbitrary-size ints directly,
 so no manual mantissa splitting is needed.
 """
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
-from . import counting, verify
-from .errors import ResourceLimitError
+from . import counting
+from .errors import REPORT_CAPS, ResourceLimitError, check_agreement
 
 RHO = (3.0 - math.sqrt(5.0)) / 2.0
 INV_RHO = (3.0 + math.sqrt(5.0)) / 2.0
 SINGULAR_AMPLITUDE = 5.0**0.25
 AVG_HEIGHT_CONSTANT = 2.0 * 5.0**-0.25  # 1.337480610...
 MOTZKIN_HEIGHT_CONSTANT = 3.0**-0.5  # 0.5773502691...
-
-# default budget (largest n) for each report kind; see convergence_report
-REPORT_CAPS = {"count": 10_000, "avg_height": 500}
 
 # comparison budgets recorded in report metadata: the count prediction has
 # an O(1/n) correction (1% at n = 2000); the height ratio is recorded
@@ -89,24 +87,15 @@ def _display_value(value, log_value=None):
     return f"{mantissa:.9f}e+{exponent}"
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    n: int
-    exact: object
-    predicted: object
-    ratio: float
+ReportRow = namedtuple("ReportRow", "n exact predicted ratio")
+
+REPORT_HEADER = ReportRow._fields
 
 
-REPORT_HEADER = tuple(f.name for f in fields(ReportRow))
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(namedtuple("ConvergenceReport", "kind tolerance rows")):
     """Exact-versus-predicted table; ratios are recorded verbatim."""
 
-    kind: str
-    tolerance: float
-    rows: tuple
+    __slots__ = ()
 
 
 def convergence_report(kind, n_values, cap=None):
@@ -115,9 +104,10 @@ def convergence_report(kind, n_values, cap=None):
     Parameters
     ----------
     kind : str
-        "count" (exact values from the recurrence engine) or "avg_height"
-        (exact expectations from the height-distribution DP, whose total
-        is held to the closed form m(n); EngineDisagreement if it is not).
+        "count" (exact values from the recurrence engine, each held to the
+        closed form m(n)) or "avg_height" (exact expectations from the
+        height-distribution DP, whose total is held to the closed form
+        m(n)); EngineDisagreement if a value does not meet its closed form.
     n_values : iterable of int
         Lengths to report, kept in the given order; may be empty.
     cap : int, optional
@@ -143,6 +133,13 @@ def convergence_report(kind, n_values, cap=None):
         values = counting.peakless_recurrence(max(ns)) if ns else []
         for n in ns:
             exact = values[n]
+            check_agreement(
+                ("recurrence", "closed form"),
+                [exact],
+                [counting.peakless_closed_form(n)],
+                f" at n={n}",
+                start=n,
+            )
             rows.append(
                 ReportRow(
                     n=n,
@@ -159,7 +156,7 @@ def convergence_report(kind, n_values, cap=None):
     else:
         for n in ns:
             stats = counting.height_distribution(n)
-            verify.check_height_total(stats)
+            counting.check_height_total(stats)
             exact = stats.expected_height_float
             predicted = predicted_avg_height(n)
             rows.append(

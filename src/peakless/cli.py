@@ -8,18 +8,32 @@ Text output is for humans; --format csv and --format json are stable
 machine formats whose bytes depend only on the flags.  Exit codes: 0
 success, 1 verification failure or engine disagreement, 2 usage error,
 3 resource-cap error.
+
+A request loads only what its subcommand runs: this module imports
+`render` and `errors` (the budgets, `check_agreement` and the exit-code
+exceptions), the parser reads its option defaults from them and from
+`COLUMN_ROUTES`, and each handler imports its own engine modules and
+calls them through the module, `counting.peakless_series(...)`, so that
+a rebinding of a module attribute reaches it.
 """
 import argparse
 import sys
 import time
-from dataclasses import asdict, astuple
 
-from . import asymptotics, counting, paths, render, verify
-from .errors import EngineDisagreement, ResourceLimitError
+from . import render
+from .errors import (
+    DEFAULT_ORACLE_CAP,
+    ORACLE_CAP_ENV,
+    REPORT_CAPS,
+    EngineDisagreement,
+    ResourceLimitError,
+    check_agreement,
+)
 
 CROSS_CHECK_LIMIT = 200  # count engines are cross-checked up to here
 FORMATS = ("text", "csv", "json")
 TABLE_HEADER = ("n", "ell", "count")  # csv columns of A(n, l) rows
+# the engine of each `export bounded --method`, as disagreements name it
 COLUMN_ROUTES = {"cf": "ladder", "det": "strip family", "dp": "automaton"}
 
 
@@ -45,18 +59,26 @@ def _emit(chunks, out):
 def _check_columns(columns, n, bound, route="automaton"):
     """Hold columns A(0..n, l), l = bound - len(columns) + 1..bound, to two routes.
 
-    The last column's first 201 terms meet the determinant quotient, and
-    the last term of each distinct column, the last first, the middle join.
+    The last column's first 201 terms meet the determinant quotient, or
+    the automaton column when the columns are the strip family's own
+    quotients, and the last term of each distinct column, the last first,
+    the middle join.
     """
+    from . import counting
+
     checked = columns[-1][: CROSS_CHECK_LIMIT + 1]
-    det = counting.bounded_series_det(bound, len(checked) - 1).coeffs
-    verify.check_agreement((route, "determinant"), checked, det, f" for bound={bound}")
+    order = len(checked) - 1
+    if route == COLUMN_ROUTES["det"]:
+        other, values = "automaton", counting.bounded_column_dp(bound, order)
+    else:
+        other, values = "determinant", counting.bounded_series_det(bound, order).coeffs
+    check_agreement((route, other), checked, values, f" for bound={bound}")
     first = bound + 1 - len(columns)
     # columns past n // 2 repeat that one, so a huge bound costs n // 2 + 1 joins
     for l in (bound, *range(min(bound, n // 2) - 1, first - 1, -1)):
         join, where = counting.bounded_count_dp(n, l), f" for bound={l} at n={n}"
         names = (f"{route} column", "middle join")
-        verify.check_agreement(names, columns[l - first][-1:], [join], where, start=n)
+        check_agreement(names, columns[l - first][-1:], [join], where, start=n)
 
 
 def _table_output(columns, text=None, **meta):
@@ -76,13 +98,15 @@ def _table_output(columns, text=None, **meta):
 
 
 def cmd_count(args):
+    from . import counting
+
     n = args.order
     values = counting.peakless_decimals(n)  # exact, and linear to print
     checked = values[: CROSS_CHECK_LIMIT + 1]
     series = counting.peakless_series(len(checked) - 1)
-    verify.check_agreement(("functional equation", "recurrence"), series, checked)
+    check_agreement(("functional equation", "recurrence"), series, checked)
     closed = counting.peakless_closed_form(n)
-    verify.check_agreement(
+    check_agreement(
         ("closed form", "recurrence"), [closed], values[-1:], f" at n={n}", start=n
     )
     return render.Output(
@@ -94,6 +118,8 @@ def cmd_count(args):
 
 
 def cmd_bounded(args):
+    from . import counting
+
     n, bound = args.order, args.bound
     if not args.table:
         values = counting.bounded_column_dp(bound, n)
@@ -118,8 +144,10 @@ def cmd_bounded(args):
 
 
 def cmd_dist(args):
+    from . import counting
+
     stats = counting.height_distribution(args.order)
-    verify.check_height_total(stats)
+    counting.check_height_total(stats)
     pairs = list(enumerate(stats.distribution))
     return render.Output(
         text=lambda: render.batched(
@@ -139,6 +167,8 @@ def cmd_dist(args):
 
 
 def cmd_enumerate(args):
+    from . import paths
+
     constraints = paths.PathConstraints(
         peakless=args.peakless,
         max_height=args.bound,
@@ -153,6 +183,8 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
+    from . import verify
+
     start = time.perf_counter()
     results = verify.run_checks(args.level)
     elapsed = time.perf_counter() - start
@@ -182,6 +214,8 @@ def cmd_verify(args):
 
 
 def cmd_asympt(args):
+    from . import asymptotics
+
     report = asymptotics.convergence_report(args.kind, args.order, cap=args.cap)
 
     def text():
@@ -198,15 +232,17 @@ def cmd_asympt(args):
             {
                 "kind": report.kind,
                 "tolerance": report.tolerance,
-                "rows": [asdict(row) for row in report.rows],
+                "rows": [row._asdict() for row in report.rows],
             }
         ),
         header=asymptotics.REPORT_HEADER,
-        rows=map(astuple, report.rows),
+        rows=report.rows,
     )
 
 
 def cmd_export(args):
+    from . import counting
+
     columns = counting.bounded_count_table(args.order, args.bound, method=args.method)
     _check_columns(columns, args.order, args.bound, COLUMN_ROUTES[args.method])
     return _table_output(
@@ -260,7 +296,7 @@ def build_parser():
         type=int,
         default=None,
         help="override the brute-force length cap (default "
-        f"{paths.DEFAULT_ORACLE_CAP} or {paths.ORACLE_CAP_ENV})",
+        f"{DEFAULT_ORACLE_CAP} or {ORACLE_CAP_ENV})",
     )
     p.set_defaults(handler=cmd_enumerate)
 
@@ -272,11 +308,11 @@ def build_parser():
     p.set_defaults(handler=cmd_verify)
 
     caps = "default: " + ", ".join(
-        f"{cap} for {kind}" for kind, cap in asymptotics.REPORT_CAPS.items()
+        f"{cap} for {kind}" for kind, cap in REPORT_CAPS.items()
     )
 
     def report_options(p, formats, **kind):
-        kinds = tuple(asymptotics.REPORT_CAPS)
+        kinds = tuple(REPORT_CAPS)
         p.add_argument("--kind", choices=kinds, help="report kind", **kind)
         p.add_argument(
             "-n",
@@ -300,7 +336,7 @@ def build_parser():
     p.add_argument("-l", "--bound", type=int, required=True, help="height bound")
     p.add_argument(
         "--method",
-        choices=counting.COLUMN_STREAMS,
+        choices=COLUMN_ROUTES,
         default="cf",
         help="counting engine (default %(default)s)",
     )

@@ -40,7 +40,9 @@ Each bounded engine is one stream of the columns l = 0, 1, ...: the ladder,
 one run of the strip family (one quotient per column) or one automaton pass
 per column.  `bounded_count_table` builds at most min(l, n/2) + 1 of them
 and returns the columns themselves, each a tuple A(0..n, l).
-`height_distribution` reads A(n, l) off one middle join per l <= n/2.
+`height_distribution` reads A(n, l) off one middle join per l <= n/2, and
+`check_height_total` holds the total of such a distribution to the closed
+form.
 
 The strip transfer matrix is tridiagonal with diagonal z - z^2 - 1 and
 off-diagonal z, except that the row of the top level has no -z^2 term (no
@@ -55,11 +57,11 @@ quotient first deviates from the true count at n = 2l + 2, the shortest
 length at which a path can touch level l + 1.
 """
 import decimal
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import count, islice, pairwise, repeat
 from operator import attrgetter
 
+from .errors import check_agreement
 from .series import Series, poly_divide_series, poly_mul, poly_neg, poly_sub
 
 # kernel of the end-level recursion: z u^2 + (z - z^2 - 1) u + z
@@ -386,13 +388,10 @@ def bounded_count_table(n_max, l_max, method="cf"):
     return columns + columns[-1:] * (l_max + 1 - len(columns))
 
 
-@dataclass(frozen=True)
-class HeightStats:
+class HeightStats(namedtuple("HeightStats", "n distribution expected_height")):
     """Exact height statistics of the peakless Motzkin paths of length n."""
 
-    n: int
-    distribution: tuple
-    expected_height: Fraction
+    __slots__ = ()
 
     @property
     def expected_height_float(self):
@@ -407,6 +406,8 @@ def height_distribution(n):
     l <= n/2 (`bounded_count_dp`); trailing zero entries are trimmed.  The
     expectation is the exact rational sum(l * distribution[l]) / m(n).
     """
+    from fractions import Fraction  # only here: the other engines are ints
+
     if n < 0:
         raise ValueError("length must be nonnegative")
     dist = []
@@ -420,6 +421,22 @@ def height_distribution(n):
         dist.pop()
     expected = Fraction(sum(l * c for l, c in enumerate(dist)), total)
     return HeightStats(n=n, distribution=tuple(dist), expected_height=expected)
+
+
+def check_height_total(stats):
+    """Hold a height distribution's total, A(n, n/2) = m(n), to the closed form.
+
+    A fault in `bounded_count_dp` at the top bound shows here; one at a
+    lower bound cancels in the telescoping sum and does not.
+    """
+    n = stats.n
+    check_agreement(
+        ("height distribution total", "closed form"),
+        [sum(stats.distribution)],
+        [peakless_closed_form(n)],
+        f" at n={n}",
+        start=n,
+    )
 
 
 def pretty_cf_series(depth, order):

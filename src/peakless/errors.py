@@ -1,10 +1,23 @@
-"""Exceptions shared across the package.
+"""Exceptions, budgets and the agreement check shared across the package.
 
 Every size budget goes through one gate, `ResourceLimitError.check`: a
 negative cap is a malformed setting (ValueError, exit 2 in the CLI) and a
 size past the cap is an exhausted budget (exit 3), both with one message
-form.
+form.  The default budgets live here too: the brute-force length cap
+(`DEFAULT_ORACLE_CAP`, overridden by the `ORACLE_CAP_ENV` variable, read
+in `paths`) and the largest n of each convergence report (`REPORT_CAPS`).
+Two routes to one sequence are compared by `check_agreement`, which
+raises `EngineDisagreement` (exit 1).  This module imports nothing, so
+the CLI reads its option defaults without loading an engine.
 """
+
+DEFAULT_ORACLE_CAP = 16
+ORACLE_CAP_ENV = "PEAKLESS_ORACLE_CAP"
+
+# default budget (largest n) for each report kind; see convergence_report
+REPORT_CAPS = {"count": 10_000, "avg_height": 500}
+
+MISMATCHES_SHOWN = 5  # a disagreement lists at most this many indices
 
 
 class ResourceLimitError(RuntimeError):
@@ -30,3 +43,27 @@ class OracleLimitError(ResourceLimitError):
 
 class EngineDisagreement(RuntimeError):
     """Two independent engines computed different values for one quantity."""
+
+
+def check_agreement(names, first, second, where="", start=0):
+    """Raise EngineDisagreement unless two routes give the same sequence.
+
+    `names` labels the two routes; the message counts the indices n that
+    differ and shows both values at the first few, numbering the terms
+    from n = `start`.  Sequences of unequal length disagree too.
+    """
+    first, second = list(first), list(second)
+    if len(first) != len(second):
+        raise EngineDisagreement(
+            f"engine disagreement{where}: {names[0]} has {len(first)} terms, "
+            f"{names[1]} {len(second)}"
+        )
+    bad = [i for i, (a, b) in enumerate(zip(first, second)) if a != b]
+    if bad:
+        shown = "; ".join(
+            f"n={start + i}: {names[0]} {first[i]}, {names[1]} {second[i]}"
+            for i in bad[:MISMATCHES_SHOWN]
+        )
+        raise EngineDisagreement(
+            f"engine disagreement{where}: {len(bad)} mismatching terms, first {shown}"
+        )

@@ -30,18 +30,15 @@ package's one budget gate `ResourceLimitError.check` raising
 OracleLimitError.
 """
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .errors import OracleLimitError
+from .errors import DEFAULT_ORACLE_CAP, ORACLE_CAP_ENV, OracleLimitError
 
 UP = "U"
 DOWN = "D"
 FLAT = "F"
 
 STEP_INCREMENTS = {FLAT: 0, UP: 1, DOWN: -1}
-
-DEFAULT_ORACLE_CAP = 16
-ORACLE_CAP_ENV = "PEAKLESS_ORACLE_CAP"
 
 
 def oracle_cap():
@@ -61,8 +58,7 @@ def check_oracle_length(n, cap=None):
     OracleLimitError.check("brute-force length", [n], cap)
 
 
-@dataclass(frozen=True)
-class PathConstraints:
+class PathConstraints(namedtuple("PathConstraints", "peakless max_height end_level")):
     """Filter for path enumeration and brute-force counting.
 
     peakless    require the path to contain no UD factor
@@ -70,18 +66,22 @@ class PathConstraints:
     end_level   required final level (validity, p_i >= 0, always applies)
     """
 
-    peakless: bool = False
-    max_height: int | None = None
-    end_level: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.end_level < 0:
+    def __new__(cls, peakless=False, max_height=None, end_level=0):
+        if end_level < 0:
             raise ValueError("end_level must be nonnegative")
-        if self.max_height is not None:
-            if self.max_height < 0:
+        if max_height is not None:
+            if max_height < 0:
                 raise ValueError("max_height must be nonnegative")
-            if self.end_level > self.max_height:
+            if end_level > max_height:
                 raise ValueError("end_level cannot exceed max_height")
+        return super().__new__(cls, peakless, max_height, end_level)
+
+    @classmethod
+    def _make(cls, iterable):
+        # so that `_replace` validates too
+        return cls(*iterable)
 
 
 def _unknown_step(step):

@@ -16,13 +16,11 @@ linear in their length, and the A(n, l) tables write one row object at a
 time through `json_record`.  Integers past Python's int-to-str digit
 limit format only while the writer has lifted it.
 """
-import json
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice
 from typing import Callable, Iterable, NamedTuple
 
 CHUNK = 1 << 16  # characters per chunk, about 64 KB
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 class Output(NamedTuple):
@@ -58,25 +56,35 @@ def csv_text(header, rows):
     return batched(lines, "\n", "\n")
 
 
-def _nested(value):
-    # a list element as `json.dumps(payload, indent=2)` writes it, two
-    # levels deep; json escapes every newline inside a string
-    return _ENCODER.encode(value).replace("\n", "\n    ")
+@cache
+def _encode():
+    # the one shared encoder; json is imported only for json output
+    import json
+
+    return json.JSONEncoder(sort_keys=True, indent=2).encode
 
 
-def json_text(payload, item=_nested):
+def json_text(payload, item=None):
     """`json.dumps(payload, sort_keys=True, indent=2) + "\\n"` as chunks.
 
     `payload` maps keys to numbers, strings and lists.  A list may be any
     iterable, read once (an empty one is written `[]`), and `item` writes
-    each element.  `str` writes ints and exact integer Decimals, which
+    each element, by default as `json.dumps` writes a value two levels
+    deep.  `str` writes ints and exact integer Decimals, which
     `json.dumps` rejects, like the ints they equal.
     """
+    encode = _encode()
+    if item is None:
+
+        def item(value):
+            # json escapes every newline inside a string
+            return encode(value).replace("\n", "\n    ")
+
     for i, key in enumerate(sorted(payload)):
-        yield ("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": "
+        yield ("{\n  " if i == 0 else ",\n  ") + encode(key) + ": "
         value = payload[key]
         if isinstance(value, (int, float, str)):
-            yield _ENCODER.encode(value)
+            yield encode(value)
         else:
             chunks = batched(map(item, value), ",\n    ", "\n  ]")
             yield next(map("[\n    ".__add__, chunks), "[]")
@@ -91,7 +99,8 @@ def json_record(keys):
     the one writer's default `item` indents an object inside a list.
     """
     fields = sorted((key, i) for i, key in enumerate(keys))
-    template = ",".join(f"\n      {json.dumps(key)}: {{{i}}}" for key, i in fields)
+    encode = _encode()
+    template = ",".join(f"\n      {encode(key)}: {{{i}}}" for key, i in fields)
     template = "{{" + template + "\n    }}"
     return lambda values: template.format(*values)
 

@@ -3,11 +3,13 @@
 Every check pits independent computations of the same quantity against
 each other: brute-force scan, automaton DP, ladder series, determinant
 quotient, functional equation, recurrence.  Two routes to one sequence
-are compared by `check_agreement`, which `count` and `bounded` use too,
-as do `dist` and the avg_height report through `check_height_total`;
-any other condition raises AssertionError.  A check returns nothing and
-fails only by raising, and `run_checks` returns one record per check so
-the CLI can print a line each and emit a machine-readable failure list.
+are compared by `errors.check_agreement`, which `count`, `bounded`,
+`export` and the count report use too, as do `dist` and the avg_height
+report through `counting.check_height_total`; both names are re-imported
+here, `MISMATCHES_SHOWN` with them.  Any other condition raises
+AssertionError.  A check returns nothing and fails only by raising, and
+`run_checks` returns one record per check so the CLI can print a line
+each and emit a machine-readable failure list.
 
 quick: lengths <= 10, bounds <= 4, fixed examples for the path, sequence,
        determinant, height and continued-fraction routines, the kernel
@@ -22,52 +24,12 @@ import itertools
 from fractions import Fraction
 
 from . import counting, oracle, paths
-from .errors import EngineDisagreement, ResourceLimitError
+from .counting import check_height_total
+from .errors import MISMATCHES_SHOWN, ResourceLimitError, check_agreement
 from .series import Series
 
 QUICK_N, QUICK_L = 10, 4
 FULL_N, FULL_L = 14, 7
-MISMATCHES_SHOWN = 5  # a disagreement lists at most this many indices
-
-
-def check_agreement(names, first, second, where="", start=0):
-    """Raise EngineDisagreement unless two routes give the same sequence.
-
-    `names` labels the two routes; the message counts the indices n that
-    differ and shows both values at the first few, numbering the terms
-    from n = `start`.  Sequences of unequal length disagree too.
-    """
-    first, second = list(first), list(second)
-    if len(first) != len(second):
-        raise EngineDisagreement(
-            f"engine disagreement{where}: {names[0]} has {len(first)} terms, "
-            f"{names[1]} {len(second)}"
-        )
-    bad = [i for i, (a, b) in enumerate(zip(first, second)) if a != b]
-    if bad:
-        shown = "; ".join(
-            f"n={start + i}: {names[0]} {first[i]}, {names[1]} {second[i]}"
-            for i in bad[:MISMATCHES_SHOWN]
-        )
-        raise EngineDisagreement(
-            f"engine disagreement{where}: {len(bad)} mismatching terms, first {shown}"
-        )
-
-
-def check_height_total(stats):
-    """Hold a height distribution's total, A(n, n/2) = m(n), to the closed form.
-
-    A fault in `bounded_count_dp` at the top bound shows here; one at a
-    lower bound cancels in the telescoping sum and does not.
-    """
-    n = stats.n
-    check_agreement(
-        ("height distribution total", "closed form"),
-        [sum(stats.distribution)],
-        [counting.peakless_closed_form(n)],
-        f" at n={n}",
-        start=n,
-    )
 
 
 def check_path_predicates():

@@ -12,7 +12,7 @@ import pytest
 
 import peakless
 from peakless import counting, oracle, render
-from peakless.cli import main
+from peakless.cli import COLUMN_ROUTES, main
 from peakless.paths import PathConstraints
 from peakless.series import Series
 
@@ -263,6 +263,31 @@ def test_every_table_column_meets_the_join(
     assert run_cli(capsys, *argv.split()) == (1, "", err)
 
 
+def test_the_det_export_meets_the_automaton(capsys, monkeypatch):
+    # the determinant quotient is the strip family itself, so the det
+    # export's last column is held to the automaton instead; every quotient
+    # is off at n = 5, where no last-term join looks
+    exact = counting._strip_quotient
+
+    def skewed(pair, order):
+        coeffs = exact(pair, order).coeffs
+        return Series(coeffs[:5] + (coeffs[5] + 1,) + coeffs[6:], order)
+
+    monkeypatch.setattr(counting, "_strip_quotient", skewed)
+    code, out, err = run_cli(capsys, *"export bounded -n 30 -l 5 --method det".split())
+    assert (code, out) == (1, "")
+    assert err == (
+        "engine disagreement for bound=5: 1 mismatching terms, "
+        "first n=5: strip family 9, automaton 8\n"
+    )
+    code, out, err = run_cli(capsys, *"bounded -n 30 -l 5".split())
+    assert (code, out) == (1, "") and "n=5: automaton 8, determinant 9" in err
+
+
+def test_column_routes_name_every_column_stream():
+    assert list(COLUMN_ROUTES) == list(counting.COLUMN_STREAMS)
+
+
 def test_a_huge_table_bound_joins_each_distinct_column_once(capsys, monkeypatch):
     # no path of length 10 rises above 5: bound 1000 is joined for the
     # printed column, which repeats column 5, and then bounds 4..0
@@ -318,6 +343,26 @@ def test_bounded_names_every_mismatching_index(capsys, monkeypatch):
         assert f"n={i}:" in err
     assert "n=8:" not in err and "n=9:" not in err
     assert "automaton 2, determinant 3" in err  # n = 3
+
+
+@pytest.mark.parametrize(
+    "argv", ["asympt --kind count -n 50 -n 700", "export report --kind count -n 700"]
+)
+def test_count_report_meets_the_closed_form(capsys, monkeypatch, argv):
+    exact = counting.peakless_recurrence
+
+    def skewed(n_max):
+        values = exact(n_max)
+        if n_max >= 700:
+            values[700] += 1
+        return values
+
+    monkeypatch.setattr(counting, "peakless_recurrence", skewed)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert "engine disagreement at n=700: 1 mismatching terms, first n=700: " in err
+    assert "recurrence" in err and "closed form" in err
+    assert run_cli(capsys, "asympt", "--kind", "count", "-n", "699")[0] == 0
 
 
 @pytest.mark.parametrize("argv", ["dist -n 300", "asympt --kind avg_height -n 300"])
@@ -678,6 +723,47 @@ def test_import_loads_no_numpy():
     code = "import sys, peakless, peakless.cli; print('numpy' in sys.modules)"
     proc = run_python("-c", code)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def _modules_after(code):
+    # the peakless and dataclasses modules a fresh interpreter holds after
+    # code, printed on the last line of its stdout
+    shown = "(m for m in sys.modules if m.startswith(('peakless.', 'dataclasses')))"
+    proc = run_python("-c", f"import sys\n{code}\nprint(*{shown})")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_no_submodule():
+    assert _modules_after("import peakless") == set()
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["enumerate", "-n", "4"], {"counting", "oracle", "verify", "asymptotics"}),
+        (["count", "-n", "4"], {"oracle", "paths", "verify", "asymptotics"}),
+    ],
+)
+def test_a_request_loads_only_its_engines(argv, unused):
+    loaded = _modules_after(f"from peakless import cli; cli.main({argv})")
+    assert loaded & {f"peakless.{name}" for name in unused} == set()
+
+
+def test_no_subcommand_loads_dataclasses():
+    requests = [
+        "count -n 4",
+        "bounded -n 6 -l 2 --table",
+        "dist -n 6",
+        "enumerate -n 4",
+        "verify",
+        "asympt --kind avg_height -n 10",
+        "export bounded -n 6 -l 2",
+        "export report -n 10",
+    ]
+    calls = "".join(f"cli.main({r.split()})\n" for r in requests)
+    loaded = _modules_after(f"from peakless import cli\n{calls}")
+    assert "peakless.verify" in loaded and "dataclasses" not in loaded
 
 
 def test_module_entry_point():

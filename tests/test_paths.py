@@ -179,3 +179,18 @@ def test_constraint_validation():
         PathConstraints(max_height=-1)
     with pytest.raises(ValueError):
         PathConstraints(max_height=1, end_level=2)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(end_level=-1), "end_level must be nonnegative"),
+        (dict(max_height=-1), "max_height must be nonnegative"),
+        (dict(max_height=1, end_level=2), "end_level cannot exceed max_height"),
+    ],
+)
+def test_constraint_messages(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PathConstraints(**fields)
+    with pytest.raises(ValueError, match=f"^{message}$"):  # replacing validates too
+        PathConstraints(peakless=True)._replace(**fields)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from peakless import counting, verify
@@ -61,7 +59,7 @@ def test_height_stats_held_to_the_oracle(monkeypatch):
         if n != 9:
             return stats
         shifted = (stats.distribution[0] + 1,) + stats.distribution[1:]
-        return dataclasses.replace(stats, distribution=shifted)
+        return stats._replace(distribution=shifted)
 
     monkeypatch.setattr(counting, "height_distribution", skewed)
     by_name = {r["check"]: r for r in verify.run_checks("quick")}
