@@ -10,10 +10,11 @@ gives the coefficient prediction
     m(n) ~ 5^{1/4} rho^{-n-1} / (2 sqrt(pi) n^{3/2}),
 
 which the reports compare against exact values from the recurrence
-engine, each held to the closed form.  `predicted_avg_height` gives the
-recorded large-n prediction 2 * 5^{-1/4} * sqrt(pi n) for the average
-height; the convergence reports log the measured exact-to-predicted
-ratios verbatim, without smoothing.
+engine, each held to the closed form by `counting.check_far_end`.
+`predicted_avg_height` gives the recorded large-n prediction
+2 * 5^{-1/4} * sqrt(pi n) for the average height; the convergence
+reports log the measured exact-to-predicted ratios verbatim, without
+smoothing.
 Those ratios approach 1/2: a long path's height is asymptotically
 sigma sqrt(n) times the maximum of a Brownian excursion (mean
 sqrt(pi/2)), and the no-UD step variance sigma^2 = 2/sqrt(5) gives
@@ -27,7 +28,7 @@ import math
 from collections import namedtuple
 
 from . import counting
-from .errors import REPORT_CAPS, ResourceLimitError, check_agreement
+from .errors import REPORT_CAPS, ResourceLimitError
 
 RHO = (3.0 - math.sqrt(5.0)) / 2.0
 INV_RHO = (3.0 + math.sqrt(5.0)) / 2.0
@@ -105,9 +106,9 @@ def convergence_report(kind, n_values, cap=None):
     ----------
     kind : str
         "count" (exact values from the recurrence engine, each held to the
-        closed form m(n)) or "avg_height" (exact expectations from the
-        height-distribution DP, whose total is held to the closed form
-        m(n)); EngineDisagreement if a value does not meet its closed form.
+        closed form by `counting.check_far_end`) or "avg_height" (exact
+        expectations from height distributions, each held by
+        `counting.check_height_distribution`); EngineDisagreement on a fault.
     n_values : iterable of int
         Lengths to report, kept in the given order; may be empty.
     cap : int, optional
@@ -133,13 +134,7 @@ def convergence_report(kind, n_values, cap=None):
         values = counting.peakless_recurrence(max(ns)) if ns else []
         for n in ns:
             exact = values[n]
-            check_agreement(
-                ("recurrence", "closed form"),
-                [exact],
-                [counting.peakless_closed_form(n)],
-                f" at n={n}",
-                start=n,
-            )
+            counting.check_far_end("recurrence", exact, n)
             rows.append(
                 ReportRow(
                     n=n,
@@ -156,7 +151,7 @@ def convergence_report(kind, n_values, cap=None):
     else:
         for n in ns:
             stats = counting.height_distribution(n)
-            counting.check_height_total(stats)
+            counting.check_height_distribution(stats)
             exact = stats.expected_height_float
             predicted = predicted_avg_height(n)
             rows.append(

@@ -1,20 +1,22 @@
 """Command-line interface.
 
 Subcommands: count, bounded, dist, enumerate, verify, asympt, export.
-Each handler computes and checks its data once and returns a
-`render.Output`; `main` then writes it in the requested format, chunk by
-chunk, so nothing reaches stdout or --out unless every check has passed.
+Each handler computes its data, holds the numbers it prints to a second
+route with one `counting.check_*` call (`enumerate` has none yet) and
+returns a `render.Output`; `main` then writes it in the requested format,
+chunk by chunk, so nothing reaches stdout or --out unless every check
+has passed.
 Text output is for humans; --format csv and --format json are stable
 machine formats whose bytes depend only on the flags.  Exit codes: 0
 success, 1 verification failure or engine disagreement, 2 usage error,
 3 resource-cap error.
 
 A request loads only what its subcommand runs: this module imports
-`render` and `errors` (the budgets, `check_agreement` and the exit-code
-exceptions), the parser reads its option defaults from them and from
-`COLUMN_ROUTES`, and each handler imports its own engine modules and
-calls them through the module, `counting.peakless_series(...)`, so that
-a rebinding of a module attribute reaches it.
+`render` and `errors` (the budgets and the exit-code exceptions), the
+parser reads its option defaults from them and from `COLUMN_METHODS`, and
+each handler imports its own engine modules and calls them through the
+module, `counting.peakless_series(...)`, so that a rebinding of a module
+attribute reaches it.
 """
 import argparse
 import sys
@@ -27,14 +29,11 @@ from .errors import (
     REPORT_CAPS,
     EngineDisagreement,
     ResourceLimitError,
-    check_agreement,
 )
 
-CROSS_CHECK_LIMIT = 200  # count engines are cross-checked up to here
 FORMATS = ("text", "csv", "json")
 TABLE_HEADER = ("n", "ell", "count")  # csv columns of A(n, l) rows
-# the engine of each `export bounded --method`, as disagreements name it
-COLUMN_ROUTES = {"cf": "ladder", "det": "strip family", "dp": "automaton"}
+COLUMN_METHODS = ("cf", "det", "dp")  # the column streams of `export bounded`
 
 
 def _emit(chunks, out):
@@ -54,31 +53,6 @@ def _emit(chunks, out):
             sys.stdout.writelines(chunks)
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def _check_columns(columns, n, bound, route="automaton"):
-    """Hold columns A(0..n, l), l = bound - len(columns) + 1..bound, to two routes.
-
-    The last column's first 201 terms meet the determinant quotient, or
-    the automaton column when the columns are the strip family's own
-    quotients, and the last term of each distinct column, the last first,
-    the middle join.
-    """
-    from . import counting
-
-    checked = columns[-1][: CROSS_CHECK_LIMIT + 1]
-    order = len(checked) - 1
-    if route == COLUMN_ROUTES["det"]:
-        other, values = "automaton", counting.bounded_column_dp(bound, order)
-    else:
-        other, values = "determinant", counting.bounded_series_det(bound, order).coeffs
-    check_agreement((route, other), checked, values, f" for bound={bound}")
-    first = bound + 1 - len(columns)
-    # columns past n // 2 repeat that one, so a huge bound costs n // 2 + 1 joins
-    for l in (bound, *range(min(bound, n // 2) - 1, first - 1, -1)):
-        join, where = counting.bounded_count_dp(n, l), f" for bound={l} at n={n}"
-        names = (f"{route} column", "middle join")
-        check_agreement(names, columns[l - first][-1:], [join], where, start=n)
 
 
 def _table_output(columns, text=None, **meta):
@@ -102,13 +76,7 @@ def cmd_count(args):
 
     n = args.order
     values = counting.peakless_decimals(n)  # exact, and linear to print
-    checked = values[: CROSS_CHECK_LIMIT + 1]
-    series = counting.peakless_series(len(checked) - 1)
-    check_agreement(("functional equation", "recurrence"), series, checked)
-    closed = counting.peakless_closed_form(n)
-    check_agreement(
-        ("closed form", "recurrence"), [closed], values[-1:], f" at n={n}", start=n
-    )
+    counting.check_counts(values)
     return render.Output(
         text=lambda: render.batched(map(str, values), " ", "\n"),
         json=lambda: render.json_text({"n_max": n, "counts": values}, str),
@@ -123,7 +91,7 @@ def cmd_bounded(args):
     n, bound = args.order, args.bound
     if not args.table:
         values = counting.bounded_column_dp(bound, n)
-        _check_columns([values], n, bound)
+        counting.check_columns([values], n, bound, "dp")
         return render.Output(
             text=lambda: render.batched(map(str, values), " ", "\n"),
             json=lambda: render.json_text(dict(n_max=n, bound=bound, counts=values)),
@@ -131,7 +99,7 @@ def cmd_bounded(args):
             rows=((i, bound, v) for i, v in enumerate(values)),
         )
     columns = counting.bounded_count_table(n, bound, method="dp")
-    _check_columns(columns, n, bound)
+    counting.check_columns(columns, n, bound, "dp")
     return _table_output(
         columns,
         text=lambda: render.batched(
@@ -147,7 +115,7 @@ def cmd_dist(args):
     from . import counting
 
     stats = counting.height_distribution(args.order)
-    counting.check_height_total(stats)
+    counting.check_height_distribution(stats)
     pairs = list(enumerate(stats.distribution))
     return render.Output(
         text=lambda: render.batched(
@@ -244,7 +212,7 @@ def cmd_export(args):
     from . import counting
 
     columns = counting.bounded_count_table(args.order, args.bound, method=args.method)
-    _check_columns(columns, args.order, args.bound, COLUMN_ROUTES[args.method])
+    counting.check_columns(columns, args.order, args.bound, args.method)
     return _table_output(
         columns, n_max=args.order, l_max=args.bound, method=args.method
     )
@@ -336,7 +304,7 @@ def build_parser():
     p.add_argument("-l", "--bound", type=int, required=True, help="height bound")
     p.add_argument(
         "--method",
-        choices=COLUMN_ROUTES,
+        choices=COLUMN_METHODS,
         default="cf",
         help="counting engine (default %(default)s)",
     )

@@ -40,9 +40,11 @@ Each bounded engine is one stream of the columns l = 0, 1, ...: the ladder,
 one run of the strip family (one quotient per column) or one automaton pass
 per column.  `bounded_count_table` builds at most min(l, n/2) + 1 of them
 and returns the columns themselves, each a tuple A(0..n, l).
-`height_distribution` reads A(n, l) off one middle join per l <= n/2, and
-`check_height_total` holds the total of such a distribution to the closed
-form.
+`height_distribution` reads A(n, l) off one middle join per l <= n/2.
+Each printed quantity meets a second route in one `check_*` function:
+`check_counts` (m(0..n)), `check_columns` (A(n, l) rows and tables),
+`check_height_distribution`, and `check_far_end` (one m(n) against the
+closed form); each calls its engines through the module's globals.
 
 The strip transfer matrix is tridiagonal with diagonal z - z^2 - 1 and
 off-diagonal z, except that the row of the top level has no -z^2 term (no
@@ -61,7 +63,7 @@ from collections import namedtuple
 from itertools import count, islice, pairwise, repeat
 from operator import attrgetter
 
-from .errors import check_agreement
+from .errors import EngineDisagreement, check_agreement
 from .series import Series, poly_divide_series, poly_mul, poly_neg, poly_sub
 
 # kernel of the end-level recursion: z u^2 + (z - z^2 - 1) u + z
@@ -70,6 +72,7 @@ KERNEL_U1 = (-1, 1, -1)
 KERNEL_U0 = (0, 1)
 
 PEAKLESS_INITIAL = (1, 1, 1, 2)
+CROSS_CHECK_LIMIT = 200  # printed sequences meet a second engine up to here
 
 # exact integer arithmetic on Decimals: as many digits as libmpdec allows,
 # and any result that would lose one raises instead of rounding
@@ -368,6 +371,8 @@ COLUMN_STREAMS = {
     ),
     "dp": lambda n: map(tuple, map(bounded_column_dp, count(), repeat(n))),
 }
+# the engine of each column stream, as disagreements name it
+COLUMN_NAMES = {"cf": "ladder", "det": "strip family", "dp": "automaton"}
 
 
 def bounded_count_table(n_max, l_max, method="cf"):
@@ -423,20 +428,67 @@ def height_distribution(n):
     return HeightStats(n=n, distribution=tuple(dist), expected_height=expected)
 
 
-def check_height_total(stats):
-    """Hold a height distribution's total, A(n, n/2) = m(n), to the closed form.
+def check_far_end(route, value, n):
+    """Hold m(n), as `route` computed it, to the closed form."""
+    closed = peakless_closed_form(n)
+    check_agreement((route, "closed form"), [value], [closed], f" at n={n}", start=n)
 
-    A fault in `bounded_count_dp` at the top bound shows here; one at a
-    lower bound cancels in the telescoping sum and does not.
+
+def check_counts(values):
+    """Hold printed m(0..n) to two routes: the first 201 terms meet the
+    functional equation, and the last the closed form."""
+    checked = values[: CROSS_CHECK_LIMIT + 1]
+    series = peakless_series(len(checked) - 1)
+    check_agreement(("functional equation", "recurrence"), series, checked)
+    check_far_end("recurrence", values[-1], len(values) - 1)
+
+
+def check_columns(columns, n, bound, method):
+    """Hold columns A(0..n, l), l = bound - len(columns) + 1..bound, of the
+    `method` stream to two routes.
+
+    The last column's first 201 terms meet the determinant quotient, or the
+    automaton column for "det", whose columns are the strip family's own
+    quotients, and the last term of each distinct column, the last first,
+    the middle join.
     """
-    n = stats.n
-    check_agreement(
-        ("height distribution total", "closed form"),
-        [sum(stats.distribution)],
-        [peakless_closed_form(n)],
-        f" at n={n}",
-        start=n,
-    )
+    route = COLUMN_NAMES[method]
+    checked = columns[-1][: CROSS_CHECK_LIMIT + 1]
+    order = len(checked) - 1
+    if method == "det":
+        other, values = "automaton", bounded_column_dp(bound, order)
+    else:
+        other, values = "determinant", bounded_series_det(bound, order).coeffs
+    check_agreement((route, other), checked, values, f" for bound={bound}")
+    first = bound + 1 - len(columns)
+    # columns past n // 2 repeat that one, so a huge bound costs n // 2 + 1 joins
+    for l in (bound, *range(min(bound, n // 2) - 1, first - 1, -1)):
+        join, where = bounded_count_dp(n, l), f" for bound={l} at n={n}"
+        names = (f"{route} column", "middle join")
+        check_agreement(names, columns[l - first][-1:], [join], where, start=n)
+
+
+def check_height_distribution(stats):
+    """Hold a height distribution to its free invariants and its total,
+    A(n, n/2) = m(n), to the closed form.
+
+    A height-h peakless path needs at least 2h + 1 steps, because its summit
+    needs a flat step, and U^h F D^h F... reaches it; so for n >= 1 there
+    are exactly (n - 1)//2 + 1 heights, each count is positive, and height 0
+    counts only the all-flat path.  A wrong middle join at a bound below the
+    top that keeps these facts cancels in the total and is not caught.
+    """
+    n, dist = stats.n, stats.distribution
+    heights = (n - 1) // 2 + 1 if n else 1
+    wrong = [h for h, c in enumerate(dist) if c < 1 or (h == 0 and c != 1)]
+    if wrong or len(dist) != heights:
+        first = "".join(f", {dist[h]} at height {h}" for h in wrong[:1])
+        raise EngineDisagreement(
+            f"engine disagreement at n={n}: height distribution has {len(dist)} "
+            f"heights{first}, free invariants {heights} heights, 1 at height 0, "
+            "every count positive"
+        )
+    check_far_end("height distribution total", sum(dist), n)
 
 
 def pretty_cf_series(depth, order):

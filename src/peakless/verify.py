@@ -3,11 +3,9 @@
 Every check pits independent computations of the same quantity against
 each other: brute-force scan, automaton DP, ladder series, determinant
 quotient, functional equation, recurrence.  Two routes to one sequence
-are compared by `errors.check_agreement`, which `count`, `bounded`,
-`export` and the count report use too, as do `dist` and the avg_height
-report through `counting.check_height_total`; both names are re-imported
-here, `MISMATCHES_SHOWN` with them.  Any other condition raises
-AssertionError.  A check returns nothing and fails only by raising, and
+are compared by `errors.check_agreement`, as in the `counting.check_*`
+functions that hold every number the other subcommands print.  Any
+other condition raises AssertionError.  A check returns nothing and fails only by raising, and
 `run_checks` returns one record per check so the CLI can print a line
 each and emit a machine-readable failure list.
 
@@ -24,8 +22,7 @@ import itertools
 from fractions import Fraction
 
 from . import counting, oracle, paths
-from .counting import check_height_total
-from .errors import MISMATCHES_SHOWN, ResourceLimitError, check_agreement
+from .errors import ResourceLimitError, check_agreement
 from .series import Series
 
 QUICK_N, QUICK_L = 10, 4

@@ -12,7 +12,7 @@ import pytest
 
 import peakless
 from peakless import counting, oracle, render
-from peakless.cli import COLUMN_ROUTES, main
+from peakless.cli import COLUMN_METHODS, main
 from peakless.paths import PathConstraints
 from peakless.series import Series
 
@@ -100,44 +100,6 @@ def test_count_json_is_json_dumps(capsys, n):
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def test_count_checks_its_last_term_against_the_closed_form(capsys, monkeypatch):
-    # past the 201 cross-checked terms only the closed form sees the error
-    exact = counting.peakless_decimals
-
-    def skewed(n_max):
-        values = exact(n_max)
-        if n_max >= 250:
-            with decimal.localcontext(counting.EXACT_DECIMAL):
-                values[250] += 1
-        return values
-
-    monkeypatch.setattr(counting, "peakless_decimals", skewed)
-    code, out, err = run_cli(capsys, "count", "-n", "250")
-    assert (code, out) == (1, "")
-    assert "engine disagreement at n=250: 1 mismatching terms, first n=250: " in err
-    assert "closed form" in err and "recurrence" in err
-    assert run_cli(capsys, "count", "-n", "249")[0] == 0
-
-
-def _skewed_series(n_max):
-    values = counting.peakless_recurrence(n_max)
-    values[-1] += 1
-    return values
-
-
-def _skewed_det(bound, order):
-    warped = list(counting.bounded_series_cf(bound, order).coeffs)
-    warped[-1] += 1
-    return Series(warped, order)
-
-
-def test_count_cross_checks_engines(capsys, monkeypatch):
-    monkeypatch.setattr(counting, "peakless_series", _skewed_series)
-    code, _, err = run_cli(capsys, "count", "-n", "6")
-    assert code == 1
-    assert "disagreement" in err
-
-
 def test_bounded_rows(capsys):
     code, out, _ = run_cli(capsys, "bounded", "-n", "6", "-l", "0")
     assert code == 0
@@ -196,96 +158,8 @@ def test_bounded_table_routes_agree(capsys, n, l):
         assert (code, out) == (0, expected + "\n"), method
 
 
-def test_bounded_cross_checks_engines(capsys, monkeypatch):
-    monkeypatch.setattr(counting, "bounded_series_det", _skewed_det)
-    for bound in ("0", "2"):
-        code, _, err = run_cli(capsys, "bounded", "-n", "6", "-l", bound)
-        assert code == 1
-        assert "determinant" in err
-
-
-@pytest.mark.parametrize("table", [(), ("--table",)])
-def test_bounded_checks_its_last_term_against_the_join(capsys, monkeypatch, table):
-    # past the 201 cross-checked terms only the middle join sees the error
-    exact = counting.bounded_column_dp
-
-    def skewed(bound, n_max):
-        column = exact(bound, n_max)
-        column[-1] += 1
-        return column
-
-    monkeypatch.setattr(counting, "bounded_column_dp", skewed)
-    code, out, err = run_cli(capsys, "bounded", "-n", "250", "-l", "10", *table)
-    assert (code, out) == (1, "")
-    assert "engine disagreement for bound=10 at n=250: 1 mismatching terms, first n=250: " in err
-    assert "automaton column" in err and "middle join" in err
-
-
-def _skew_column_stream(monkeypatch, method, n, l):
-    # the `method` column stream with A(n, l) off by one
-    exact = counting.COLUMN_STREAMS[method]
-
-    def skewed(n_max):
-        for k, column in enumerate(exact(n_max)):
-            yield column[:n] + (column[n] + (k == l),) + column[n + 1 :]
-
-    monkeypatch.setitem(counting.COLUMN_STREAMS, method, skewed)
-
-
-@pytest.mark.parametrize(
-    "argv, method, cell, route",
-    [
-        ("export bounded -n 30 -l 5", "cf", (30, 3), "ladder"),
-        ("export bounded -n 30 -l 5 --format json", "cf", (30, 3), "ladder"),
-        ("export bounded -n 30 -l 5 --method det", "det", (30, 3), "strip family"),
-        ("export bounded -n 30 -l 5 --method dp", "dp", (30, 0), "automaton"),
-        ("bounded -n 30 -l 5 --table", "dp", (30, 3), "automaton"),
-        ("bounded -n 30 -l 5 --table --format json", "dp", (30, 4), "automaton"),
-        # accepted gap: only last terms and the last column have a second
-        # route, A(5, 2) is neither, and every cell would cost a second table
-        ("bounded -n 30 -l 5 --table --format csv", "dp", (5, 2), None),
-    ],
-)
-def test_every_table_column_meets_the_join(
-    capsys, monkeypatch, tmp_path, argv, method, cell, route
-):
-    n, l = cell
-    _skew_column_stream(monkeypatch, method, n, l)
-    target = tmp_path / "table.out"
-    code, out, err = run_cli(capsys, *argv.split(), "--out", str(target))
-    if route is None:
-        assert (code, out, err) == (0, "", "")
-        assert f"\n{n},{l},{counting.bounded_count_dp(n, l) + 1}\n" in target.read_text()
-        return
-    assert (code, out) == (1, "") and not target.exists()
-    assert f"engine disagreement for bound={l} at n={n}: 1 mismatching terms, first n={n}: " in err
-    assert f"{route} column" in err and "middle join" in err
-    assert run_cli(capsys, *argv.split()) == (1, "", err)
-
-
-def test_the_det_export_meets_the_automaton(capsys, monkeypatch):
-    # the determinant quotient is the strip family itself, so the det
-    # export's last column is held to the automaton instead; every quotient
-    # is off at n = 5, where no last-term join looks
-    exact = counting._strip_quotient
-
-    def skewed(pair, order):
-        coeffs = exact(pair, order).coeffs
-        return Series(coeffs[:5] + (coeffs[5] + 1,) + coeffs[6:], order)
-
-    monkeypatch.setattr(counting, "_strip_quotient", skewed)
-    code, out, err = run_cli(capsys, *"export bounded -n 30 -l 5 --method det".split())
-    assert (code, out) == (1, "")
-    assert err == (
-        "engine disagreement for bound=5: 1 mismatching terms, "
-        "first n=5: strip family 9, automaton 8\n"
-    )
-    code, out, err = run_cli(capsys, *"bounded -n 30 -l 5".split())
-    assert (code, out) == (1, "") and "n=5: automaton 8, determinant 9" in err
-
-
 def test_column_routes_name_every_column_stream():
-    assert list(COLUMN_ROUTES) == list(counting.COLUMN_STREAMS)
+    assert COLUMN_METHODS == tuple(counting.COLUMN_STREAMS) == tuple(counting.COLUMN_NAMES)
 
 
 def test_a_huge_table_bound_joins_each_distinct_column_once(capsys, monkeypatch):
@@ -302,21 +176,120 @@ def test_a_huge_table_bound_joins_each_distinct_column_once(capsys, monkeypatch)
     assert bounds == [1000, 4, 3, 2, 1, 0]
 
 
+def _plus(values, n, delta):
+    # a list, tuple or Series with delta added at index n, if it has one
+    if isinstance(values, Series):
+        return Series(_plus(values.coeffs, n, delta), values.order)
+    if n >= len(values):
+        return values
+    with decimal.localcontext(counting.EXACT_DECIMAL):  # exact for Decimals too
+        return values[:n] + type(values)([values[n] + delta]) + values[n + 1 :]
+
+
+def _skew(monkeypatch, engine, cell, delta=1):
+    # a `counting` engine, or the column stream "stream:<method>", with delta
+    # added where it computes the cell (n, l): A(n, l), or for l None m(n)
+    # and coefficient n of every call
+    n, l = cell
+    if engine.startswith("stream:"):
+        method = engine.removeprefix("stream:")
+        stream = counting.COLUMN_STREAMS[method]
+
+        def columns(n_max):
+            for k, column in enumerate(stream(n_max)):
+                yield _plus(column, n, delta * (k == l))
+
+        monkeypatch.setitem(counting.COLUMN_STREAMS, method, columns)
+        return
+    exact = getattr(counting, engine)
+
+    def skewed(*args):  # (n, bound) for the join, (bound, size) for columns
+        if engine == "bounded_count_dp":
+            return exact(*args) + delta * (args == cell)
+        return _plus(exact(*args), n, delta) if l in (None, args[0]) else exact(*args)
+
+    monkeypatch.setattr(counting, engine, skewed)
+
+
+FAR_END = ("recurrence", "closed form")
+JOIN = {route: (f"{route} column", "middle join") for route in ("automaton", "ladder")}
+TOTAL = ("height distribution total", "closed form")
+# (n - 1)//2 + 1 heights, height 0 only for the all-flat path, every count positive
+FREE = ("height distribution", "free invariants")
+
+# every printed number with delta added at a cell (n, l) of one engine: the
+# two routes its disagreement names, or why the gap is accepted
+SECOND_ROUTES = {
+    "count head": ("count -n 6", "peakless_series", (6, None), 1, ("functional equation", "recurrence")),
+    "count far end": ("count -n 250", "peakless_decimals", (250, None), 1, FAR_END),
+    "count far end json": ("count -n 250 --format json", "peakless_decimals", (250, None), 1, FAR_END),
+    "row head l=0": ("bounded -n 6 -l 0", "bounded_series_det", (6, 0), 1, ("automaton", "determinant")),
+    "row head l=2": ("bounded -n 6 -l 2", "bounded_series_det", (6, 2), 1, ("automaton", "determinant")),
+    "row head strip family": ("bounded -n 30 -l 5", "_strip_quotient", (5, None), 1, ("automaton", "determinant")),
+    "row last term": ("bounded -n 250 -l 10", "bounded_column_dp", (250, 10), 1, JOIN["automaton"]),
+    "table last term": ("bounded -n 250 -l 10 --table", "bounded_column_dp", (250, 10), 1, JOIN["automaton"]),
+    "table column 3": ("bounded -n 30 -l 5 --table", "stream:dp", (30, 3), 1, JOIN["automaton"]),
+    "table column 4 json": ("bounded -n 30 -l 5 --table --format json", "stream:dp", (30, 4), 1, JOIN["automaton"]),
+    "gap table inner cell": ("bounded -n 30 -l 5 --table --format csv", "stream:dp", (5, 2), 1, "gap: "
+     "only last terms and the last column meet a second route, every cell would cost a second table"),
+    "export cf column 3": ("export bounded -n 30 -l 5", "stream:cf", (30, 3), 1, JOIN["ladder"]),
+    "export cf column 3 json": ("export bounded -n 30 -l 5 --format json", "stream:cf", (30, 3), 1, JOIN["ladder"]),
+    "export det column 3": ("export bounded -n 30 -l 5 --method det", "stream:det", (30, 3), 1,
+     ("strip family column", "middle join")),
+    "export dp column 0": ("export bounded -n 30 -l 5 --method dp", "stream:dp", (30, 0), 1, JOIN["automaton"]),
+    # the determinant quotient is the strip family itself: det meets the automaton
+    "export det head": ("export bounded -n 30 -l 5 --method det", "_strip_quotient", (5, None), 1,
+     ("strip family", "automaton")),
+    "asympt count row": ("asympt --kind count -n 50 -n 700", "peakless_recurrence", (700, None), 1, FAR_END),
+    "export report count row": ("export report --kind count -n 700", "peakless_recurrence", (700, None), 1, FAR_END),
+    # at the top bound of an odd n a wrong join keeps the free invariants
+    "dist total": ("dist -n 299", "bounded_count_dp", (299, 149), 1, TOTAL),
+    "avg_height total": ("asympt --kind avg_height -n 299", "bounded_count_dp", (299, 149), 1, TOTAL),
+    "dist height 0": ("dist -n 300", "bounded_count_dp", (300, 0), 1, FREE),
+    "dist negative count": ("dist -n 12", "bounded_count_dp", (12, 2), 10**4, FREE),
+    "dist trailing height": ("dist -n 300", "bounded_count_dp", (300, 149), -1, FREE),
+    "avg_height trailing height": ("asympt --kind avg_height -n 300", "bounded_count_dp", (300, 149), -1, FREE),
+    "gap dist join below top": ("dist -n 300", "bounded_count_dp", (300, 20), 1, "gap: a join wrong "
+     "below the top keeps the free invariants and cancels in the total; a low-bound route is unmeasured"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, engine, cell, delta, expect", SECOND_ROUTES.values(), ids=list(SECOND_ROUTES)
+)
+def test_every_printed_number_meets_a_second_route(
+    capsys, monkeypatch, tmp_path, argv, engine, cell, delta, expect
+):
+    _skew(monkeypatch, engine, cell, delta)
+    target = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv.split(), "--out", str(target))
+    if isinstance(expect, str):  # an accepted gap prints a wrong number
+        assert (code, out, err) == (0, "", "")
+        monkeypatch.undo()
+        code, right, _ = run_cli(capsys, *argv.split())
+        assert code == 0 and right != target.read_text()
+        return
+    assert (code, out) == (1, "") and not target.exists()
+    first, second = map(re.escape, expect)
+    line = rf"engine disagreement[^\n]*\bn={cell[0]}: {first} [^\n]*, {second} [^\n]*\n"
+    assert re.fullmatch(line, err), err
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize(
-    "argv, engine, skewed",
+    "argv, engine, cell",
     [
-        ("count -n 6", "peakless_series", _skewed_series),
-        ("bounded -n 6 -l 2", "bounded_series_det", _skewed_det),
-        ("bounded -n 6 -l 2 --table", "bounded_series_det", _skewed_det),
+        ("count -n 6", "peakless_series", (6, None)),
+        ("bounded -n 6 -l 2", "bounded_series_det", (6, 2)),
+        ("bounded -n 6 -l 2 --table", "bounded_series_det", (6, 2)),
     ],
     ids=["count", "bounded", "table"],
 )
 def test_a_disagreement_writes_nothing(
-    capsys, monkeypatch, tmp_path, argv, engine, skewed, fmt
+    capsys, monkeypatch, tmp_path, argv, engine, cell, fmt
 ):
     # every check runs before the first chunk is written, to stdout or --out
-    monkeypatch.setattr(counting, engine, skewed)
+    _skew(monkeypatch, engine, cell)
     words = argv.split()
     code, out, err = run_cli(capsys, *words, "--format", fmt)
     assert (code, out) == (1, "")
@@ -343,42 +316,6 @@ def test_bounded_names_every_mismatching_index(capsys, monkeypatch):
         assert f"n={i}:" in err
     assert "n=8:" not in err and "n=9:" not in err
     assert "automaton 2, determinant 3" in err  # n = 3
-
-
-@pytest.mark.parametrize(
-    "argv", ["asympt --kind count -n 50 -n 700", "export report --kind count -n 700"]
-)
-def test_count_report_meets_the_closed_form(capsys, monkeypatch, argv):
-    exact = counting.peakless_recurrence
-
-    def skewed(n_max):
-        values = exact(n_max)
-        if n_max >= 700:
-            values[700] += 1
-        return values
-
-    monkeypatch.setattr(counting, "peakless_recurrence", skewed)
-    code, out, err = run_cli(capsys, *argv.split())
-    assert (code, out) == (1, "")
-    assert "engine disagreement at n=700: 1 mismatching terms, first n=700: " in err
-    assert "recurrence" in err and "closed form" in err
-    assert run_cli(capsys, "asympt", "--kind", "count", "-n", "699")[0] == 0
-
-
-@pytest.mark.parametrize("argv", ["dist -n 300", "asympt --kind avg_height -n 300"])
-def test_height_distribution_total_meets_the_closed_form(capsys, monkeypatch, argv):
-    # a middle join wrong at the top bound shifts the distribution's total
-    exact = counting.bounded_count_dp
-
-    def skewed(n, bound):
-        count = exact(n, bound)
-        return count + 1 if bound == n // 2 else count
-
-    monkeypatch.setattr(counting, "bounded_count_dp", skewed)
-    code, out, err = run_cli(capsys, *argv.split())
-    assert (code, out) == (1, "")
-    assert "engine disagreement at n=300: 1 mismatching terms, first n=300: " in err
-    assert "height distribution total" in err and "closed form" in err
 
 
 def test_output_is_written_in_bounded_chunks(monkeypatch):

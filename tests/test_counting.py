@@ -394,6 +394,7 @@ def test_height_distribution_consistency():
     ladder = counting.bounded_count_table(60, 30)
     for n in range(61):
         stats = counting.height_distribution(n)
+        counting.check_height_distribution(stats)  # free invariants and total
         assert sum(stats.distribution) == series[n]
         assert stats.distribution[0] == 1
         # tail form of the expectation must agree exactly with the moment form

@@ -1,7 +1,7 @@
 import pytest
 
 from peakless import counting, verify
-from peakless.errors import EngineDisagreement
+from peakless.errors import EngineDisagreement, check_agreement
 from peakless.series import Series
 
 
@@ -86,11 +86,11 @@ def test_recurrence_fault_is_located(monkeypatch):
 
 
 def test_check_agreement():
-    assert verify.check_agreement(("a", "b"), [1, 2, 3], (1, 2, 3)) is None
+    assert check_agreement(("a", "b"), [1, 2, 3], (1, 2, 3)) is None
     with pytest.raises(EngineDisagreement, match="a has 3 terms, b 2"):
-        verify.check_agreement(("a", "b"), [1, 2, 3], [1, 2])
+        check_agreement(("a", "b"), [1, 2, 3], [1, 2])
     with pytest.raises(
         EngineDisagreement,
         match=r"disagreement at x: 1 mismatching terms, first n=1: a 2, b 5$",
     ):
-        verify.check_agreement(("a", "b"), [1, 2, 3], [1, 5, 3], " at x")
+        check_agreement(("a", "b"), [1, 2, 3], [1, 5, 3], " at x")
