@@ -1,5 +1,5 @@
-import sys
+"""`python -m peakless`: the `peakless` command, which ends at `cli.run`."""
+from .cli import run
 
-from .cli import main
-
-sys.exit(main())
+if __name__ == "__main__":
+    run()

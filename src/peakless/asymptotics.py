@@ -113,10 +113,11 @@ def convergence_report(kind, n_values, cap=None):
         Lengths to report, kept in the given order; may be empty.
     cap : int, optional
         Largest n allowed, default REPORT_CAPS[kind].  The recurrence is
-        cheap (default 10000); each exact average height costs n/2 middle
-        joins of half-length automaton walks (0.06-0.09 s at n = 300 and
-        0.43-0.58 s at n = 500, in-process on a shared 2-CPU machine), so
-        the default is 500.  The cap goes through `ResourceLimitError.check`:
+        cheap (default 10000); each exact average height costs the middle
+        joins of every bound l <= n/2, branches of one shared pass of
+        half-length automaton walks (0.03-0.05 s at n = 300 and 0.16-0.29 s
+        at n = 500, in-process on a shared 2-CPU machine), so the default
+        is 500.  The cap goes through `ResourceLimitError.check`:
         out-of-budget lengths raise ResourceLimitError rather than being
         silently dropped, and a negative cap raises ValueError.
     """

@@ -8,8 +8,14 @@ chunk by chunk, so nothing reaches stdout or --out unless every check
 has passed.
 Text output is for humans; --format csv and --format json are stable
 machine formats whose bytes depend only on the flags.  Exit codes: 0
-success, 1 verification failure or engine disagreement, 2 usage error,
-3 resource-cap error.
+success, 1 verification failure or engine disagreement, 2 usage error or
+output that cannot be written, 3 resource-cap error.
+
+`main(argv)` answers one request in-process and returns its exit code.
+`run` is the process entry (`peakless`, `python -m peakless`): it calls
+`main`, flushes stdout and stderr and ends with `os._exit`, skipping the
+interpreter's teardown, so `atexit` callbacks (coverage, cProfile) do not
+see the end of a request made that way; profile through `main` instead.
 
 A request loads only what its subcommand runs: this module imports
 `render` and `errors` (the budgets and the exit-code exceptions), the
@@ -19,6 +25,7 @@ module, `counting.peakless_series(...)`, so that a rebinding of a module
 attribute reaches it.
 """
 import argparse
+import os
 import sys
 import time
 
@@ -39,20 +46,15 @@ COLUMN_METHODS = ("cf", "det", "dp")  # the column streams of `export bounded`
 def _emit(chunks, out):
     """Write text chunks to the file `out`, or to stdout without one.
 
-    Exact counts can run past Python's int-to-str digit limit (4300 digits
-    by default, m(n) for n > ~10 290), so the limit is lifted while the
-    chunks are formatted and written, and restored afterwards.
+    stdout is flushed here, so a write that fails raises its OSError to
+    `main` (exit 2) and nothing is left to write when the process ends.
     """
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        if out:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.writelines(chunks)
-        else:
-            sys.stdout.writelines(chunks)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
 
 
 def _table_output(columns, text=None, **meta):
@@ -317,8 +319,24 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Answer one request in this process and return its exit code.
+
+    Exact counts run past Python's int-to-str digit limit (4300 digits by
+    default, m(n) for n > ~10 290), in the output and in a disagreement's
+    message alike, so the limit is lifted while the request is answered
+    and restored afterwards.  argparse's usage errors and --help raise
+    SystemExit; nothing else ends the process.
+    """
+    args = build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _answer(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _answer(args):
     try:
         output = args.handler(args)
     except EngineDisagreement as exc:
@@ -338,5 +356,21 @@ def main(argv=None):
     return output.code
 
 
+def run():
+    """The `peakless` command: `main`, then an exit that skips teardown.
+
+    Interpreter teardown is the largest fixed cost of a request that the
+    program controls, so once the output is flushed the process ends with
+    `os._exit`; `atexit` callbacks do not run, so profile through `main`.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # main reported a failed write, which fails again here
+            code = code or 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

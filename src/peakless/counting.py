@@ -29,9 +29,10 @@ cross-check each other and the brute-force oracle:
   three-term polynomial recurrence and one exact series division.
 * `bounded_column_dp`: dynamic programming over the two-layer automaton
   with levels capped at l, every level packed into one int so that one
-  pass of n big-int steps yields A(0..n, l).  `bounded_count_dp` gives
-  A(n, l) alone from one pass of n/2 steps on slots half as wide: it joins
-  the walks of length n/2 at the middle, a quarter of the bit work.
+  pass of n big-int steps yields A(0..n, l).  `bounded_counts_dp` gives
+  A(n, l) alone for each of many bounds l: it joins the walks of length n/2
+  at the middle, half the steps on slots half as wide, and every bound
+  branches off one shared pass (`bounded_count_dp` is the one-bound call).
 
 The three bounded engines share one domain: every bound l >= 0, with a
 bound above n/2 read as n/2, because no path of length <= n rises higher.
@@ -40,7 +41,8 @@ Each bounded engine is one stream of the columns l = 0, 1, ...: the ladder,
 one run of the strip family (one quotient per column) or one automaton pass
 per column.  `bounded_count_table` builds at most min(l, n/2) + 1 of them
 and returns the columns themselves, each a tuple A(0..n, l).
-`height_distribution` reads A(n, l) off one middle join per l <= n/2.
+`height_distribution` reads A(n, l) for every l <= n/2 off the middle
+joins of one shared-prefix pass.
 Each printed quantity meets a second route in one `check_*` function:
 `check_counts` (m(0..n)), `check_columns` (A(n, l) rows and tables),
 `check_height_distribution`, and `check_far_end` (one m(n) against the
@@ -305,22 +307,22 @@ def bounded_column_dp(bound, n_max):
     return column
 
 
-def _slots(packed, w, levels):
-    # the counts at levels 0..levels-1 of one packed automaton layer, split
-    # in halves so that reading all of them costs O(size * log(levels))
-    if levels == 1:
-        return [packed]
-    half = levels // 2
-    low = packed & ((1 << (w * half)) - 1)
-    return _slots(low, w, half) + _slots(packed >> (w * half), w, levels - half)
-
-
 def bounded_count_dp(n, bound):
     """A(n, bound) by joining half-length automaton walks at the middle.
 
+    The one-bound call of `bounded_counts_dp`: its unmasked steps up to
+    step min(bound, n // 2) and masked ones after it cost what one masked
+    pass of n // 2 steps does.
+    """
+    return bounded_counts_dp(n, (bound,))[0]
+
+
+def bounded_counts_dp(n, bounds):
+    """[A(n, l) for l in bounds] by middle joins from one shared pass.
+
     One packed pass of `bounded_column_dp`'s step runs h = n // 2 steps
     from level 0; T_j and B_j then count the walks of length h that stay
-    within levels 0..bound and end at level j, in the top and the bottom
+    within levels 0..l and end at level j, in the top and the bottom
     layer.  Read backwards, with up and down swapped, a peakless path is
     still peakless (UD turns into UD) and visits the same levels, so the
     second half of a path is one such walk read backwards: a second half
@@ -329,36 +331,61 @@ def bounded_count_dp(n, bound):
     first ends with U and the second starts with D, that is unless both
     end in the bottom layer.  For even n
 
-        A(n, bound) = sum_j (T_j + B_j)^2 - B_j^2 = sum_j T_j (T_j + 2 B_j),
+        A(n, l) = sum_j (T_j + B_j)^2 - B_j^2 = sum_j T_j (T_j + 2 B_j),
 
     and for odd n, with T'_j, B'_j read off the same pass one step later
     (a first half of h + 1 steps),
 
-        A(n, bound) = sum_j T'_j (T_j + B_j) + B'_j T_j.
+        A(n, l) = sum_j T'_j (T_j + B_j) + B'_j T_j.
 
-    Cells stay below 3^(h + n % 2) and no level above h can return to 0 in
-    h steps, so the pass keeps min(bound, h) + 1 slots of that width: half
-    the steps of the whole column on slots half as wide.
+    No level above h can return to 0 in h steps, so a bound past h is read
+    as h.  A walk of l steps from level 0 stays within levels 0..l, so all
+    bounds share one unmasked pass, taken in increasing order: at step l it
+    holds bound l's own state, which finishes the h - l masked steps and is
+    joined before the pass goes on.  Only that one branch is kept beside
+    the pass.  Cells stay below 3^(h + n % 2); each takes a slot of whole
+    bytes, so a layer's counts are read off its `to_bytes` in linear time.
     """
-    if n < 0 or bound < 0:
+    bounds = tuple(bounds)
+    if n < 0 or min(bounds, default=0) < 0:
         raise ValueError(
-            f"bound and length must be nonnegative, got bound={bound}, n={n}"
+            f"bounds and length must be nonnegative, got bounds={bounds}, n={n}"
         )
     h, odd = divmod(n, 2)
-    w = (3 ** (h + odd)).bit_length()
-    levels = min(bound, h) + 1
+    size = ((3 ** (h + odd)).bit_length() + 7) // 8  # bytes per slot
+    w = 8 * size
+    joins = {}
+    top, bot, done = 1, 0, 0
+    for bound in sorted({min(l, h) for l in bounds}):
+        for _ in range(bound - done):
+            both = top + bot
+            top, bot = both + (top >> w), both << w
+        done = bound
+        joins[bound] = _join(top, bot, h - bound, odd, size, bound + 1)
+    return [joins[min(l, h)] for l in bounds]
+
+
+def _join(top, bot, steps, odd, size, levels):
+    # finish one bound's branch of the shared pass and join its halves
+    w = 8 * size
     keep = (1 << (w * levels)) - 1
-    top, bot = 1, 0
-    for _ in range(h):
+    for _ in range(steps):
         both = top + bot
         top, bot = both + (top >> w), (both << w) & keep
-    tops, bots = _slots(top, w, levels), _slots(bot, w, levels)
+    tops, bots = _cells(top, size, levels), _cells(bot, size, levels)
     if not odd:
         return sum(t * (t + 2 * b) for t, b in zip(tops, bots))
     both = top + bot  # one step more: the first half of odd n
-    tops1 = _slots(both + (top >> w), w, levels)
-    bots1 = _slots((both << w) & keep, w, levels)
+    tops1 = _cells(both + (top >> w), size, levels)
+    bots1 = _cells((both << w) & keep, size, levels)
     return sum(t1 * (t + b) + b1 * t for t, b, t1, b1 in zip(tops, bots, tops1, bots1))
+
+
+def _cells(packed, size, levels):
+    # the counts at levels 0..levels-1 of one packed layer, size bytes each
+    data = packed.to_bytes(size * levels, "little")
+    starts = range(0, len(data), size)
+    return [int.from_bytes(data[i : i + size], "little") for i in starts]
 
 
 _coeffs = attrgetter("coeffs")
@@ -407,9 +434,10 @@ def height_distribution(n):
     """Distribution of heights among peakless Motzkin paths of length n.
 
     distribution[l] is the number of such paths of height exactly l,
-    computed as A(n, l) - A(n, l-1) from one middle join per bound
-    l <= n/2 (`bounded_count_dp`); trailing zero entries are trimmed.  The
-    expectation is the exact rational sum(l * distribution[l]) / m(n).
+    computed as A(n, l) - A(n, l-1) from the middle joins of every bound
+    l <= n/2, all from one shared pass (`bounded_counts_dp`); trailing zero
+    entries are trimmed.  The expectation is the exact rational
+    sum(l * distribution[l]) / m(n).
     """
     from fractions import Fraction  # only here: the other engines are ints
 
@@ -417,8 +445,7 @@ def height_distribution(n):
         raise ValueError("length must be nonnegative")
     dist = []
     prev = 0
-    for l in range(n // 2 + 1):
-        count = bounded_count_dp(n, l)
+    for count in bounded_counts_dp(n, range(n // 2 + 1)):
         dist.append(count - prev)
         prev = count
     total = prev  # A(n, floor(n/2)) = m(n), the bound is inactive beyond it
@@ -462,9 +489,10 @@ def check_columns(columns, n, bound, method):
     check_agreement((route, other), checked, values, f" for bound={bound}")
     first = bound + 1 - len(columns)
     # columns past n // 2 repeat that one, so a huge bound costs n // 2 + 1 joins
-    for l in (bound, *range(min(bound, n // 2) - 1, first - 1, -1)):
-        join, where = bounded_count_dp(n, l), f" for bound={l} at n={n}"
-        names = (f"{route} column", "middle join")
+    bounds = (bound, *range(min(bound, n // 2) - 1, first - 1, -1))
+    names = (f"{route} column", "middle join")
+    for l, join in zip(bounds, bounded_counts_dp(n, bounds)):
+        where = f" for bound={l} at n={n}"
         check_agreement(names, columns[l - first][-1:], [join], where, start=n)
 
 

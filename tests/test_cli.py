@@ -164,16 +164,17 @@ def test_column_routes_name_every_column_stream():
 
 def test_a_huge_table_bound_joins_each_distinct_column_once(capsys, monkeypatch):
     # no path of length 10 rises above 5: bound 1000 is joined for the
-    # printed column, which repeats column 5, and then bounds 4..0
-    exact, bounds = counting.bounded_count_dp, []
+    # printed column, which repeats column 5, and then bounds 4..0, all in
+    # one call of the shared-pass joins
+    exact, calls = counting.bounded_counts_dp, []
 
-    def recorded(n, bound):
-        bounds.append(bound)
-        return exact(n, bound)
+    def recorded(n, bounds):
+        calls.append(tuple(bounds))
+        return exact(n, bounds)
 
-    monkeypatch.setattr(counting, "bounded_count_dp", recorded)
+    monkeypatch.setattr(counting, "bounded_counts_dp", recorded)
     assert run_cli(capsys, "bounded", "-n", "10", "-l", "1000", "--table")[0] == 0
-    assert bounds == [1000, 4, 3, 2, 1, 0]
+    assert calls == [(1000, 4, 3, 2, 1, 0)]
 
 
 def _plus(values, n, delta):
@@ -203,9 +204,11 @@ def _skew(monkeypatch, engine, cell, delta=1):
         return
     exact = getattr(counting, engine)
 
-    def skewed(*args):  # (n, bound) for the join, (bound, size) for columns
-        if engine == "bounded_count_dp":
-            return exact(*args) + delta * (args == cell)
+    def skewed(*args):  # (n, bounds) for the joins, (bound, size) for columns
+        if engine == "bounded_counts_dp":
+            bounds = tuple(args[1])
+            joins = exact(args[0], bounds)
+            return [v + delta * ((args[0], b) == cell) for b, v in zip(bounds, joins)]
         return _plus(exact(*args), n, delta) if l in (None, args[0]) else exact(*args)
 
     monkeypatch.setattr(counting, engine, skewed)
@@ -223,6 +226,8 @@ SECOND_ROUTES = {
     "count head": ("count -n 6", "peakless_series", (6, None), 1, ("functional equation", "recurrence")),
     "count far end": ("count -n 250", "peakless_decimals", (250, None), 1, FAR_END),
     "count far end json": ("count -n 250 --format json", "peakless_decimals", (250, None), 1, FAR_END),
+    # m(10305) has 4303 digits, past Python's default int-to-str limit
+    "count far end past the digit limit": ("count -n 10305", "peakless_decimals", (10305, None), 1, FAR_END),
     "row head l=0": ("bounded -n 6 -l 0", "bounded_series_det", (6, 0), 1, ("automaton", "determinant")),
     "row head l=2": ("bounded -n 6 -l 2", "bounded_series_det", (6, 2), 1, ("automaton", "determinant")),
     "row head strip family": ("bounded -n 30 -l 5", "_strip_quotient", (5, None), 1, ("automaton", "determinant")),
@@ -243,13 +248,13 @@ SECOND_ROUTES = {
     "asympt count row": ("asympt --kind count -n 50 -n 700", "peakless_recurrence", (700, None), 1, FAR_END),
     "export report count row": ("export report --kind count -n 700", "peakless_recurrence", (700, None), 1, FAR_END),
     # at the top bound of an odd n a wrong join keeps the free invariants
-    "dist total": ("dist -n 299", "bounded_count_dp", (299, 149), 1, TOTAL),
-    "avg_height total": ("asympt --kind avg_height -n 299", "bounded_count_dp", (299, 149), 1, TOTAL),
-    "dist height 0": ("dist -n 300", "bounded_count_dp", (300, 0), 1, FREE),
-    "dist negative count": ("dist -n 12", "bounded_count_dp", (12, 2), 10**4, FREE),
-    "dist trailing height": ("dist -n 300", "bounded_count_dp", (300, 149), -1, FREE),
-    "avg_height trailing height": ("asympt --kind avg_height -n 300", "bounded_count_dp", (300, 149), -1, FREE),
-    "gap dist join below top": ("dist -n 300", "bounded_count_dp", (300, 20), 1, "gap: a join wrong "
+    "dist total": ("dist -n 299", "bounded_counts_dp", (299, 149), 1, TOTAL),
+    "avg_height total": ("asympt --kind avg_height -n 299", "bounded_counts_dp", (299, 149), 1, TOTAL),
+    "dist height 0": ("dist -n 300", "bounded_counts_dp", (300, 0), 1, FREE),
+    "dist negative count": ("dist -n 12", "bounded_counts_dp", (12, 2), 10**4, FREE),
+    "dist trailing height": ("dist -n 300", "bounded_counts_dp", (300, 149), -1, FREE),
+    "avg_height trailing height": ("asympt --kind avg_height -n 300", "bounded_counts_dp", (300, 149), -1, FREE),
+    "gap dist join below top": ("dist -n 300", "bounded_counts_dp", (300, 20), 1, "gap: a join wrong "
      "below the top keeps the free invariants and cancels in the total; a low-bound route is unmeasured"),
 }
 
@@ -326,6 +331,9 @@ def test_output_is_written_in_bounded_chunks(monkeypatch):
         def writelines(self, chunks):
             writes.extend(map(len, chunks))
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr(sys, "stdout", Sink())
     assert main(["count", "-n", "3000", "--format", "csv"]) == 0
     assert len(writes) > 20 and max(writes) <= 2 * render.CHUNK
@@ -339,6 +347,9 @@ def test_enumerate_text_is_streamed(monkeypatch):
     class Sink:
         def writelines(self, chunks):
             writes.extend(map(len, chunks))
+
+        def flush(self):
+            pass
 
     monkeypatch.setattr(sys, "stdout", Sink())
     assert main(["enumerate", "-n", "14", "-l", "3"]) == 0
@@ -637,22 +648,25 @@ def test_usage_errors_exit_2(capsys):
     assert info.value.code == 2
 
 
-def run_python(*args, timeout=None):
-    # the child imports the same checkout as this test run, installed or not
+def run_python(*args, timeout=None, stdout=subprocess.PIPE, **env):
+    # the child imports the same checkout as this test run, installed or not,
+    # and without PYTHONUNBUFFERED its stdout is block-buffered, as a user's is
     src = str(Path(peakless.__file__).parent.parent)
     search = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search), **env)
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=timeout,
     )
 
 
-def run_module(*argv, timeout=None):
-    return run_python("-m", "peakless", *argv, timeout=timeout)
+def run_module(*argv, timeout=None, **env):
+    return run_python("-m", "peakless", *argv, timeout=timeout, **env)
 
 
 def test_import_loads_no_numpy():
@@ -703,10 +717,38 @@ def test_no_subcommand_loads_dataclasses():
     assert "peakless.verify" in loaded and "dataclasses" not in loaded
 
 
-def test_module_entry_point():
+def test_module_entry_point(capsys, monkeypatch):
+    # the process entry ends at os._exit once its output is flushed: a
+    # request's bytes, exit code and stderr are main's own
     proc = run_module("count", "-n", "4")
-    assert proc.returncode == 0
-    assert proc.stdout == "1 1 1 2 4\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1 1 2 4\n", "")
+    argv = "count -n 3000 --format csv".split()  # 1.9 MB, many buffer fills
+    proc = run_module(*argv, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli(capsys, *argv)[1]
+    proc = run_module("enumerate", "-n", "20")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert re.fullmatch(r"resource cap: [^\n]*\n", proc.stderr), proc.stderr
+    proc = run_module("verify", PEAKLESS_ORACLE_CAP="abc")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(r"error: [^\n]*\n", proc.stderr), proc.stderr
+    # argparse's --help leaves the normal way, with the in-process text
+    monkeypatch.setenv("COLUMNS", "80")  # one help width for both
+    proc = run_module("--help")
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+def test_a_failed_final_write_exits_2():
+    # the last block-buffered chunk is flushed inside the OSError mapping,
+    # not at interpreter exit, so the failure is one error line and exit 2
+    with open("/dev/full", "w") as full:
+        proc = run_module("count", "-n", "10", stdout=full)
+    assert proc.returncode == 2
+    assert re.fullmatch(r"error: [^\n]*\n", proc.stderr), proc.stderr
 
 
 def test_bounded_huge_bound_is_read_as_half_the_length():

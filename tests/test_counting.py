@@ -354,6 +354,33 @@ def test_middle_join_matches_the_column():
             assert counting.bounded_count_dp(n, bound) == column[n], (n, bound)
 
 
+def test_shared_pass_joins_match_the_column():
+    # every bound of one length branches off one pass; each join meets the
+    # automaton column, a separate pass, and bounds past n/2 read as n/2
+    for n in range(61):
+        half = n // 2
+        want = [counting.bounded_column_dp(l, n)[n] for l in range(half + 1)]
+        assert counting.bounded_counts_dp(n, range(half + 1)) == want, n
+        past = (half + 1, half + 7, 10**9)
+        assert counting.bounded_counts_dp(n, past) == [want[half]] * 3, n
+    # any order, repeats kept, and the one-bound call agrees
+    joins = counting.bounded_counts_dp(41, (7, 2, 7, 0))
+    assert joins == [counting.bounded_count_dp(41, l) for l in (7, 2, 7, 0)]
+    assert counting.bounded_counts_dp(9, ()) == []
+    with pytest.raises(ValueError):
+        counting.bounded_counts_dp(9, (3, -1))
+
+
+def test_join_slots_read_back_whole_bytes():
+    # a cell that fills the top byte of its slot reads back exactly, beside
+    # full, empty and one-bit neighbours and a last level that is zero
+    for size in (1, 2, 5):
+        full = (1 << (8 * size)) - 1
+        cells = [full, 0, full, 1 << (8 * size - 1), 1, 0]
+        packed = sum(c << (8 * size * j) for j, c in enumerate(cells))
+        assert counting._cells(packed, size, len(cells)) == cells
+
+
 def test_height_distribution_matches_the_column_table():
     # the dp table reads whole columns, not the join behind the distribution
     n = 200
