@@ -20,12 +20,12 @@ _EXPORTS = {
         "asymptotics": """AVG_HEIGHT_CONSTANT ConvergenceReport INV_RHO
             MOTZKIN_HEIGHT_CONSTANT RHO SINGULAR_AMPLITUDE convergence_report
             count_ratio log_predicted_count predicted_avg_height predicted_count""",
-        "counting": """HeightStats bounded_column_dp bounded_count_dp
+        "bounded": """HeightStats bounded_column_dp bounded_count_dp
             bounded_count_table bounded_series_cf bounded_series_det
-            determinant_poly end_level_series height_distribution
-            kernel_residual kernel_root_series motzkin_numbers
-            peakless_recurrence peakless_series pretty_cf_agreement
-            pretty_cf_series strip_denominator_poly""",
+            determinant_poly height_distribution strip_denominator_poly""",
+        "counting": """end_level_series kernel_residual kernel_root_series
+            motzkin_numbers peakless_recurrence peakless_series
+            pretty_cf_agreement pretty_cf_series""",
         "errors": "OracleLimitError ResourceLimitError",
         "oracle": "brute_force_count classification_table height_counts",
         "paths": """DOWN FLAT UP PathConstraints automaton_accepts

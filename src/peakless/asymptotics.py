@@ -10,7 +10,8 @@ gives the coefficient prediction
     m(n) ~ 5^{1/4} rho^{-n-1} / (2 sqrt(pi) n^{3/2}),
 
 which the reports compare against exact values from the recurrence
-engine, each held to the closed form by `counting.check_far_end`.
+engine, each held to the closed form by `counting.check_far_end`; only an
+average-height report loads the strip engines of `bounded`.
 `predicted_avg_height` gives the recorded large-n prediction
 2 * 5^{-1/4} * sqrt(pi n) for the average height; the convergence
 reports log the measured exact-to-predicted ratios verbatim, without
@@ -108,7 +109,7 @@ def convergence_report(kind, n_values, cap=None):
         "count" (exact values from the recurrence engine, each held to the
         closed form by `counting.check_far_end`) or "avg_height" (exact
         expectations from height distributions, each held by
-        `counting.check_height_distribution`); EngineDisagreement on a fault.
+        `bounded.check_height_distribution`); EngineDisagreement on a fault.
     n_values : iterable of int
         Lengths to report, kept in the given order; may be empty.
     cap : int, optional
@@ -150,9 +151,11 @@ def convergence_report(kind, n_values, cap=None):
                 )
             )
     else:
+        from . import bounded
+
         for n in ns:
-            stats = counting.height_distribution(n)
-            counting.check_height_distribution(stats)
+            stats = bounded.height_distribution(n)
+            bounded.check_height_distribution(stats)
             exact = stats.expected_height_float
             predicted = predicted_avg_height(n)
             rows.append(

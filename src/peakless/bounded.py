@@ -1,0 +1,361 @@
+"""Exact counting engines for peakless Motzkin paths of bounded height.
+
+A(n, l) is the number of peakless Motzkin paths of length n whose height
+stays <= l (the unbounded counts m(n) live in `counting`).  Everything
+here is exact integer arithmetic, and every quantity is computed by at
+least two independent routes so the engines can cross-check each other
+and the brute-force oracle:
+
+* `bounded_series_cf`: the bounded-height ladder
+  A_l = 1 / (1 - z + z^2 - z^2 A_{l-1}) seeded with A_0 = 1/(1-z)
+  (at the ceiling only flat runs are possible).
+* `bounded_series_det`: the same ladder collapsed into a quotient of
+  determinant polynomials of the strip transfer matrix, computed by a
+  three-term polynomial recurrence and one exact series division.
+* `bounded_column_dp`: dynamic programming over the two-layer automaton
+  with levels capped at l, every level packed into one int so that one
+  pass of n big-int steps yields A(0..n, l).  `bounded_counts_dp` gives
+  A(n, l) alone for each of many bounds l: it joins the walks of length n/2
+  at the middle, half the steps on slots half as wide, and every bound
+  branches off one shared pass (`bounded_count_dp` is the one-bound call).
+
+The three bounded engines share one domain: every bound l >= 0, with a
+bound above n/2 read as n/2, because no path of length <= n rises higher.
+
+Each bounded engine is one stream of the columns l = 0, 1, ...: the ladder,
+one run of the strip family (one quotient per column) or one automaton pass
+per column.  `bounded_count_table` builds at most min(l, n/2) + 1 of them
+and returns the columns themselves, each a tuple A(0..n, l).
+`height_distribution` reads A(n, l) for every l <= n/2 off the middle
+joins of one shared-prefix pass.
+Each printed quantity meets a second route in one `check_*` function:
+`check_columns` (A(n, l) rows and tables) and `check_height_distribution`,
+whose total meets `counting.check_far_end`; each calls its engines
+through the module's globals.
+
+The strip transfer matrix is tridiagonal with diagonal z - z^2 - 1
+(`STRIP_DIAGONAL`) and off-diagonal z, except that the row of the top
+level has no -z^2 term (no excursion can rise above the ceiling), so its
+diagonal entry is z - 1.  `determinant_poly` gives the determinants D_l of
+the uncorrected all-equal tridiagonal matrix (D_0 = z - z^2 - 1,
+D_1 = (1-z)^2 (1+z^2), ...); `strip_denominator_poly` gives the corrected
+family E_l whose quotients -E_{l-1}/E_l are the true bounded generating
+functions.  The two families share the recurrence
+X_l = (z - z^2 - 1) X_{l-1} - z^2 X_{l-2} and differ only in the seed
+(D_0 = z - z^2 - 1 versus E_0 = z - 1); the uncorrected quotient first
+deviates from the true count at n = 2l + 2, the shortest length at which a
+path can touch level l + 1.
+"""
+from collections import namedtuple
+from itertools import count, islice, pairwise, repeat
+from operator import attrgetter
+
+from .errors import CROSS_CHECK_LIMIT, EngineDisagreement, check_agreement
+from .series import Series, poly_divide_series, poly_mul, poly_neg, poly_sub
+
+STRIP_DIAGONAL = (-1, 1, -1)  # z - z^2 - 1, the strip family's multiplier
+
+
+def bounded_series_cf(bound, order):
+    """Generating function of height <= bound paths via the ladder.
+
+    Applies A_l = 1 / (1 - z + z^2 - z^2 A_{l-1}) starting from
+    A_0 = 1/(1-z); coefficient n is A(n, bound).  No path of length
+    <= order rises above order // 2, so a larger bound is read as that
+    one: at most order // 2 + 1 rungs.
+    """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    return next(islice(_ladder(order), min(bound, order // 2), None))
+
+
+def _ladder(order):
+    # A_0, A_1, A_2, ... to the given order, one inverse per rung
+    a = Series((1, -1), order).inverse()
+    q = Series((1, -1, 1), order)
+    while True:
+        yield a
+        a = (q - a.shift(2)).inverse()
+
+
+def _three_term_family(seed0=(-1, 1)):
+    prev, cur = (1,), seed0
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, poly_sub(poly_mul(STRIP_DIAGONAL, cur), (0, 0) + prev)
+
+
+def _family_member(seed0, index):
+    if index < -1:
+        raise ValueError("index must be >= -1")
+    return next(islice(_three_term_family(seed0), index + 1, None))
+
+
+def determinant_poly(bound):
+    """Determinant D_l of the (l+1) x (l+1) tridiagonal matrix with
+    diagonal z - z^2 - 1 and off-diagonal z; D_{-1} = 1 by convention."""
+    return _family_member(STRIP_DIAGONAL, bound)
+
+
+def strip_denominator_poly(bound):
+    """Denominator E_l of the bounded-height generating function.
+
+    Same three-term recurrence as `determinant_poly` but seeded with
+    E_0 = z - 1: the matrix row of the top level has no -z^2 term because
+    nothing may rise above the ceiling.  -E_{l-1}/E_l expands to the exact
+    height <= l counts for every l >= 0.
+    """
+    return _family_member((-1, 1), bound)
+
+
+def bounded_series_det(bound, order):
+    """Height <= bound generating function as a determinant quotient.
+
+    Expands -E_{bound-1}/E_bound with one exact series division.  At z = 0
+    the three-term step reads E_l(0) = -E_{l-1}(0), so E_l(0) = (-1)^{l+1}
+    and the constant term -E_{l-1}(0)/E_l(0) is +1 for every l.  Bound 0
+    is -E_{-1}/E_0 = 1/(1 - z).  No path of length <= order rises above
+    order // 2, so a larger bound is read as that one, and E_bound has at
+    most order + 2 coefficients.
+    """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    pairs = pairwise(_three_term_family())
+    return _strip_quotient(next(islice(pairs, min(bound, order // 2), None)), order)
+
+
+def _strip_quotient(pair, order):
+    # -E_{l-1}/E_l from the pair (E_{l-1}, E_l)
+    return poly_divide_series(poly_neg(pair[0]), pair[1], order)
+
+
+def bounded_column_dp(bound, n_max):
+    """A(0..n_max, bound) from one pass of the two-layer automaton.
+
+    The top layer holds walks whose last step was flat or down, the bottom
+    layer those whose last step was up (so the next step may not be down).
+    Levels 0..bound of each layer are packed into one int, w bits per
+    level, and one step updates every level with a few big-int operations:
+    a flat step keeps the level, a down step (top layer only) shifts down
+    one slot, an up step shifts up one slot and the mask drops the level
+    above the bound.  A cell counts distinct step sequences of length at
+    most n_max, so it stays below 3^n_max < 2^w and never carries into the
+    next slot.  After step k the lowest top slot is A(k, bound): the bottom
+    layer cannot be at level 0.  A walk above level n_max // 2 cannot
+    return to 0 within n_max steps, so no level above that is kept either:
+    O(n_max) steps on ints of O(n_max * min(bound, n_max / 2)) bits.
+    """
+    if n_max < 0 or bound < 0:
+        raise ValueError(
+            f"bound and length must be nonnegative, got bound={bound}, n_max={n_max}"
+        )
+    w = (3**n_max).bit_length()
+    slot = (1 << w) - 1
+    keep = (1 << (w * (min(bound, n_max // 2) + 1))) - 1
+    top, bot = 1, 0
+    column = [1]
+    for _ in range(n_max):
+        both = top + bot
+        top, bot = both + (top >> w), (both << w) & keep
+        column.append(top & slot)
+    return column
+
+
+def bounded_count_dp(n, bound):
+    """A(n, bound) by joining half-length automaton walks at the middle.
+
+    The one-bound call of `bounded_counts_dp`: its unmasked steps up to
+    step min(bound, n // 2) and masked ones after it cost what one masked
+    pass of n // 2 steps does.
+    """
+    return bounded_counts_dp(n, (bound,))[0]
+
+
+def bounded_counts_dp(n, bounds):
+    """[A(n, l) for l in bounds] by middle joins from one shared pass.
+
+    One packed pass of `bounded_column_dp`'s step runs h = n // 2 steps
+    from level 0; T_j and B_j then count the walks of length h that stay
+    within levels 0..l and end at level j, in the top and the bottom
+    layer.  Read backwards, with up and down swapped, a peakless path is
+    still peakless (UD turns into UD) and visits the same levels, so the
+    second half of a path is one such walk read backwards: a second half
+    that starts with D is a walk that ends with U, in the bottom layer.
+    Two halves meeting at level j join into a peakless path unless the
+    first ends with U and the second starts with D, that is unless both
+    end in the bottom layer.  For even n
+
+        A(n, l) = sum_j (T_j + B_j)^2 - B_j^2 = sum_j T_j (T_j + 2 B_j),
+
+    and for odd n, with T'_j, B'_j read off the same pass one step later
+    (a first half of h + 1 steps),
+
+        A(n, l) = sum_j T'_j (T_j + B_j) + B'_j T_j.
+
+    No level above h can return to 0 in h steps, so a bound past h is read
+    as h.  A walk of l steps from level 0 stays within levels 0..l, so all
+    bounds share one unmasked pass, taken in increasing order: at step l it
+    holds bound l's own state, which finishes the h - l masked steps and is
+    joined before the pass goes on.  Only that one branch is kept beside
+    the pass.  Cells stay below 3^(h + n % 2); each takes a slot of whole
+    bytes, so a layer's counts are read off its `to_bytes` in linear time.
+    """
+    bounds = tuple(bounds)
+    if n < 0 or min(bounds, default=0) < 0:
+        raise ValueError(
+            f"bounds and length must be nonnegative, got bounds={bounds}, n={n}"
+        )
+    h, odd = divmod(n, 2)
+    size = ((3 ** (h + odd)).bit_length() + 7) // 8  # bytes per slot
+    w = 8 * size
+    joins = {}
+    top, bot, done = 1, 0, 0
+    for bound in sorted({min(l, h) for l in bounds}):
+        for _ in range(bound - done):
+            both = top + bot
+            top, bot = both + (top >> w), both << w
+        done = bound
+        joins[bound] = _join(top, bot, h - bound, odd, size, bound + 1)
+    return [joins[min(l, h)] for l in bounds]
+
+
+def _join(top, bot, steps, odd, size, levels):
+    # finish one bound's branch of the shared pass and join its halves
+    w = 8 * size
+    keep = (1 << (w * levels)) - 1
+    for _ in range(steps):
+        both = top + bot
+        top, bot = both + (top >> w), (both << w) & keep
+    tops, bots = _cells(top, size, levels), _cells(bot, size, levels)
+    if not odd:
+        return sum(t * (t + 2 * b) for t, b in zip(tops, bots))
+    both = top + bot  # one step more: the first half of odd n
+    tops1 = _cells(both + (top >> w), size, levels)
+    bots1 = _cells((both << w) & keep, size, levels)
+    return sum(t1 * (t + b) + b1 * t for t, b, t1, b1 in zip(tops, bots, tops1, bots1))
+
+
+def _cells(packed, size, levels):
+    # the counts at levels 0..levels-1 of one packed layer, size bytes each
+    data = packed.to_bytes(size * levels, "little")
+    starts = range(0, len(data), size)
+    return [int.from_bytes(data[i : i + size], "little") for i in starts]
+
+
+_coeffs = attrgetter("coeffs")
+
+# each stream yields the columns A(0..n, l), l = 0, 1, ..., as tuples of ints
+COLUMN_STREAMS = {
+    "cf": lambda n: map(_coeffs, _ladder(n)),
+    "det": lambda n: map(
+        _coeffs, map(_strip_quotient, pairwise(_three_term_family()), repeat(n))
+    ),
+    "dp": lambda n: map(tuple, map(bounded_column_dp, count(), repeat(n))),
+}
+# the engine of each column stream, as disagreements name it
+COLUMN_NAMES = {"cf": "ladder", "det": "strip family", "dp": "automaton"}
+
+
+def bounded_count_table(n_max, l_max, method="cf"):
+    """Columns of A(n, l): l_max + 1 tuples with table[l][n] = A(n, l).
+
+    Each column holds A(0..n_max, l).  method names a column stream of
+    `COLUMN_STREAMS`: "cf" (the ladder), "det" (the strip family) or "dp"
+    (the automaton), and the three give equal tables.  No path of length
+    <= n_max rises above n_max // 2, so wider columns repeat that one.
+    """
+    if method not in COLUMN_STREAMS:
+        raise ValueError(f"unknown method {method!r}")
+    if n_max < 0 or l_max < 0:
+        raise ValueError(
+            f"table sizes must be nonnegative, got n_max={n_max}, l_max={l_max}"
+        )
+    columns = list(islice(COLUMN_STREAMS[method](n_max), min(l_max, n_max // 2) + 1))
+    return columns + columns[-1:] * (l_max + 1 - len(columns))
+
+
+class HeightStats(namedtuple("HeightStats", "n distribution expected_height")):
+    """Exact height statistics of the peakless Motzkin paths of length n."""
+
+    __slots__ = ()
+
+    @property
+    def expected_height_float(self):
+        return float(self.expected_height)
+
+
+def height_distribution(n):
+    """Distribution of heights among peakless Motzkin paths of length n.
+
+    distribution[l] is the number of such paths of height exactly l,
+    computed as A(n, l) - A(n, l-1) from the middle joins of every bound
+    l <= n/2, all from one shared pass (`bounded_counts_dp`); trailing zero
+    entries are trimmed.  The expectation is the exact rational
+    sum(l * distribution[l]) / m(n).
+    """
+    from fractions import Fraction  # only here: the other engines are ints
+
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    dist = []
+    prev = 0
+    for count in bounded_counts_dp(n, range(n // 2 + 1)):
+        dist.append(count - prev)
+        prev = count
+    total = prev  # A(n, floor(n/2)) = m(n), the bound is inactive beyond it
+    while len(dist) > 1 and dist[-1] == 0:
+        dist.pop()
+    expected = Fraction(sum(l * c for l, c in enumerate(dist)), total)
+    return HeightStats(n=n, distribution=tuple(dist), expected_height=expected)
+
+
+def check_columns(columns, n, bound, method):
+    """Hold columns A(0..n, l), l = bound - len(columns) + 1..bound, of the
+    `method` stream to two routes.
+
+    The last column's first 201 terms meet the determinant quotient, or the
+    automaton column for "det", whose columns are the strip family's own
+    quotients, and the last term of each distinct column, the last first,
+    the middle join.
+    """
+    route = COLUMN_NAMES[method]
+    checked = columns[-1][: CROSS_CHECK_LIMIT + 1]
+    order = len(checked) - 1
+    if method == "det":
+        other, values = "automaton", bounded_column_dp(bound, order)
+    else:
+        other, values = "determinant", bounded_series_det(bound, order).coeffs
+    check_agreement((route, other), checked, values, f" for bound={bound}")
+    first = bound + 1 - len(columns)
+    # columns past n // 2 repeat that one, so a huge bound costs n // 2 + 1 joins
+    bounds = (bound, *range(min(bound, n // 2) - 1, first - 1, -1))
+    names = (f"{route} column", "middle join")
+    for l, join in zip(bounds, bounded_counts_dp(n, bounds)):
+        where = f" for bound={l} at n={n}"
+        check_agreement(names, columns[l - first][-1:], [join], where, start=n)
+
+
+def check_height_distribution(stats):
+    """Hold a height distribution to its free invariants and its total,
+    A(n, n/2) = m(n), to the closed form.
+
+    A height-h peakless path needs at least 2h + 1 steps, because its summit
+    needs a flat step, and U^h F D^h F... reaches it; so for n >= 1 there
+    are exactly (n - 1)//2 + 1 heights, each count is positive, and height 0
+    counts only the all-flat path.  A wrong middle join at a bound below the
+    top that keeps these facts cancels in the total and is not caught.
+    """
+    from . import counting  # only the totals meet the closed form
+
+    n, dist = stats.n, stats.distribution
+    heights = (n - 1) // 2 + 1 if n else 1
+    wrong = [h for h, c in enumerate(dist) if c < 1 or (h == 0 and c != 1)]
+    if wrong or len(dist) != heights:
+        first = "".join(f", {dist[h]} at height {h}" for h in wrong[:1])
+        raise EngineDisagreement(
+            f"engine disagreement at n={n}: height distribution has {len(dist)} "
+            f"heights{first}, free invariants {heights} heights, 1 at height 0, "
+            "every count positive"
+        )
+    counting.check_far_end("height distribution total", sum(dist), n)

@@ -2,10 +2,10 @@
 
 Subcommands: count, bounded, dist, enumerate, verify, asympt, export.
 Each handler computes its data, holds the numbers it prints to a second
-route with one `counting.check_*` call (`enumerate` has none yet) and
-returns a `render.Output`; `main` then writes it in the requested format,
-chunk by chunk, so nothing reaches stdout or --out unless every check
-has passed.
+route with one `check_*` call of its engine module, `counting` for m(n)
+and `bounded` for A(n, l) (`enumerate` has none yet), and returns a
+`render.Output`; `main` then writes it in the requested format, chunk by
+chunk, so nothing reaches stdout or --out unless every check has passed.
 Text output is for humans; --format csv and --format json are stable
 machine formats whose bytes depend only on the flags.  Exit codes: 0
 success, 1 verification failure or engine disagreement, 2 usage error or
@@ -22,7 +22,9 @@ A request loads only what its subcommand runs: this module imports
 parser reads its option defaults from them and from `COLUMN_METHODS`, and
 each handler imports its own engine modules and calls them through the
 module, `counting.peakless_series(...)`, so that a rebinding of a module
-attribute reaches it.
+attribute reaches it.  `count` loads `counting` (and `decimal`) alone;
+`bounded` and `export bounded` load `bounded` and `series`, and `dist`
+both engine modules, because its total meets the closed form.
 """
 import argparse
 import os
@@ -88,20 +90,20 @@ def cmd_count(args):
 
 
 def cmd_bounded(args):
-    from . import counting
+    from . import bounded
 
     n, bound = args.order, args.bound
     if not args.table:
-        values = counting.bounded_column_dp(bound, n)
-        counting.check_columns([values], n, bound, "dp")
+        values = bounded.bounded_column_dp(bound, n)
+        bounded.check_columns([values], n, bound, "dp")
         return render.Output(
             text=lambda: render.batched(map(str, values), " ", "\n"),
             json=lambda: render.json_text(dict(n_max=n, bound=bound, counts=values)),
             header=TABLE_HEADER,
             rows=((i, bound, v) for i, v in enumerate(values)),
         )
-    columns = counting.bounded_count_table(n, bound, method="dp")
-    counting.check_columns(columns, n, bound, "dp")
+    columns = bounded.bounded_count_table(n, bound, method="dp")
+    bounded.check_columns(columns, n, bound, "dp")
     return _table_output(
         columns,
         text=lambda: render.batched(
@@ -114,10 +116,10 @@ def cmd_bounded(args):
 
 
 def cmd_dist(args):
-    from . import counting
+    from . import bounded
 
-    stats = counting.height_distribution(args.order)
-    counting.check_height_distribution(stats)
+    stats = bounded.height_distribution(args.order)
+    bounded.check_height_distribution(stats)
     pairs = list(enumerate(stats.distribution))
     return render.Output(
         text=lambda: render.batched(
@@ -211,10 +213,10 @@ def cmd_asympt(args):
 
 
 def cmd_export(args):
-    from . import counting
+    from . import bounded
 
-    columns = counting.bounded_count_table(args.order, args.bound, method=args.method)
-    counting.check_columns(columns, args.order, args.bound, args.method)
+    columns = bounded.bounded_count_table(args.order, args.bound, method=args.method)
+    bounded.check_columns(columns, args.order, args.bound, args.method)
     return _table_output(
         columns, n_max=args.order, l_max=args.bound, method=args.method
     )

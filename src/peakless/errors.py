@@ -7,7 +7,10 @@ form.  The default budgets live here too: the brute-force length cap
 (`DEFAULT_ORACLE_CAP`, overridden by the `ORACLE_CAP_ENV` variable, read
 in `paths`) and the largest n of each convergence report (`REPORT_CAPS`).
 Two routes to one sequence are compared by `check_agreement`, which
-raises `EngineDisagreement` (exit 1).  This module imports nothing, so
+raises `EngineDisagreement` (exit 1); the checks of both engine modules,
+`counting` and `bounded`, meet a second engine over the first
+`CROSS_CHECK_LIMIT` + 1 terms of a printed sequence, so neither module
+loads the other to read it.  This module imports nothing, so
 the CLI reads its option defaults without loading an engine.
 """
 
@@ -18,6 +21,7 @@ ORACLE_CAP_ENV = "PEAKLESS_ORACLE_CAP"
 REPORT_CAPS = {"count": 10_000, "avg_height": 500}
 
 MISMATCHES_SHOWN = 5  # a disagreement lists at most this many indices
+CROSS_CHECK_LIMIT = 200  # printed sequences meet a second engine up to here
 
 
 class ResourceLimitError(RuntimeError):

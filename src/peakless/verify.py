@@ -3,8 +3,9 @@
 Every check pits independent computations of the same quantity against
 each other: brute-force scan, automaton DP, ladder series, determinant
 quotient, functional equation, recurrence.  Two routes to one sequence
-are compared by `errors.check_agreement`, as in the `counting.check_*`
-functions that hold every number the other subcommands print.  Any
+are compared by `errors.check_agreement`, as in the `check_*` functions
+of `counting` and `bounded` that hold every number the other subcommands
+print; the suite runs the engines of both modules.  Any
 other condition raises AssertionError.  A check returns nothing and fails only by raising, and
 `run_checks` returns one record per check so the CLI can print a line
 each and emit a machine-readable failure list.
@@ -21,7 +22,7 @@ to the oracle's height census.  Only full runs `bounded_count_table`.
 import itertools
 from fractions import Fraction
 
-from . import counting, oracle, paths
+from . import bounded, counting, oracle, paths
 from .errors import ResourceLimitError, check_agreement
 from .series import Series
 
@@ -85,15 +86,15 @@ def check_five_way(n_limit, l_limit):
     unbounded = paths.PathConstraints(peakless=True)
     brute = [oracle.brute_force_count(n, unbounded) for n in lengths]
     check_agreement(("brute force", "series"), brute, series)
-    inactive = [counting.bounded_count_dp(n, n // 2) for n in lengths]
+    inactive = [bounded.bounded_count_dp(n, n // 2) for n in lengths]
     check_agreement(("bounded_count_dp", "series"), inactive, series, " at bound n/2")
     for l in range(l_limit + 1):
-        bounded = paths.PathConstraints(peakless=True, max_height=l)
-        brute = [oracle.brute_force_count(n, bounded) for n in lengths]
+        capped = paths.PathConstraints(peakless=True, max_height=l)
+        brute = [oracle.brute_force_count(n, capped) for n in lengths]
         for name, column in (
-            ("bounded_column_dp", counting.bounded_column_dp(l, n_limit)),
-            ("bounded_series_cf", counting.bounded_series_cf(l, n_limit).coeffs),
-            ("bounded_series_det", counting.bounded_series_det(l, n_limit).coeffs),
+            ("bounded_column_dp", bounded.bounded_column_dp(l, n_limit)),
+            ("bounded_series_cf", bounded.bounded_series_cf(l, n_limit).coeffs),
+            ("bounded_series_det", bounded.bounded_series_det(l, n_limit).coeffs),
         ):
             check_agreement((name, "brute force"), column, brute, f" for bound={l}")
 
@@ -114,10 +115,10 @@ def check_end_levels(n_limit):
 def check_determinants():
     # D_1 = (1 - z)^2 (1 + z^2); the quotient for bound 1 is A(n, 1), n <= 4
     for name, got, want in (
-        ("D_0", counting.determinant_poly(0), (-1, 1, -1)),
-        ("D_1", counting.determinant_poly(1), (1, -2, 2, -2, 1)),
-        ("E_0", counting.strip_denominator_poly(0), (-1, 1)),
-        ("det quotient", counting.bounded_series_det(1, 4).coeffs, (1, 1, 1, 2, 4)),
+        ("D_0", bounded.determinant_poly(0), (-1, 1, -1)),
+        ("D_1", bounded.determinant_poly(1), (1, -2, 2, -2, 1)),
+        ("E_0", bounded.strip_denominator_poly(0), (-1, 1)),
+        ("det quotient", bounded.bounded_series_det(1, 4).coeffs, (1, 1, 1, 2, 4)),
     ):
         check_agreement((name, "fixture"), got, want)
 
@@ -141,15 +142,15 @@ def check_kernel_identities(order):
 
 
 def check_height_stats(n_limit):
-    stats = counting.height_distribution(4)
+    stats = bounded.height_distribution(4)
     if stats.distribution != (1, 3) or stats.expected_height != Fraction(3, 4):
         raise AssertionError(f"n=4 stats {stats}")
-    if counting.height_distribution(0).expected_height != 0:
+    if bounded.height_distribution(0).expected_height != 0:
         raise AssertionError("n=0 stats")
     lengths = range(n_limit + 1)
     check_agreement(
         ("height_distribution", "oracle"),
-        [counting.height_distribution(n).distribution for n in lengths],
+        [bounded.height_distribution(n).distribution for n in lengths],
         [tuple(oracle.height_counts(n, peakless=True)) for n in lengths],
     )
     heights = oracle.height_counts(4, peakless=False)
@@ -175,7 +176,7 @@ def check_recurrence_exactness(n_limit):
 
 def check_table_invariants(n_limit):
     series = counting.peakless_series(n_limit)
-    columns = counting.bounded_count_table(n_limit, n_limit // 2)
+    columns = bounded.bounded_count_table(n_limit, n_limit // 2)
     for n, cells in enumerate(zip(*columns)):
         if cells[0] != 1:
             raise AssertionError(f"A({n}, 0) != 1")

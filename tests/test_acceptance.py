@@ -10,7 +10,7 @@ value.
 """
 import math
 
-from peakless import asymptotics, counting, oracle
+from peakless import asymptotics, bounded, counting, oracle
 from peakless.paths import PathConstraints, enumerate_paths, height
 from peakless.series import Series, poly_mul
 
@@ -28,20 +28,20 @@ def test_criterion_02_five_way_agreement():
     series = counting.peakless_series(FIVE_WAY_N)
     assert counting.peakless_recurrence(FIVE_WAY_N) == series
     ladders = {
-        l: counting.bounded_series_cf(l, FIVE_WAY_N) for l in range(FIVE_WAY_L + 1)
+        l: bounded.bounded_series_cf(l, FIVE_WAY_N) for l in range(FIVE_WAY_L + 1)
     }
     quotients = {
-        l: counting.bounded_series_det(l, FIVE_WAY_N) for l in range(FIVE_WAY_L + 1)
+        l: bounded.bounded_series_det(l, FIVE_WAY_N) for l in range(FIVE_WAY_L + 1)
     }
     for n in range(FIVE_WAY_N + 1):
         unbounded = oracle.brute_force_count(n, PathConstraints(peakless=True))
         assert unbounded == series[n]
-        assert counting.bounded_count_dp(n, n // 2) == series[n]
+        assert bounded.bounded_count_dp(n, n // 2) == series[n]
         for l in range(FIVE_WAY_L + 1):
             brute = oracle.brute_force_count(
                 n, PathConstraints(peakless=True, max_height=l)
             )
-            assert counting.bounded_count_dp(n, l) == brute, (n, l)
+            assert bounded.bounded_count_dp(n, l) == brute, (n, l)
             assert ladders[l][n] == brute, (n, l)
             assert quotients[l][n] == brute, (n, l)
 
@@ -83,9 +83,9 @@ def test_criterion_05_kernel_identities_to_order_200():
 
 
 def test_criterion_06_determinant_fixtures():
-    assert counting.determinant_poly(0) == (-1, 1, -1)  # z - z^2 - 1
+    assert bounded.determinant_poly(0) == (-1, 1, -1)  # z - z^2 - 1
     expected = poly_mul(poly_mul((1, -1), (1, -1)), (1, 0, 1))  # (1-z)^2 (1+z^2)
-    assert counting.determinant_poly(1) == expected
+    assert bounded.determinant_poly(1) == expected
 
 
 def test_criterion_07_count_asymptotics():
@@ -112,7 +112,7 @@ DERIVED_AVG_HEIGHT_CONSTANT = 0.668740304976422  # 5**-0.25
 
 def test_criterion_08_average_height_against_recorded_prediction():
     samples = (50, 100, 200, 400)
-    exact = [counting.height_distribution(n).expected_height_float for n in samples]
+    exact = [bounded.height_distribution(n).expected_height_float for n in samples]
     derived = [DERIVED_AVG_HEIGHT_CONSTANT * math.sqrt(math.pi * n) for n in samples]
     ratios = [e / d for e, d in zip(exact, derived)]
     # 1/sqrt(n) Richardson extrapolation of the last two samples

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from peakless import asymptotics, counting
+from peakless import asymptotics, bounded, counting
 from peakless.cli import main
 from peakless.errors import ResourceLimitError
 
@@ -98,7 +98,7 @@ def test_avg_height_report_is_verbatim():
     assert report.tolerance == 0.15
     ratios = [row.ratio for row in report.rows]
     assert ratios[0] < ratios[1]  # the ratio climbs with n
-    stats = counting.height_distribution(50)
+    stats = bounded.height_distribution(50)
     want = stats.expected_height_float / asymptotics.predicted_avg_height(50)
     assert report.rows[0].ratio == want  # recorded verbatim, no smoothing
 

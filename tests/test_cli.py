@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import peakless
-from peakless import counting, oracle, render
+from peakless import bounded, counting, oracle, render
 from peakless.cli import COLUMN_METHODS, main
 from peakless.paths import PathConstraints
 from peakless.series import Series
@@ -64,7 +64,7 @@ def test_count_past_int_str_digit_limit(capsys, tmp_path):
     # found it, also when the --out file cannot be opened
     n = 1600  # closed form m(n) = sum_k C(n-k, k) C(n-k-1, k) / (k+1)
     want = sum(comb(n - k, k) * comb(n - k - 1, k) // (k + 1) for k in range(n // 2 + 1))
-    join = counting.bounded_count_dp(n, 10)  # a route apart from the printed column
+    join = bounded.bounded_count_dp(n, 10)  # a route apart from the printed column
     missing = tmp_path / "missing" / "counts.csv"
     cases = [(f"count -n {n} --format {fmt}", fmt, want) for fmt in LAST_COUNT]
     cases.append((f"bounded -n {n} -l 10 --format csv", "csv", join))
@@ -159,20 +159,20 @@ def test_bounded_table_routes_agree(capsys, n, l):
 
 
 def test_column_routes_name_every_column_stream():
-    assert COLUMN_METHODS == tuple(counting.COLUMN_STREAMS) == tuple(counting.COLUMN_NAMES)
+    assert COLUMN_METHODS == tuple(bounded.COLUMN_STREAMS) == tuple(bounded.COLUMN_NAMES)
 
 
 def test_a_huge_table_bound_joins_each_distinct_column_once(capsys, monkeypatch):
     # no path of length 10 rises above 5: bound 1000 is joined for the
     # printed column, which repeats column 5, and then bounds 4..0, all in
     # one call of the shared-pass joins
-    exact, calls = counting.bounded_counts_dp, []
+    exact, calls = bounded.bounded_counts_dp, []
 
     def recorded(n, bounds):
         calls.append(tuple(bounds))
         return exact(n, bounds)
 
-    monkeypatch.setattr(counting, "bounded_counts_dp", recorded)
+    monkeypatch.setattr(bounded, "bounded_counts_dp", recorded)
     assert run_cli(capsys, "bounded", "-n", "10", "-l", "1000", "--table")[0] == 0
     assert calls == [(1000, 4, 3, 2, 1, 0)]
 
@@ -188,21 +188,22 @@ def _plus(values, n, delta):
 
 
 def _skew(monkeypatch, engine, cell, delta=1):
-    # a `counting` engine, or the column stream "stream:<method>", with delta
-    # added where it computes the cell (n, l): A(n, l), or for l None m(n)
-    # and coefficient n of every call
+    # an engine of `counting` or `bounded`, or the column stream
+    # "stream:<method>", with delta added where it computes the cell (n, l):
+    # A(n, l), or for l None m(n) and coefficient n of every call
     n, l = cell
     if engine.startswith("stream:"):
         method = engine.removeprefix("stream:")
-        stream = counting.COLUMN_STREAMS[method]
+        stream = bounded.COLUMN_STREAMS[method]
 
         def columns(n_max):
             for k, column in enumerate(stream(n_max)):
                 yield _plus(column, n, delta * (k == l))
 
-        monkeypatch.setitem(counting.COLUMN_STREAMS, method, columns)
+        monkeypatch.setitem(bounded.COLUMN_STREAMS, method, columns)
         return
-    exact = getattr(counting, engine)
+    module = counting if hasattr(counting, engine) else bounded
+    exact = getattr(module, engine)
 
     def skewed(*args):  # (n, bounds) for the joins, (bound, size) for columns
         if engine == "bounded_counts_dp":
@@ -211,7 +212,7 @@ def _skew(monkeypatch, engine, cell, delta=1):
             return [v + delta * ((args[0], b) == cell) for b, v in zip(bounds, joins)]
         return _plus(exact(*args), n, delta) if l in (None, args[0]) else exact(*args)
 
-    monkeypatch.setattr(counting, engine, skewed)
+    monkeypatch.setattr(module, engine, skewed)
 
 
 FAR_END = ("recurrence", "closed form")
@@ -307,12 +308,12 @@ def test_a_disagreement_writes_nothing(
 
 def test_bounded_names_every_mismatching_index(capsys, monkeypatch):
     def broken(bound, order):
-        warped = list(counting.bounded_series_cf(bound, order).coeffs)
+        warped = list(bounded.bounded_series_cf(bound, order).coeffs)
         for i in range(3, 10):
             warped[i] += 1
         return Series(warped, order)
 
-    monkeypatch.setattr(counting, "bounded_series_det", broken)
+    monkeypatch.setattr(bounded, "bounded_series_det", broken)
     code, out, err = run_cli(capsys, "bounded", "-n", "12", "-l", "2")
     assert code == 1
     assert out == ""
@@ -459,7 +460,7 @@ def test_verify_failure_lists_machine_readable(capsys, monkeypatch):
     def broken(bound, order):
         return Series((9,), order)
 
-    monkeypatch.setattr(counting, "bounded_series_det", broken)
+    monkeypatch.setattr(bounded, "bounded_series_det", broken)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "FAIL" in out
@@ -677,9 +678,10 @@ def test_import_loads_no_numpy():
 
 
 def _modules_after(code):
-    # the peakless and dataclasses modules a fresh interpreter holds after
-    # code, printed on the last line of its stdout
-    shown = "(m for m in sys.modules if m.startswith(('peakless.', 'dataclasses')))"
+    # the peakless, dataclasses and decimal modules a fresh interpreter holds
+    # after code, printed on the last line of its stdout
+    names = "('peakless.', 'dataclasses', 'decimal')"
+    shown = f"(m for m in sys.modules if m.startswith({names}))"
     proc = run_python("-c", f"import sys\n{code}\nprint(*{shown})")
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
@@ -689,16 +691,37 @@ def test_import_loads_no_submodule():
     assert _modules_after("import peakless") == set()
 
 
+ENGINE_MODULES = {"peakless.counting", "peakless.bounded"}
+
+
 @pytest.mark.parametrize(
     "argv, unused",
     [
-        (["enumerate", "-n", "4"], {"counting", "oracle", "verify", "asymptotics"}),
-        (["count", "-n", "4"], {"oracle", "paths", "verify", "asymptotics"}),
+        (
+            ["enumerate", "-n", "4"],
+            {"counting", "bounded", "oracle", "verify", "asymptotics"},
+        ),
+        (
+            ["count", "-n", "4"],
+            {"bounded", "series", "oracle", "paths", "verify", "asymptotics"},
+        ),
+        (["asympt", "--kind", "count", "-n", "10"], {"bounded", "series"}),
+        (["bounded", "-n", "6", "-l", "2"], {"counting", "decimal"}),
+        (
+            ["export", "bounded", "-n", "6", "-l", "2", "--method", "det"],
+            {"counting", "decimal"},
+        ),
+        # the total of a distribution meets the closed form of `counting`
+        (["dist", "-n", "6"], {"oracle", "paths", "verify", "asymptotics"}),
     ],
 )
 def test_a_request_loads_only_its_engines(argv, unused):
+    # a request loads none of the modules named unused (`decimal` is the
+    # standard library's) and each engine module it does not name
     loaded = _modules_after(f"from peakless import cli; cli.main({argv})")
-    assert loaded & {f"peakless.{name}" for name in unused} == set()
+    unused = {name if name == "decimal" else f"peakless.{name}" for name in unused}
+    assert loaded & unused == set()
+    assert ENGINE_MODULES - unused <= loaded
 
 
 def test_no_subcommand_loads_dataclasses():

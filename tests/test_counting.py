@@ -1,12 +1,13 @@
 import decimal
 import itertools
+import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from peakless import counting, oracle
+from peakless import bounded, counting, oracle
 from peakless.paths import PathConstraints
 from peakless.series import (
     Series,
@@ -93,6 +94,25 @@ def test_closed_form_updates_term_by_term():
         assert counting.peakless_closed_form(n) == _closed_form(n), n
 
 
+def test_closed_form_at_the_far_end():
+    # the Decimal terms come back as an int without a decimal string, so
+    # m(10305), 4303 digits, needs no lift of the default int-to-str limit;
+    # there the binomial sum costs seconds, and the int recurrence, which
+    # shares no code with the closed form, is the reference
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, which only cli.main lifts
+    try:
+        for n, reference in (
+            (1000, _closed_form(1000)),
+            (4000, _closed_form(4000)),
+            (10305, counting.peakless_recurrence(10305)[-1]),
+        ):
+            value = counting.peakless_closed_form(n)
+            assert type(value) is int and value == reference, n
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_functional_equation_residual():
     order = 64
     f = Series(counting.peakless_series(order), order)
@@ -170,17 +190,17 @@ def test_kernel_root():
 
 
 def test_bounded_cf_fixtures():
-    assert counting.bounded_series_cf(0, 8).coeffs == (1,) * 9
-    assert list(counting.bounded_series_cf(1, 14).coeffs) == HEIGHT_LE_1
-    assert counting.bounded_series_cf(1, 4)[4] == 4
+    assert bounded.bounded_series_cf(0, 8).coeffs == (1,) * 9
+    assert list(bounded.bounded_series_cf(1, 14).coeffs) == HEIGHT_LE_1
+    assert bounded.bounded_series_cf(1, 4)[4] == 4
     with pytest.raises(ValueError):
-        counting.bounded_series_cf(-1, 4)
+        bounded.bounded_series_cf(-1, 4)
 
 
 def test_bound_becomes_inactive():
     series = counting.peakless_series(20)
     for n in range(21):
-        assert counting.bounded_series_cf(n // 2, n)[n] == series[n]
+        assert bounded.bounded_series_cf(n // 2, n)[n] == series[n]
 
 
 def test_first_length_where_height_bound_bites():
@@ -193,7 +213,7 @@ def test_first_length_where_height_bound_bites():
         != series[n]
     )
     assert first == 5
-    assert counting.bounded_series_cf(1, 5)[5] == series[5] - 1 == 7
+    assert bounded.bounded_series_cf(1, 5)[5] == series[5] - 1 == 7
 
 
 def _permutation_determinant(matrix):
@@ -230,43 +250,43 @@ def _tridiagonal(size, last_diagonal):
 
 
 def test_determinant_fixtures():
-    assert counting.determinant_poly(-1) == (1,)
-    assert counting.determinant_poly(0) == (-1, 1, -1)  # z - z^2 - 1
+    assert bounded.determinant_poly(-1) == (1,)
+    assert bounded.determinant_poly(0) == (-1, 1, -1)  # z - z^2 - 1
     # (1 - z)^2 (1 + z^2)
-    assert counting.determinant_poly(1) == poly_mul(
+    assert bounded.determinant_poly(1) == poly_mul(
         poly_mul((1, -1), (1, -1)), (1, 0, 1)
     )
     d2_step = poly_sub(
-        poly_mul((-1, 1, -1), counting.determinant_poly(1)),
-        poly_mul((0, 0, 1), counting.determinant_poly(0)),
+        poly_mul((-1, 1, -1), bounded.determinant_poly(1)),
+        poly_mul((0, 0, 1), bounded.determinant_poly(0)),
     )
-    assert counting.determinant_poly(2) == d2_step
+    assert bounded.determinant_poly(2) == d2_step
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3, 4])
 def test_determinant_families_against_leibniz_oracle(bound):
     plain = _tridiagonal(bound + 1, (-1, 1, -1))
-    assert counting.determinant_poly(bound) == _permutation_determinant(plain)
+    assert bounded.determinant_poly(bound) == _permutation_determinant(plain)
     corrected = _tridiagonal(bound + 1, (-1, 1))  # ceiling row: z - 1
-    assert counting.strip_denominator_poly(bound) == _permutation_determinant(corrected)
+    assert bounded.strip_denominator_poly(bound) == _permutation_determinant(corrected)
 
 
 def test_det_series_fixtures():
-    assert counting.bounded_series_det(1, 4).coeffs == (1, 1, 1, 2, 4)
-    assert counting.bounded_series_det(5, 40) == counting.bounded_series_cf(5, 40)
-    assert counting.bounded_series_det(0, 10) == counting.bounded_series_cf(0, 10)
+    assert bounded.bounded_series_det(1, 4).coeffs == (1, 1, 1, 2, 4)
+    assert bounded.bounded_series_det(5, 40) == bounded.bounded_series_cf(5, 40)
+    assert bounded.bounded_series_det(0, 10) == bounded.bounded_series_cf(0, 10)
     # E_l(0) = (-1)^{l+1}, so every quotient -E_{l-1}/E_l starts at +1
-    assert all(counting.bounded_series_det(l, 40)[0] == 1 for l in range(41))
+    assert all(bounded.bounded_series_det(l, 40)[0] == 1 for l in range(41))
     with pytest.raises(ValueError):
-        counting.bounded_series_det(-1, 10)
+        bounded.bounded_series_det(-1, 10)
 
 
 def test_bounds_past_half_the_order_are_clamped():
     # a peakless path of length n is at most (n - 1) // 2 high; at an odd
     # order a clamp one level too low would drop the highest paths
     series = Series(counting.peakless_series(41), 41)
-    assert counting.bounded_series_cf(10**8, 41) == series
-    assert counting.bounded_series_det(10**8, 41) == series
+    assert bounded.bounded_series_cf(10**8, 41) == series
+    assert bounded.bounded_series_det(10**8, 41) == series
 
 
 def test_det_series_truncates_the_strip_family():
@@ -274,19 +294,19 @@ def test_det_series_truncates_the_strip_family():
     # one of the unclamped E_40 / E_39 and, at bound 1500, the DP column
     order = 30
     full = poly_divide_series(
-        poly_neg(counting.strip_denominator_poly(39)),
-        counting.strip_denominator_poly(40),
+        poly_neg(bounded.strip_denominator_poly(39)),
+        bounded.strip_denominator_poly(40),
         order,
     )
-    assert counting.bounded_series_det(40, order) == full
-    dp = counting.bounded_column_dp(1500, 200)
-    assert list(counting.bounded_series_det(1500, 200).coeffs) == dp
+    assert bounded.bounded_series_det(40, order) == full
+    dp = bounded.bounded_column_dp(1500, 200)
+    assert list(bounded.bounded_series_det(1500, 200).coeffs) == dp
 
 
 def test_det_series_division_contract():
     order = 30
-    e0 = counting.strip_denominator_poly(0)
-    e1 = counting.strip_denominator_poly(1)
+    e0 = bounded.strip_denominator_poly(0)
+    e1 = bounded.strip_denominator_poly(1)
     quotient = poly_divide_series(poly_neg(e0), e1, order)
     residual = quotient * Series(e1, order) + Series(e0, order)
     assert residual.is_zero()
@@ -298,11 +318,11 @@ def test_uncorrected_quotient_stops_counting_at_the_ceiling():
     # length that can touch level bound + 1; the corrected family never does
     for bound in (1, 2, 3):
         plain = poly_divide_series(
-            poly_neg(counting.determinant_poly(bound - 1)),
-            counting.determinant_poly(bound),
+            poly_neg(bounded.determinant_poly(bound - 1)),
+            bounded.determinant_poly(bound),
             10,
         )
-        corrected = counting.bounded_series_det(bound, 10)
+        corrected = bounded.bounded_series_det(bound, 10)
         for n in range(11):
             want = oracle.brute_force_count(
                 n, PathConstraints(peakless=True, max_height=bound)
@@ -314,27 +334,27 @@ def test_uncorrected_quotient_stops_counting_at_the_ceiling():
 
 
 def test_dp_fixtures():
-    assert counting.bounded_count_dp(6, 3) == 17
-    assert counting.bounded_count_dp(4, 0) == 1
-    assert counting.bounded_count_dp(0, 0) == 1
-    assert counting.bounded_column_dp(1, 14) == HEIGHT_LE_1
-    assert counting.bounded_column_dp(0, 0) == [1]
+    assert bounded.bounded_count_dp(6, 3) == 17
+    assert bounded.bounded_count_dp(4, 0) == 1
+    assert bounded.bounded_count_dp(0, 0) == 1
+    assert bounded.bounded_column_dp(1, 14) == HEIGHT_LE_1
+    assert bounded.bounded_column_dp(0, 0) == [1]
     with pytest.raises(ValueError):
-        counting.bounded_count_dp(-1, 2)
+        bounded.bounded_count_dp(-1, 2)
     with pytest.raises(ValueError):
-        counting.bounded_column_dp(-1, 2)
+        bounded.bounded_column_dp(-1, 2)
     # levels past n_max // 2 are never packed, however large the bound
-    assert counting.bounded_column_dp(10**6, 11) == counting.peakless_series(11)
+    assert bounded.bounded_column_dp(10**6, 11) == counting.peakless_series(11)
 
 
 def test_dp_column_slots_hold_large_counts():
     # every level of the automaton shares one int; a slot too narrow for
     # 3^n_max carries into its neighbour only far past the oracle's lengths
     series = counting.peakless_series(1000)
-    assert counting.bounded_column_dp(500, 1000)[1000] == series[1000]
+    assert bounded.bounded_column_dp(500, 1000)[1000] == series[1000]
     for bound in (30, 150):
-        det = counting.bounded_series_det(bound, 300)
-        assert counting.bounded_column_dp(bound, 300) == list(det.coeffs), bound
+        det = bounded.bounded_series_det(bound, 300)
+        assert bounded.bounded_column_dp(bound, 300) == list(det.coeffs), bound
 
 
 def test_dp_matches_oracle():
@@ -343,15 +363,15 @@ def test_dp_matches_oracle():
             want = oracle.brute_force_count(
                 n, PathConstraints(peakless=True, max_height=bound)
             )
-            assert counting.bounded_count_dp(n, bound) == want
+            assert bounded.bounded_count_dp(n, bound) == want
 
 
 def test_middle_join_matches_the_column():
     # n = 0 and 1, odd n, bound 0 and bounds past n/2
     for n in range(40):
         for bound in range(n // 2 + 2):
-            column = counting.bounded_column_dp(bound, n)
-            assert counting.bounded_count_dp(n, bound) == column[n], (n, bound)
+            column = bounded.bounded_column_dp(bound, n)
+            assert bounded.bounded_count_dp(n, bound) == column[n], (n, bound)
 
 
 def test_shared_pass_joins_match_the_column():
@@ -359,16 +379,16 @@ def test_shared_pass_joins_match_the_column():
     # automaton column, a separate pass, and bounds past n/2 read as n/2
     for n in range(61):
         half = n // 2
-        want = [counting.bounded_column_dp(l, n)[n] for l in range(half + 1)]
-        assert counting.bounded_counts_dp(n, range(half + 1)) == want, n
+        want = [bounded.bounded_column_dp(l, n)[n] for l in range(half + 1)]
+        assert bounded.bounded_counts_dp(n, range(half + 1)) == want, n
         past = (half + 1, half + 7, 10**9)
-        assert counting.bounded_counts_dp(n, past) == [want[half]] * 3, n
+        assert bounded.bounded_counts_dp(n, past) == [want[half]] * 3, n
     # any order, repeats kept, and the one-bound call agrees
-    joins = counting.bounded_counts_dp(41, (7, 2, 7, 0))
-    assert joins == [counting.bounded_count_dp(41, l) for l in (7, 2, 7, 0)]
-    assert counting.bounded_counts_dp(9, ()) == []
+    joins = bounded.bounded_counts_dp(41, (7, 2, 7, 0))
+    assert joins == [bounded.bounded_count_dp(41, l) for l in (7, 2, 7, 0)]
+    assert bounded.bounded_counts_dp(9, ()) == []
     with pytest.raises(ValueError):
-        counting.bounded_counts_dp(9, (3, -1))
+        bounded.bounded_counts_dp(9, (3, -1))
 
 
 def test_join_slots_read_back_whole_bytes():
@@ -378,33 +398,33 @@ def test_join_slots_read_back_whole_bytes():
         full = (1 << (8 * size)) - 1
         cells = [full, 0, full, 1 << (8 * size - 1), 1, 0]
         packed = sum(c << (8 * size * j) for j, c in enumerate(cells))
-        assert counting._cells(packed, size, len(cells)) == cells
+        assert bounded._cells(packed, size, len(cells)) == cells
 
 
 def test_height_distribution_matches_the_column_table():
     # the dp table reads whole columns, not the join behind the distribution
     n = 200
-    table = counting.bounded_count_table(n, n // 2, "dp")
+    table = bounded.bounded_count_table(n, n // 2, "dp")
     counts = [column[n] for column in table]
     want = [counts[0]] + [b - a for a, b in itertools.pairwise(counts)]
     while want[-1] == 0:  # a peakless path of length 200 stays below 100
         want.pop()
-    stats = counting.height_distribution(n)
+    stats = bounded.height_distribution(n)
     assert stats.distribution == tuple(want)
     mean = Fraction(sum(l * c for l, c in enumerate(want)), counts[-1])
     assert stats.expected_height == mean
 
 
 def test_height_distribution_fixtures():
-    stats = counting.height_distribution(4)
+    stats = bounded.height_distribution(4)
     assert stats.distribution == (1, 3)
     assert stats.expected_height == Fraction(3, 4)
     assert stats.expected_height_float == 0.75
-    empty = counting.height_distribution(0)
+    empty = bounded.height_distribution(0)
     assert empty.distribution == (1,)
     assert empty.expected_height == 0
     # frozen from a full scan of the 3^12 sequences
-    twelve = counting.height_distribution(12)
+    twelve = bounded.height_distribution(12)
     assert twelve.distribution == (1, 350, 1059, 690, 172, 11)
     assert twelve.expected_height == Fraction(5281, 2283)
 
@@ -412,16 +432,16 @@ def test_height_distribution_fixtures():
 def test_height_distribution_matches_oracle():
     for n in range(17):
         want = oracle.height_counts(n, peakless=True)
-        assert list(counting.height_distribution(n).distribution) == want, n
+        assert list(bounded.height_distribution(n).distribution) == want, n
 
 
 def test_height_distribution_consistency():
     series = counting.peakless_series(60)
     # ladder columns: an engine independent of the automaton behind the stats
-    ladder = counting.bounded_count_table(60, 30)
+    ladder = bounded.bounded_count_table(60, 30)
     for n in range(61):
-        stats = counting.height_distribution(n)
-        counting.check_height_distribution(stats)  # free invariants and total
+        stats = bounded.height_distribution(n)
+        bounded.check_height_distribution(stats)  # free invariants and total
         assert sum(stats.distribution) == series[n]
         assert stats.distribution[0] == 1
         # tail form of the expectation must agree exactly with the moment form
@@ -432,7 +452,7 @@ def test_height_distribution_consistency():
 def test_bounded_table_invariants():
     n_max = 60
     series = counting.peakless_series(n_max)
-    ladders = [counting.bounded_series_cf(l, n_max) for l in range(n_max // 2 + 1)]
+    ladders = [bounded.bounded_series_cf(l, n_max) for l in range(n_max // 2 + 1)]
     for n in range(n_max + 1):
         values = [ladders[l][n] for l in range(n_max // 2 + 1)]
         assert values[0] == 1
@@ -443,28 +463,28 @@ def test_bounded_table_invariants():
 def test_bounded_count_table_and_csv():
     # the table is its columns, table[l][n] = A(n, l); its csv lines are
     # pinned through the CLI (golden `export bounded` bytes, route test)
-    table = counting.bounded_count_table(4, 2)
+    table = bounded.bounded_count_table(4, 2)
     assert table == [(1, 1, 1, 1, 1), (1, 1, 1, 2, 4), (1, 1, 1, 2, 4)]
     for method in ("det", "dp"):
-        assert counting.bounded_count_table(4, 2, method=method) == table
+        assert bounded.bounded_count_table(4, 2, method=method) == table
     # l_max past n_max // 2 reads the wider columns as the last one built
     for n_max, l_max in ((12, 9), (10, 40)):
-        wide = counting.bounded_count_table(n_max, l_max)
+        wide = bounded.bounded_count_table(n_max, l_max)
         assert len(wide) == l_max + 1
         assert {(type(column), len(column)) for column in wide} == {(tuple, n_max + 1)}
         assert wide[n_max // 2 :] == [wide[n_max // 2]] * (l_max + 1 - n_max // 2)
         for method in ("det", "dp"):
-            assert counting.bounded_count_table(n_max, l_max, method=method) == wide
+            assert bounded.bounded_count_table(n_max, l_max, method=method) == wide
         for l, column in enumerate(wide):
-            bounded = PathConstraints(peakless=True, max_height=l)
+            capped = PathConstraints(peakless=True, max_height=l)
             for n, count in enumerate(column):
-                assert count == oracle.brute_force_count(n, bounded), (n, l)
+                assert count == oracle.brute_force_count(n, capped), (n, l)
     with pytest.raises(ValueError):
-        counting.bounded_count_table(4, 2, method="magic")
+        bounded.bounded_count_table(4, 2, method="magic")
     for method in ("cf", "det", "dp"):
         for n_max, l_max in ((5, -2), (-1, 2)):
             with pytest.raises(ValueError):
-                counting.bounded_count_table(n_max, l_max, method=method)
+                bounded.bounded_count_table(n_max, l_max, method=method)
 
 
 def test_column_streams_build_each_column_once(monkeypatch):
@@ -472,7 +492,7 @@ def test_column_streams_build_each_column_once(monkeypatch):
     # min(l_max, n_max // 2) + 1 columns; a step of the family costs at most
     # two polynomial products
     calls = {"mul": 0, "inverse": 0}
-    real_mul, real_inverse = counting.poly_mul, Series.inverse
+    real_mul, real_inverse = bounded.poly_mul, Series.inverse
 
     def mul(*args):
         calls["mul"] += 1
@@ -482,16 +502,16 @@ def test_column_streams_build_each_column_once(monkeypatch):
         calls["inverse"] += 1
         return real_inverse(self)
 
-    monkeypatch.setattr(counting, "poly_mul", mul)
+    monkeypatch.setattr(bounded, "poly_mul", mul)
     monkeypatch.setattr(Series, "inverse", inverse)
     for n_max, l_max in ((40, 20), (10, 1500)):
         calls["mul"] = 0
-        counting.bounded_count_table(n_max, l_max, method="det")
+        bounded.bounded_count_table(n_max, l_max, method="det")
         assert calls["mul"] <= 2 * (min(l_max, n_max // 2) + 1), (n_max, l_max)
-    counting.bounded_count_table(10, 1500, method="cf")
+    bounded.bounded_count_table(10, 1500, method="cf")
     assert calls["inverse"] <= 6
     calls["mul"] = 0
-    counting.bounded_series_det(20, 40)
+    bounded.bounded_series_det(20, 40)
     assert calls["mul"] <= 42
 
 

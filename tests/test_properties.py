@@ -6,7 +6,7 @@ oracle reads off its table for the matching `PathConstraints`.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peakless import counting, oracle
+from peakless import bounded, counting, oracle
 from peakless.paths import DEFAULT_ORACLE_CAP, PathConstraints
 
 
@@ -22,8 +22,8 @@ def length_bound_level(draw):
 def test_engines_match_oracle(args):
     n, bound, k = args
     want = oracle.brute_force_count(n, PathConstraints(peakless=True, max_height=bound))
-    assert counting.bounded_count_dp(n, bound) == want
-    assert counting.bounded_series_cf(bound, n)[n] == want
-    assert counting.bounded_series_det(bound, n)[n] == want
+    assert bounded.bounded_count_dp(n, bound) == want
+    assert bounded.bounded_series_cf(bound, n)[n] == want
+    assert bounded.bounded_series_det(bound, n)[n] == want
     want = oracle.brute_force_count(n, PathConstraints(peakless=True, end_level=k))
     assert counting.end_level_series(k, n)[n] == want

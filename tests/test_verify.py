@@ -1,6 +1,6 @@
 import pytest
 
-from peakless import counting, verify
+from peakless import bounded, counting, verify
 from peakless.errors import EngineDisagreement, check_agreement
 from peakless.series import Series
 
@@ -27,12 +27,12 @@ def test_unknown_level_rejected():
 def test_corrupted_determinant_engine_is_named(monkeypatch):
     # a sign slip in the determinant quotient must be caught and attributed
     def broken(bound, order):
-        good = counting.bounded_series_cf(bound, order)
+        good = bounded.bounded_series_cf(bound, order)
         flipped = list(good.coeffs)
         flipped[-1] = -flipped[-1]
         return Series(flipped, order)
 
-    monkeypatch.setattr(counting, "bounded_series_det", broken)
+    monkeypatch.setattr(bounded, "bounded_series_det", broken)
     results = verify.run_checks("quick")
     failures = [r for r in results if not r["ok"]]
     assert failures, "corruption went unnoticed"
@@ -52,7 +52,7 @@ def test_crashing_engine_becomes_failure(monkeypatch):
 
 def test_height_stats_held_to_the_oracle(monkeypatch):
     # a distribution wrong at one length past the fixed n = 4 example
-    real = counting.height_distribution
+    real = bounded.height_distribution
 
     def skewed(n):
         stats = real(n)
@@ -61,7 +61,7 @@ def test_height_stats_held_to_the_oracle(monkeypatch):
         shifted = (stats.distribution[0] + 1,) + stats.distribution[1:]
         return stats._replace(distribution=shifted)
 
-    monkeypatch.setattr(counting, "height_distribution", skewed)
+    monkeypatch.setattr(bounded, "height_distribution", skewed)
     by_name = {r["check"]: r for r in verify.run_checks("quick")}
     assert not by_name["height_stats"]["ok"]
     assert "n=9" in by_name["height_stats"]["detail"]
