@@ -60,6 +60,8 @@ def motzkin_numbers(n_max):
     M_{n+1} = M_n + sum_{k<n} M_k M_{n-1-k}; used as the oracle for
     unrestricted-path tests (all Motzkin paths, peaks allowed).
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     m = [1]
     for n in range(n_max):
         m.append(m[n] + sum(m[k] * m[n - 1 - k] for k in range(n)))
@@ -132,6 +134,8 @@ def peakless_closed_form(n):
     division (past that the result stays exact, only slower).  The sum is
     returned as an int, which int() builds without a decimal string.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     with decimal.localcontext(EXACT_DECIMAL):
         total = term = decimal.Decimal(1)  # k = 0, also for n = 0
         for k in range((n - 1) // 2):

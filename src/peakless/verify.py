@@ -1,23 +1,22 @@
 """Cross-engine agreement suites behind the `verify` CLI command.
 
-Every check pits independent computations of the same quantity against
-each other: brute-force scan, automaton DP, ladder series, determinant
-quotient, functional equation, recurrence.  Two routes to one sequence
-are compared by `errors.check_agreement`, as in the `check_*` functions
-of `counting` and `bounded` that hold every number the other subcommands
-print; the suite runs the engines of both modules.  Any
-other condition raises AssertionError.  A check returns nothing and fails only by raising, and
-`run_checks` returns one record per check so the CLI can print a line
-each and emit a machine-readable failure list.
+Every check pits independent routes to one quantity against each other:
+brute-force scan, automaton DP, ladder series, determinant quotient,
+functional equation, recurrence, and fixed values from the paper's
+examples.  Each comparison goes through `errors.check_agreement`, as in
+the `check_*` functions of `counting` and `bounded`, so a failure names
+both routes and the first mismatching indices: two engines, an engine
+and a `fixture`, a residual series and `zero`.  The one exception is the
+growth bound of the continued-fraction agreement in `check_pretty_cf`.
+A check returns nothing and fails only by raising; `run_checks` returns
+one record per check so the CLI can print a line each and emit a
+machine-readable failure list.
 
-quick: lengths <= 10, bounds <= 4, fixed examples for the path, sequence,
-       determinant, height and continued-fraction routines, the kernel
-       identities to order 30 and recurrence exactness to n = 500.
-full:  lengths <= 14, bounds <= 7, recurrence exactness to n = 5000, the
-       defining series identities to order 200, and the invariants of
-       `bounded_count_table` to n = 60.
-At both levels every height distribution up to the level's length is held
-to the oracle's height census.  Only full runs `bounded_count_table`.
+The sizes of both levels live in `SIZES`: path length and height bound of
+the brute-force comparisons (every height distribution up to that length
+is held to the oracle's height census), the order of the kernel
+identities, the length of the recurrence's exactness run, and the length
+of the `bounded_count_table` invariants, which only full runs.
 """
 import itertools
 from fractions import Fraction
@@ -26,56 +25,66 @@ from . import bounded, counting, oracle, paths
 from .errors import ResourceLimitError, check_agreement
 from .series import Series
 
-QUICK_N, QUICK_L = 10, 4
-FULL_N, FULL_L = 14, 7
+# level -> (length, bound, kernel order, recurrence length, table length)
+SIZES = {"quick": (10, 4, 30, 500, None), "full": (14, 7, 200, 5000, 60)}
+
+
+def _fixtures(*rows):
+    for route, computed, expected in rows:
+        check_agreement((route, "fixture"), computed, expected)
+
+
+def _vanishes(route, residual, where=""):
+    zero = [0] * len(residual.coeffs)
+    check_agreement((route, "zero"), residual.coeffs, zero, where)
 
 
 def check_path_predicates():
-    profiles = (("", [0]), ("UUDD", [0, 1, 2, 1, 0]), ("UFDF", [0, 1, 1, 0, 0]))
-    for path, want in profiles:
-        got = paths.level_profile(path)
-        check_agreement(("level_profile", "fixture"), got, want, f" on {path!r}")
-    for path, expect in (("FFFF", 0), ("UUDD", 2), ("UFDF", 1)):
-        if paths.height(path) != expect:
-            raise AssertionError(f"height({path})")
-    if not paths.has_peak("UUDD") or paths.has_peak("UFDF") or paths.has_peak(""):
-        raise AssertionError("has_peak examples")
+    words = ("", "UUDD", "UFDF")
+    _fixtures(
+        (
+            "level_profile",
+            [paths.level_profile(w) for w in words],
+            [[0], [0, 1, 2, 1, 0], [0, 1, 1, 0, 0]],
+        ),
+        ("height", [paths.height(w) for w in ("FFFF", "UUDD", "UFDF")], [0, 2, 1]),
+        ("has_peak", [paths.has_peak(w) for w in words], [False, True, False]),
+    )
 
 
 def check_automaton():
-    cases = (("UFDF", True, 0), ("UDFF", False, None), ("DFFF", False, None))
-    for path, accept, end in cases:
-        got_accept, got_end = paths.automaton_accepts(path)
-        if got_accept != accept or (end is not None and got_end != end):
-            raise AssertionError(f"automaton on {path}")
-    for n in range(8):
-        for tup in itertools.product("FUD", repeat=n):
-            path = "".join(tup)
-            expect = paths.is_valid_prefix(path) and not paths.has_peak(path)
-            if paths.automaton_accepts(path)[0] != expect:
-                raise AssertionError(f"automaton mismatch on {path}")
+    runs = [paths.automaton_accepts(w) for w in ("UFDF", "UDFF", "DFFF")]
+    _fixtures(
+        ("automaton", [accepted for accepted, _ in runs], [True, False, False]),
+        ("automaton end level", [runs[0][1]], [0]),
+    )
+    words = ["".join(t) for n in range(8) for t in itertools.product("FUD", repeat=n)]
+    check_agreement(
+        ("automaton", "predicates"),
+        [(w, paths.automaton_accepts(w)[0]) for w in words],
+        [(w, paths.is_valid_prefix(w) and not paths.has_peak(w)) for w in words],
+    )
 
 
 def check_enumeration():
-    check_agreement(
-        ("enumerate_paths", "figure"),
-        paths.enumerate_paths(4, paths.PathConstraints(peakless=True)),
-        ["FFFF", "FUFD", "UFFD", "UFDF"],
-        " on the peakless length-4 list",
+    peakless = paths.PathConstraints(peakless=True)
+    _fixtures(
+        (
+            "peakless enumerate_paths(4)",
+            paths.enumerate_paths(4, peakless),
+            ["FFFF", "FUFD", "UFFD", "UFDF"],
+        ),
+        ("len(enumerate_paths(4))", [len(list(paths.enumerate_paths(4)))], [9]),
+        ("enumerate_paths(0)", paths.enumerate_paths(0), [""]),
     )
-    if len(list(paths.enumerate_paths(4))) != 9:
-        raise AssertionError("all Motzkin length-4 count")
-    if list(paths.enumerate_paths(0)) != [""]:
-        raise AssertionError("empty path enumeration")
 
 
 def check_sequence_fixture():
-    for name, got, want in (
+    _fixtures(
         ("functional equation", counting.peakless_series(6), [1, 1, 1, 2, 4, 8, 17]),
         ("recurrence", counting.peakless_recurrence(6), [1, 1, 1, 2, 4, 8, 17]),
         ("Motzkin", counting.motzkin_numbers(6), [1, 1, 2, 4, 9, 21, 51]),
-    ):
-        check_agreement((name, "fixture"), got, want)
+    )
 
 
 def check_five_way(n_limit, l_limit):
@@ -108,103 +117,78 @@ def check_end_levels(n_limit):
             [oracle.brute_force_count(n, at_k) for n in range(n_limit + 1)],
             f" for end level {k}",
         )
-    if counting.end_level_series(1, 2)[1] != 1:
-        raise AssertionError("single-step end level")
 
 
 def check_determinants():
     # D_1 = (1 - z)^2 (1 + z^2); the quotient for bound 1 is A(n, 1), n <= 4
-    for name, got, want in (
+    _fixtures(
         ("D_0", bounded.determinant_poly(0), (-1, 1, -1)),
         ("D_1", bounded.determinant_poly(1), (1, -2, 2, -2, 1)),
         ("E_0", bounded.strip_denominator_poly(0), (-1, 1)),
         ("det quotient", bounded.bounded_series_det(1, 4).coeffs, (1, 1, 1, 2, 4)),
-    ):
-        check_agreement((name, "fixture"), got, want)
+    )
 
 
 def check_kernel_identities(order):
     f = Series(counting.peakless_series(order), order)
-    one = Series.one(order)
     q = Series((1, -1, 1), order)
-    if not ((f * f).shift(2) - q * f + one).is_zero():
-        raise AssertionError("functional equation residual")
+    residual = (f * f).shift(2) - q * f + Series.one(order)
+    _vanishes("functional equation residual", residual)
     s2 = counting.kernel_root_series(order)
-    check_agreement(("kernel root", "fixture"), s2.coeffs[:4], (0, 1, 1, 1))
-    if not counting.kernel_residual(s2).is_zero():
-        raise AssertionError("kernel residual")
+    _fixtures(("kernel root", s2.coeffs[:4], (0, 1, 1, 1)))
+    _vanishes("kernel residual", counting.kernel_residual(s2))
     hk = [Series(counting.end_level_series(k, order), order) for k in range(7)]
     qbar = Series((-1, 1, -1), order)
     for k in range(2, 7):
-        lhs = hk[k].shift(1) + qbar * hk[k - 1] + hk[k - 2].shift(1)
-        if not lhs.is_zero():
-            raise AssertionError(f"three-term end-level identity at k={k}")
+        residual = hk[k].shift(1) + qbar * hk[k - 1] + hk[k - 2].shift(1)
+        _vanishes("end-level residual", residual, f" at k={k}")
 
 
 def check_height_stats(n_limit):
-    stats = bounded.height_distribution(4)
-    if stats.distribution != (1, 3) or stats.expected_height != Fraction(3, 4):
-        raise AssertionError(f"n=4 stats {stats}")
-    if bounded.height_distribution(0).expected_height != 0:
-        raise AssertionError("n=0 stats")
+    at_4, at_0 = bounded.height_distribution(4), bounded.height_distribution(0)
+    means = [at_4.expected_height, at_0.expected_height]
+    _fixtures(
+        ("height_distribution(4)", at_4.distribution, (1, 3)),
+        ("expected heights", means, [Fraction(3, 4), 0]),
+        ("all-path height census", oracle.height_counts(4, peakless=False), [1, 7, 1]),
+    )
     lengths = range(n_limit + 1)
     check_agreement(
         ("height_distribution", "oracle"),
         [bounded.height_distribution(n).distribution for n in lengths],
         [tuple(oracle.height_counts(n, peakless=True)) for n in lengths],
     )
-    heights = oracle.height_counts(4, peakless=False)
-    if heights != [1, 7, 1]:
-        raise AssertionError(f"length-4 height multiset {heights}")
 
 
 def check_pretty_cf():
     orders = [counting.pretty_cf_agreement(d, 40) for d in range(1, 11)]
-    if orders[0] != 1:
-        raise AssertionError("depth-1 agreement")
-    if any(a > b for a, b in zip(orders, orders[1:])):
-        raise AssertionError(f"agreement not monotone: {orders}")
-    if orders[6] < 7:
+    _fixtures(("depth-1 agreement", orders[:1], [1]))
+    check_agreement(("agreement orders", "sorted"), orders, sorted(orders), start=1)
+    if orders[6] < 7:  # a bound, not a comparison of two routes
         raise AssertionError(f"depth-7 agreement {orders[6]}")
 
 
 def check_recurrence_exactness(n_limit):
-    values = counting.peakless_recurrence(n_limit)  # raises on inexact division
-    if values[6] != 17:
-        raise AssertionError("recurrence value drift")
+    counting.peakless_recurrence(n_limit)  # raises ArithmeticError on inexact division
 
 
 def check_table_invariants(n_limit):
     series = counting.peakless_series(n_limit)
     columns = bounded.bounded_count_table(n_limit, n_limit // 2)
+    check_agreement(("A(n, 0)", "one"), columns[0], [1] * len(columns[0]))
     for n, cells in enumerate(zip(*columns)):
-        if cells[0] != 1:
-            raise AssertionError(f"A({n}, 0) != 1")
-        for l in range(1, len(cells)):
-            if cells[l] < cells[l - 1]:
-                raise AssertionError(f"A({n}, l) decreasing at l={l}")
-        for l in range((n + 1) // 2, len(cells)):
-            if cells[l] != series[n]:
-                raise AssertionError(f"A({n}, {l}) != m({n}) past the active range")
+        where = f" in row n={n}, terms numbered by l"
+        check_agreement(("A(n, l)", "sorted"), cells, sorted(cells), where)
+        top = (n + 1) // 2  # no path of length n rises above this bound
+        past = cells[top:]
+        check_agreement(("A(n, l)", "m(n)"), past, [series[n]] * len(past), where, top)
 
 
 def checks_for_level(level):
-    if level == "quick":
-        n, l = QUICK_N, QUICK_L
-        extra = [
-            ("kernel_identities", lambda: check_kernel_identities(30)),
-            ("recurrence_exactness", lambda: check_recurrence_exactness(500)),
-        ]
-    elif level == "full":
-        n, l = FULL_N, FULL_L
-        extra = [
-            ("kernel_identities", lambda: check_kernel_identities(200)),
-            ("recurrence_exactness", lambda: check_recurrence_exactness(5000)),
-            ("table_invariants", lambda: check_table_invariants(60)),
-        ]
-    else:
+    if level not in SIZES:
         raise ValueError(f"unknown verify level {level!r}")
-    return [
+    n, l, order, recurrence, table = SIZES[level]
+    checks = [
         ("path_predicates", check_path_predicates),
         ("automaton", check_automaton),
         ("enumeration", check_enumeration),
@@ -214,7 +198,12 @@ def checks_for_level(level):
         ("determinant_fixtures", check_determinants),
         ("height_stats", lambda: check_height_stats(n)),
         ("pretty_cf", check_pretty_cf),
-    ] + extra
+        ("kernel_identities", lambda: check_kernel_identities(order)),
+        ("recurrence_exactness", lambda: check_recurrence_exactness(recurrence)),
+    ]
+    if table is not None:
+        checks.append(("table_invariants", lambda: check_table_invariants(table)))
+    return checks
 
 
 def run_checks(level="quick"):

@@ -56,6 +56,8 @@ def test_motzkin_numbers():
     assert counting.motzkin_numbers(10) == MOTZKIN
     for n in range(11):
         assert oracle.brute_force_count(n) == MOTZKIN[n]
+    with pytest.raises(ValueError, match="nonnegative"):
+        counting.motzkin_numbers(-1)
 
 
 def test_peakless_series_prefix():
@@ -92,6 +94,9 @@ def test_closed_form_updates_term_by_term():
     assert [counting.peakless_closed_form(n) for n in range(301)] == values
     for n in (1, 2, 3, 999, 1000):
         assert counting.peakless_closed_form(n) == _closed_form(n), n
+    for n in (-1, -5):
+        with pytest.raises(ValueError, match="nonnegative"):
+            counting.peakless_closed_form(n)
 
 
 def test_closed_form_at_the_far_end():

@@ -1,6 +1,6 @@
 import pytest
 
-from peakless import bounded, counting, verify
+from peakless import bounded, counting, paths, verify
 from peakless.errors import EngineDisagreement, check_agreement
 from peakless.series import Series
 
@@ -94,3 +94,149 @@ def test_check_agreement():
         match=r"disagreement at x: 1 mismatching terms, first n=1: a 2, b 5$",
     ):
         check_agreement(("a", "b"), [1, 2, 3], [1, 5, 3], " at x")
+
+
+# the names `perfbench/traced.py` lists in VERIFY_CHECKS, in suite order
+FULL_CHECKS = [
+    "path_predicates",
+    "automaton",
+    "enumeration",
+    "sequence_fixture",
+    "five_way_agreement",
+    "end_level_counts",
+    "determinant_fixtures",
+    "height_stats",
+    "pretty_cf",
+    "kernel_identities",
+    "recurrence_exactness",
+    "table_invariants",
+]
+
+
+def test_run_checks_reads_the_level_hook(monkeypatch):
+    # a tracer rebinds verify.checks_for_level and wraps each callable
+    real, calls = verify.checks_for_level, []
+
+    def recording(level):
+        def wrap(name, fn):
+            return lambda: calls.append((level, name)) or fn()
+
+        return [(name, wrap(name, fn)) for name, fn in real(level)]
+
+    monkeypatch.setattr(verify, "checks_for_level", recording)
+    for level, names in (("quick", FULL_CHECKS[:11]), ("full", FULL_CHECKS)):
+        calls.clear()
+        records = verify.run_checks(level)
+        assert [r["check"] for r in records] == names
+        assert calls == [(level, name) for name in names]
+
+
+def _skew_last(fn, when, delta=1):
+    def skewed(*args):
+        values = list(fn(*args))
+        if when(*args):
+            values[-1] += delta
+        return values
+
+    return skewed
+
+
+def _skew_table(real):
+    def skewed(n_max, l_max):
+        columns = list(real(n_max, l_max))
+        if n_max == 60:  # A(40, 30) lies past the active range of row 40
+            columns[30] = list(columns[30])
+            columns[30][40] += 1
+        return columns
+
+    return skewed
+
+
+def _skew_height(real):
+    def skewed(n):
+        stats = real(n)
+        return stats._replace(expected_height=1) if n == 0 else stats
+
+    return skewed
+
+
+def _skew_kernel(real):
+    def skewed(u):
+        residual = real(u)
+        return residual + Series((0, 0, 0, 1), residual.order)
+
+    return skewed
+
+
+def _accept_d(real):
+    return lambda path: (True, 0) if path == "D" else real(path)
+
+
+def _skew_always(real):
+    return _skew_last(real, lambda *args: True)
+
+
+# check -> (level, module, attribute, fault, the two routes its failure names)
+FAULTS = {
+    "path_predicates": (
+        "quick", paths, "height", lambda real: lambda p: real(p) + 1,
+        ("height", "fixture"),
+    ),
+    "automaton": (
+        "quick", paths, "automaton_accepts", _accept_d,
+        ("automaton", "predicates"),
+    ),
+    "enumeration": (
+        "quick", paths, "enumerate_paths",
+        lambda real: lambda n, *a: iter(()) if n == 0 else real(n, *a),
+        ("enumerate_paths(0)", "fixture"),
+    ),
+    "sequence_fixture": (
+        "quick", counting, "motzkin_numbers", _skew_always,
+        ("Motzkin", "fixture"),
+    ),
+    "five_way_agreement": (
+        "quick", bounded, "bounded_column_dp",
+        lambda real: _skew_last(real, lambda l, n: l == 2),
+        ("bounded_column_dp", "brute force"),
+    ),
+    "end_level_counts": (
+        "quick", counting, "end_level_series",
+        lambda real: _skew_last(real, lambda k, n: k == 1),
+        ("end_level_series", "brute force"),
+    ),
+    "determinant_fixtures": (
+        "quick", bounded, "strip_denominator_poly", _skew_always,
+        ("E_0", "fixture"),
+    ),
+    "height_stats": (
+        "quick", bounded, "height_distribution", _skew_height,
+        ("expected heights", "fixture"),
+    ),
+    "pretty_cf": (
+        "quick", counting, "pretty_cf_agreement",
+        lambda real: lambda d, order: 0 if d == 3 else real(d, order),
+        ("agreement orders", "sorted"),
+    ),
+    "kernel_identities": (
+        "quick", counting, "kernel_residual", _skew_kernel,
+        ("kernel residual", "zero"),
+    ),
+    "table_invariants": (
+        "full", bounded, "bounded_count_table", _skew_table,
+        ("A(n, l)", "m(n)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(FAULTS))
+def test_every_failure_names_two_routes(monkeypatch, check):
+    # recurrence_exactness has no second route: it fails by ArithmeticError
+    level, module, attribute, fault, routes = FAULTS[check]
+    monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
+    by_name = {r["check"]: r for r in verify.run_checks(level)}
+    detail = by_name[check]["detail"]
+    assert not by_name[check]["ok"]
+    assert detail.startswith("EngineDisagreement: engine disagreement"), detail
+    for route in routes:
+        assert f"{route} " in detail, detail
