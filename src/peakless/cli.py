@@ -25,6 +25,10 @@ module, `counting.peakless_series(...)`, so that a rebinding of a module
 attribute reaches it.  `count` loads `counting` (and `decimal`) alone;
 `bounded` and `export bounded` load `bounded` and `series`, and `dist`
 both engine modules, because its total meets the closed form.
+`enumerate` loads `paths` alone and writes its listing one prefix block
+at a time (`paths.prefix_blocks`): the paths sharing a prefix joined into
+one string, in text one per line, in json each quoted with no escape,
+since a path holds only the letters U, D and F.
 """
 import argparse
 import os
@@ -146,11 +150,19 @@ def cmd_enumerate(args):
         max_height=args.bound,
         end_level=args.end_level,
     )
-    # every error is raised at the call, before any output; both formats stream
-    found = paths.enumerate_paths(args.order, constraints, cap=args.oracle_cap)
+    # every error is raised at the call, before any output
+    blocks = paths.prefix_blocks(args.order, constraints, cap=args.oracle_cap)
+
+    def joined(sep):
+        # the paths of each block, one prefix ahead of every suffix
+        return (prefix + (sep + prefix).join(rests) for prefix, rests in blocks)
+
+    # a path is a string over U, D, F, so json quotes it with no escape
     return render.Output(
-        text=lambda: render.batched(found, "\n", "\n"),
-        json=lambda: render.json_text({"n": args.order, "paths": found}),
+        text=lambda: render.batched(joined("\n"), "\n", "\n"),
+        json=lambda: render.json_text(
+            {"n": args.order, "paths": joined('",\n    "')}, '"{}"'.format
+        ),
     )
 
 

@@ -20,16 +20,22 @@ cross-check each other and the brute-force oracle:
   / (k+1), sharing no code with any engine, for checking the far end of a
   long sequence.  Its terms are exact Decimals too, each step one product
   and one division by a factor that fits one libmpdec word.
-* `end_level_series`: paths ending at level k, h_k = z^k F^{k+1}; these
-  satisfy the three-term relation z h_k + (z - z^2 - 1) h_{k-1} + z h_{k-2} = 0.
+* `end_level_stream`: paths ending at level k, h_k = z^k F^{k+1}, as one
+  stream h_0, h_1, ... with one product by the kernel root z F per step;
+  `end_level_series(k, n)` is element k.  These satisfy the three-term
+  relation z h_k + (z - z^2 - 1) h_{k-1} + z h_{k-2} = 0.
+* `pretty_cf_series`: the continued fraction for F cut at a depth, its
+  convergent built forward as a quotient of two polynomials and expanded
+  by one series division.
 
 Each printed m(n) meets a second route in one `check_*` function:
 `check_counts` (m(0..n)) and `check_far_end` (one m(n) against the closed
-form); each calls its engines through the module's globals.  The four
-functions that build a `Series` import it when called, so a request that
+form); each calls its engines through the module's globals.  The
+functions that need `series` import it when called, so a request that
 prints m(n) loads neither `series` nor `bounded`.
 """
 import decimal
+from itertools import chain, cycle, islice
 from operator import mul
 
 from .errors import CROSS_CHECK_LIMIT, check_agreement
@@ -146,21 +152,31 @@ def peakless_closed_form(n):
     return int(total)
 
 
+def end_level_stream(order):
+    """h_0, h_1, h_2, ... as Series to the given order, h_k = z^k F^{k+1}.
+
+    One `peakless_series` run gives F, and each step multiplies the last
+    power by the kernel root z F once, so h_0..h_k cost k products.
+    """
+    from .series import Series
+
+    h = Series(peakless_series(order), order)
+    root = h.shift(1)
+    while True:
+        yield h
+        h = h * root
+
+
 def end_level_series(k, n_max):
     """Counts of peakless valid prefixes ending at level k, no height bound.
 
     The generating function is z^k F^{k+1}, so the coefficient of z^n is
-    the number of length-n peakless walks from the origin to level k.
+    the number of length-n peakless walks from the origin to level k:
+    element k of `end_level_stream(n_max)`.
     """
     if k < 0:
         raise ValueError("end level must be nonnegative")
-    from .series import Series
-
-    f = Series(peakless_series(n_max), n_max)
-    power = f
-    for _ in range(k):
-        power = power * f
-    return list(power.shift(k).coeffs)
+    return list(next(islice(end_level_stream(n_max), k, None)).coeffs)
 
 
 def kernel_root_series(order):
@@ -202,20 +218,23 @@ def pretty_cf_series(depth, order):
 
     The numerator pattern is data (PRETTY_CF_LEAD then PRETTY_CF_PERIOD
     cycling): 1 + z/(1 - z/(1 - z/(1 - z^3/(1 - ...)))), innermost level
-    terminated by 1.
+    terminated by 1.  The tail is a_1/(1 + a_2/(1 + ...)) with a_1 = z and
+    a_i = -(period term), so its convergents A_k/B_k follow the forward
+    recurrence X_k = X_{k-1} + a_k X_{k-2} from A_{-1} = 1, A_0 = 0,
+    B_{-1} = 0, B_0 = 1: polynomials, then one exact division of
+    A_d + B_d by B_d, whose constant term is 1 since no a_i has one.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    from .series import Series
+    from .series import poly_divide_series, poly_mul, poly_neg, poly_sub
 
-    numerators = [PRETTY_CF_LEAD]
-    for i in range(depth - 1):
-        numerators.append(PRETTY_CF_PERIOD[i % len(PRETTY_CF_PERIOD)])
-    one = Series.one(order)
-    den = one
-    for coeffs in reversed(numerators[1:]):
-        den = one - Series(coeffs, order) * den.inverse()
-    return one + Series(numerators[0], order) * den.inverse()
+    # -a_1, -a_2, ...: X_k = X_{k-1} - (-a_k) X_{k-2}
+    negated = chain([poly_neg(PRETTY_CF_LEAD)], cycle(PRETTY_CF_PERIOD))
+    a_prev, a, b_prev, b = (1,), (0,), (0,), (1,)
+    for term in islice(negated, depth):
+        a_prev, a = a, poly_sub(a, poly_mul(term, a_prev))
+        b_prev, b = b, poly_sub(b, poly_mul(term, b_prev))
+    return poly_divide_series(poly_sub(a, poly_neg(b)), b, order)
 
 
 def pretty_cf_agreement(depth, order):

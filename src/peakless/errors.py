@@ -49,12 +49,13 @@ class EngineDisagreement(RuntimeError):
     """Two independent engines computed different values for one quantity."""
 
 
-def check_agreement(names, first, second, where="", start=0):
+def check_agreement(names, first, second, where="", start=0, index="n"):
     """Raise EngineDisagreement unless two routes give the same sequence.
 
-    `names` labels the two routes; the message counts the indices n that
+    `names` labels the two routes; the message counts the indices that
     differ and shows both values at the first few, numbering the terms
-    from n = `start`.  Sequences of unequal length disagree too.
+    from `index` = `start` (a length n unless the caller names another
+    index).  Sequences of unequal length disagree too.
     """
     first, second = list(first), list(second)
     if len(first) != len(second):
@@ -65,7 +66,7 @@ def check_agreement(names, first, second, where="", start=0):
     bad = [i for i, (a, b) in enumerate(zip(first, second)) if a != b]
     if bad:
         shown = "; ".join(
-            f"n={start + i}: {names[0]} {first[i]}, {names[1]} {second[i]}"
+            f"{index}={start + i}: {names[0]} {first[i]}, {names[1]} {second[i]}"
             for i in bad[:MISMATCHES_SHOWN]
         )
         raise EngineDisagreement(

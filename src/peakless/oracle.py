@@ -13,7 +13,10 @@ The kernel splits each sequence into two halves.  It scans all 3^(n/2)
 sequences of each half length, groups the halves into classes with
 multiplicities, and combines every pair of classes by the concatenation
 law, so each of the 3^n sequences is counted exactly once without being
-walked.  Nothing here comes from the automaton or the counting engines.
+walked.  A half length is scanned once per process, each scan extending
+the one a step shorter, and shared by every table that splits off a half
+of that length (the tables n <= 14 read 8 scans, not 30).  Nothing here
+comes from the automaton or the counting engines.
 The tests hold the kernel to a reference loop over one sequence at a
 time.  `height_counts` is the one query; it checks the length against
 `oracle_cap()` (PEAKLESS_ORACLE_CAP or 16) with `paths.check_oracle_length`.
@@ -22,29 +25,32 @@ Step digit coding, shared with the enumeration order in `paths`:
 0 = flat, 1 = up, 2 = down.
 """
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .paths import PathConstraints, check_oracle_length
 
 
+@cache
 def _half_scan(m):
     """Statistics of each of the 3^m step sequences of length m.
 
-    Sequence i takes step j from base-3 digit j of i.  Each pass appends
-    one step to every sequence so far, so memory stays O(3^m).  Returns
-    one tuple per sequence: (end level, lowest level, highest level, has
-    a UD factor, first step is D, last step is U), the lowest and highest
+    Sequence i takes step j from base-3 digit j of i, so the scan of
+    length m appends step m - 1 to every sequence of the scan of length
+    m - 1.  Every length is scanned once per process and kept, read-only:
+    the halves of lengths n and n + 1 share one, and all lengths up to the
+    default cap of 16 hold fewer than 3^9 tuples together.  Returns one
+    tuple per sequence: (end level, lowest level, highest level, has a UD
+    factor, first step is D, last step is U), the lowest and highest
     levels counting the start at 0.
     """
-    seqs = [(0, 0, 0, False, False, False)]
-    for j in range(m):
-        seqs = [
-            (e + s, min(lo, e + s), max(hi, e + s), pk or (up and s < 0),
-             fd if j else s < 0, s > 0)
-            for s in (0, 1, -1)  # digit 0, 1, 2
-            for e, lo, hi, pk, fd, up in seqs
-        ]
-    return seqs
+    if m == 0:
+        return ((0, 0, 0, False, False, False),)
+    return tuple(
+        (e + s, min(lo, e + s), max(hi, e + s), pk or (up and s < 0),
+         fd if m > 1 else s < 0, s > 0)
+        for s in (0, 1, -1)  # digit 0, 1, 2
+        for e, lo, hi, pk, fd, up in _half_scan(m - 1)
+    )
 
 
 def _classify_halves(n):

@@ -21,9 +21,12 @@ It splits each path in halves: a lex-ordered list of the half-length
 prefixes, each with its end state, and for every state the lex-ordered
 list of suffixes that finish the path admissibly from it, the seam
 included.  Every prefix has the same length, so prefix order then suffix
-order is the F < U < D lex order of the whole paths, and the listing
-costs one string concatenation per path.  Both lists are built, and every
-argument checked, when it is called; only the concatenations are lazy.
+order is the F < U < D lex order of the whole paths.  `prefix_blocks`
+returns those tables as (prefix, suffixes) blocks: the CLI writes each
+block as one string, the prefix joined to every suffix, and
+`enumerate_paths` yields the same paths one concatenation at a time.
+Both tables are built, and every argument checked, when either is
+called; only the concatenations are lazy.
 Every brute-force entry point, here and in `oracle`, checks the length
 against the cap in one place, `check_oracle_length`, which is the
 package's one budget gate `ResourceLimitError.check` raising
@@ -152,6 +155,17 @@ def enumerate_paths(n, constraints=None, cap=None):
     below level 0) always applies on top of the constraints.  The listing
     is exhaustive, so it is ground truth for the counting engines.
 
+    The paths are those of `prefix_blocks`, so every error is raised at
+    the call, before the first path; only the concatenations are lazy:
+    the returned iterator yields `prefix + suffix` one path at a time.
+    """
+    blocks = prefix_blocks(n, constraints, cap)
+    return (prefix + rest for prefix, rests in blocks for rest in rests)
+
+
+def prefix_blocks(n, constraints=None, cap=None):
+    """The listing of `enumerate_paths` as blocks of one shared prefix.
+
     A path is a prefix of a = n // 2 steps followed by a suffix of the
     other b = n - a steps.  The prefix list holds every admissible prefix
     in lex order with its state: its end level and, for peakless paths,
@@ -161,11 +175,11 @@ def enumerate_paths(n, constraints=None, cap=None):
     included) and finish at the end level.  Because all prefixes have one
     length, prefix order then suffix order is the lex order of the paths.
 
+    Returns the list of (prefix, suffixes) pairs in that order, leaving
+    out prefixes no suffix finishes; states share their suffix lists.
     The length is checked against the cap (default 16;
-    OracleLimitError from `check_oracle_length`) and both lists are
-    built at the call, so every error is raised before the first path.
-    Only the concatenations are lazy: the returned iterator yields
-    `prefix + suffix` one path at a time.
+    OracleLimitError from `check_oracle_length`) and both tables are
+    built here, so every error is raised at the call.
     """
     if constraints is None:
         constraints = PathConstraints()
@@ -210,8 +224,8 @@ def enumerate_paths(n, constraints=None, cap=None):
             for state in states
         }
 
-    return (
-        path + rest
+    return [
+        (path, rests)
         for path, level, after_up in prefixes
-        for rest in suffixes[level, after_up]
-    )
+        if (rests := suffixes[level, after_up])
+    ]

@@ -10,7 +10,9 @@ and a `fixture`, a residual series and `zero`.  The one exception is the
 growth bound of the continued-fraction agreement in `check_pretty_cf`.
 A check returns nothing and fails only by raising; `run_checks` returns
 one record per check so the CLI can print a line each and emit a
-machine-readable failure list.
+machine-readable failure list.  The kernel identities read h_0..h_6 off
+one `counting.end_level_stream`: one run of the functional equation and
+one product per power.
 
 The sizes of both levels live in `SIZES`: path length and height bound of
 the brute-force comparisons (every height distribution up to that length
@@ -137,7 +139,7 @@ def check_kernel_identities(order):
     s2 = counting.kernel_root_series(order)
     _fixtures(("kernel root", s2.coeffs[:4], (0, 1, 1, 1)))
     _vanishes("kernel residual", counting.kernel_residual(s2))
-    hk = [Series(counting.end_level_series(k, order), order) for k in range(7)]
+    hk = list(itertools.islice(counting.end_level_stream(order), 7))
     qbar = Series((-1, 1, -1), order)
     for k in range(2, 7):
         residual = hk[k].shift(1) + qbar * hk[k - 1] + hk[k - 2].shift(1)
@@ -163,7 +165,9 @@ def check_height_stats(n_limit):
 def check_pretty_cf():
     orders = [counting.pretty_cf_agreement(d, 40) for d in range(1, 11)]
     _fixtures(("depth-1 agreement", orders[:1], [1]))
-    check_agreement(("agreement orders", "sorted"), orders, sorted(orders), start=1)
+    check_agreement(
+        ("agreement orders", "sorted"), orders, sorted(orders), start=1, index="depth"
+    )
     if orders[6] < 7:  # a bound, not a comparison of two routes
         raise AssertionError(f"depth-7 agreement {orders[6]}")
 
@@ -177,11 +181,12 @@ def check_table_invariants(n_limit):
     columns = bounded.bounded_count_table(n_limit, n_limit // 2)
     check_agreement(("A(n, 0)", "one"), columns[0], [1] * len(columns[0]))
     for n, cells in enumerate(zip(*columns)):
-        where = f" in row n={n}, terms numbered by l"
-        check_agreement(("A(n, l)", "sorted"), cells, sorted(cells), where)
+        where = f" in row n={n}"
+        check_agreement(("A(n, l)", "sorted"), cells, sorted(cells), where, index="l")
         top = (n + 1) // 2  # no path of length n rises above this bound
         past = cells[top:]
-        check_agreement(("A(n, l)", "m(n)"), past, [series[n]] * len(past), where, top)
+        expected = [series[n]] * len(past)
+        check_agreement(("A(n, l)", "m(n)"), past, expected, where, top, index="l")
 
 
 def checks_for_level(level):

@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 import peakless
 from peakless import bounded, counting, oracle, render
 from peakless.cli import COLUMN_METHODS, main
-from peakless.paths import PathConstraints
+from peakless.paths import PathConstraints, enumerate_paths
 from peakless.series import Series
 
 
@@ -407,6 +408,25 @@ def test_enumerate(capsys):
     assert out == "U\n"
     code, out, _ = run_cli(capsys, "enumerate", "-n", "4", "--peakless", "-l", "0")
     assert out == "FFFF\n"
+
+
+def test_enumerate_blocks_print_the_listing(capsys):
+    # the listing written one prefix block at a time has the bytes of the
+    # path iterator, one per line or as json.dumps writes the list, empty
+    # listings included (no text at all, json `[]`)
+    grid = itertools.product(range(11), (False, True), (None, 0, 1, 2, 5), range(3))
+    for n, peakless, bound, end in grid:
+        if bound is not None and end > bound:
+            continue
+        found = list(enumerate_paths(n, PathConstraints(peakless, bound, end)))
+        argv = ["enumerate", "-n", str(n), "--end-level", str(end)]
+        argv += ["--peakless"] * peakless
+        argv += [] if bound is None else ["-l", str(bound)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, "".join(path + "\n" for path in found)), argv
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        want = json.dumps({"n": n, "paths": found}, sort_keys=True, indent=2) + "\n"
+        assert (code, out) == (0, want), argv
 
 
 def test_enumerate_rejects_csv(capsys):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from peakless import bounded, counting, oracle
+from peakless import series as series_module
 from peakless.paths import PathConstraints
 from peakless.series import (
     Series,
@@ -175,6 +176,33 @@ def test_end_level_series():
             assert engine[n] == want
     with pytest.raises(ValueError):
         counting.end_level_series(-1, 5)
+
+
+def test_end_level_stream_is_the_power_chain(monkeypatch):
+    # h_k = z^k F^{k+1}, against a chain of products written out here; one
+    # functional-equation run and one product per step past h_0
+    for order in range(41):
+        f = Series(counting.peakless_series(order), order)
+        chain = [f]
+        for _ in range(6):
+            chain.append(chain[-1] * f)
+        hk = list(itertools.islice(counting.end_level_stream(order), 7))
+        assert hk == [power.shift(k) for k, power in enumerate(chain)], order
+    calls = {"series": 0, "mul": 0}
+    real_series, real_mul = counting.peakless_series, Series.__mul__
+
+    def series(n_max):
+        calls["series"] += 1
+        return real_series(n_max)
+
+    def mul(self, other):
+        calls["mul"] += 1
+        return real_mul(self, other)
+
+    monkeypatch.setattr(counting, "peakless_series", series)
+    monkeypatch.setattr(Series, "__mul__", mul)
+    list(itertools.islice(counting.end_level_stream(200), 7))
+    assert calls == {"series": 1, "mul": 6}
 
 
 def test_three_term_end_level_identity():
@@ -529,6 +557,39 @@ def test_pretty_cf_agreement_orders():
     assert all(a <= b for a, b in zip(got, got[1:]))
     for d in range(1, 16):
         assert got[d + 2] > got[d - 1]
+
+
+def _pretty_cf_inside_out(depth, order):
+    # the fraction evaluated from its innermost level outwards
+    numerators = [counting.PRETTY_CF_LEAD]
+    period = counting.PRETTY_CF_PERIOD
+    numerators += [period[i % len(period)] for i in range(depth - 1)]
+    one = Series.one(order)
+    den = one
+    for coeffs in reversed(numerators[1:]):
+        den = one - Series(coeffs, order) * den.inverse()
+    return one + Series(numerators[0], order) * den.inverse()
+
+
+def test_pretty_cf_convergents_match_the_inside_out_fraction():
+    for d in range(1, 21):
+        assert counting.pretty_cf_series(d, 40) == _pretty_cf_inside_out(d, 40), d
+
+
+def test_pretty_cf_makes_one_division(monkeypatch):
+    # the forward recurrence is polynomial; only the quotient is a series
+    calls = []
+    real = series_module.poly_divide_series
+
+    def divide(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(series_module, "poly_divide_series", divide)
+    for d in range(1, 21):
+        calls.clear()
+        counting.pretty_cf_series(d, 40)
+        assert calls == [40], d
 
 
 def test_pretty_cf_pattern_is_data():

@@ -53,6 +53,20 @@ def test_backends_agree_with_reference_loop():
         assert oracle.classification_table(n) == rows
 
 
+def test_half_scans_are_shared_across_lengths():
+    # each table equals one built from cold scans, and the tables n <= 14
+    # scan each half length 0..7 once
+    fresh = []
+    for n in range(15):
+        oracle._half_scan.cache_clear()
+        layers = oracle._classify_halves(n)
+        fresh.append(tuple(tuple(map(tuple, layer)) for layer in layers))
+    oracle._half_scan.cache_clear()
+    oracle.classification_table.cache_clear()
+    assert [oracle.classification_table(n) for n in range(15)] == fresh
+    assert oracle._half_scan.cache_info().misses == 8
+
+
 def test_table_sums_match_independent_sequences():
     peakless = counting.peakless_recurrence(16)
     motzkin = counting.motzkin_numbers(16)

@@ -168,6 +168,15 @@ def _skew_kernel(real):
     return skewed
 
 
+def _skew_stream(real):
+    # h_4 off by z^5: the relation fails at k = 4, 5 and 6
+    def skewed(order):
+        for k, h in enumerate(real(order)):
+            yield h + Series((0,) * 5 + (1,), order) if k == 4 else h
+
+    return skewed
+
+
 def _accept_d(real):
     return lambda path: (True, 0) if path == "D" else real(path)
 
@@ -176,7 +185,8 @@ def _skew_always(real):
     return _skew_last(real, lambda *args: True)
 
 
-# check -> (level, module, attribute, fault, the two routes its failure names)
+# check[/variant] -> (level, module, attribute, fault, the two routes its
+# failure names)
 FAULTS = {
     "path_predicates": (
         "quick", paths, "height", lambda real: lambda p: real(p) + 1,
@@ -222,6 +232,10 @@ FAULTS = {
         "quick", counting, "kernel_residual", _skew_kernel,
         ("kernel residual", "zero"),
     ),
+    "kernel_identities/end_level_stream": (
+        "quick", counting, "end_level_stream", _skew_stream,
+        ("end-level residual", "zero"),
+    ),
     "table_invariants": (
         "full", bounded, "bounded_count_table", _skew_table,
         ("A(n, l)", "m(n)"),
@@ -229,10 +243,18 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("check", sorted(FAULTS))
-def test_every_failure_names_two_routes(monkeypatch, check):
+# rows whose terms are not numbered by a length n: the first index shown
+FIRST_INDEX = {
+    "pretty_cf": "depth=1",
+    "table_invariants": "l=30",
+}
+
+
+@pytest.mark.parametrize("row", sorted(FAULTS))
+def test_every_failure_names_two_routes(monkeypatch, row):
     # recurrence_exactness has no second route: it fails by ArithmeticError
-    level, module, attribute, fault, routes = FAULTS[check]
+    level, module, attribute, fault, routes = FAULTS[row]
+    check = row.partition("/")[0]
     monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
     by_name = {r["check"]: r for r in verify.run_checks(level)}
     detail = by_name[check]["detail"]
@@ -240,3 +262,5 @@ def test_every_failure_names_two_routes(monkeypatch, check):
     assert detail.startswith("EngineDisagreement: engine disagreement"), detail
     for route in routes:
         assert f"{route} " in detail, detail
+    if row in FIRST_INDEX:
+        assert f" first {FIRST_INDEX[row]}: " in detail, detail
