@@ -79,10 +79,10 @@ def predicted_avg_height(n):
     return AVG_HEIGHT_CONSTANT * math.sqrt(math.pi * n)
 
 
-def _display_value(value, log_value=None):
+def _display_value(value, log_value):
     # floats stay floats; out-of-range magnitudes become mantissa/exponent
     # strings derived from the (always finite) natural log
-    if value is not None and value != math.inf:
+    if value != math.inf:
         return value
     log10 = log_value / math.log(10.0)
     exponent = math.floor(log10)

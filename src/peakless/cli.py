@@ -84,7 +84,7 @@ def cmd_count(args):
 
     n = args.order
     values = counting.peakless_decimals(n)  # exact, and linear to print
-    counting.check_counts(values)
+    counting.check_counts(values, n)
     return render.Output(
         text=lambda: render.batched(map(str, values), " ", "\n"),
         json=lambda: render.json_text({"n_max": n, "counts": values}, str),

@@ -204,13 +204,17 @@ def check_far_end(route, value, n):
     check_agreement((route, "closed form"), [value], [closed], f" at n={n}", start=n)
 
 
-def check_counts(values):
-    """Hold printed m(0..n) to two routes: the first 201 terms meet the
-    functional equation, and the last the closed form."""
+def check_counts(values, n):
+    """Hold printed m(0..n) to two routes: term n, the last of n + 1, meets
+    the closed form, and the first 201 terms the functional equation."""
+    closed = [peakless_closed_form(n)]
+    # values[n:] is the one term m(n) only if exactly n + 1 are printed
+    check_agreement(
+        ("recurrence", "closed form"), values[n:], closed, f" at n={n}", start=n
+    )
     checked = values[: CROSS_CHECK_LIMIT + 1]
     series = peakless_series(len(checked) - 1)
     check_agreement(("functional equation", "recurrence"), series, checked)
-    check_far_end("recurrence", values[-1], len(values) - 1)
 
 
 def pretty_cf_series(depth, order):

@@ -1,13 +1,12 @@
 """The csv, json and text output rules shared by every CLI subcommand.
 
 A subcommand computes and checks its data once and returns an `Output`;
-`render` formats only the requested format from it, as an iterable of
-text chunks of about CHUNK characters that the CLI writes one by one.  So
-a request holds its data and one chunk, never its whole output.  csv is a
-header line and one line per row, cells joined by commas as `str()` gives
-them; json is sorted, two-space indented and newline-terminated.  Both are
-byte-stable for identical flags.  Text and json are built by callables,
-so no request pays, in time or memory, for a format it did not ask for.
+`render` formats only the requested format from it, as text chunks the
+CLI writes one by one.  A chunk closes once it holds CHUNK characters,
+so no chunk is longer than CHUNK plus one piece, and a request holds its
+data and one chunk, never its whole output.  csv and json are byte-stable
+for identical flags.  Text and json are built by callables, so no request
+pays, in time or memory, for a format it did not ask for.
 
 One writer, `json_text`, writes every json payload, each list element by
 element.  Exact counts print in full: `count` hands over exact `Decimal`s,
@@ -17,7 +16,7 @@ time through `json_record`.  Integers past Python's int-to-str digit
 limit format only while the writer has lifted it.
 """
 from functools import cache, partial
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple
 
 CHUNK = 1 << 16  # characters per chunk, about 64 KB
@@ -34,20 +33,20 @@ class Output(NamedTuple):
 
 
 def batched(pieces, sep="", end=""):
-    """`sep.join(pieces) + end` as chunks of about CHUNK characters.
+    """`sep.join(pieces) + end` as chunks; no pieces give no chunk at all.
 
-    Each batch takes as many pieces as the last batch's mean piece length
-    fits in CHUNK, but at most twice as many as the last, so pieces that
-    grow (counts gain digits with n) never make one huge chunk.  No pieces
-    give no chunk at all, not even `end`.
+    A chunk closes once it holds CHUNK characters, each piece counted with
+    its separator, so no chunk is longer than CHUNK plus one piece and `end`.
     """
-    pieces = iter(pieces)
-    batch, count, lead = list(islice(pieces, 1)), 1, ""
-    while batch:
-        text = lead + sep.join(batch)
-        count = max(1, min(2 * count, count * CHUNK // max(len(text), 1)))
-        batch, lead = list(islice(pieces, count)), sep
-        yield text if batch else text + end
+    batch, size = [], 0
+    for piece in pieces:
+        if size >= CHUNK:
+            yield sep.join(batch)
+            batch, size = [""], 0  # the next chunk opens with a separator
+        batch.append(piece)
+        size += len(sep) + len(piece)
+    if batch:
+        yield sep.join(batch) + end
 
 
 def csv_text(header, rows):

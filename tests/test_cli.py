@@ -282,6 +282,22 @@ def test_every_printed_number_meets_a_second_route(
     assert re.fullmatch(line, err), err
 
 
+@pytest.mark.parametrize("argv", ["count -n 100 --format json", "count -n 250"])
+def test_a_short_count_is_a_disagreement(capsys, monkeypatch, tmp_path, argv):
+    # m(0..n-1) printed for -n n: the length is held to n + 1, the far end
+    # to the closed form at n, not at the last index printed
+    exact = counting.peakless_decimals
+    monkeypatch.setattr(counting, "peakless_decimals", lambda n: exact(n)[:-1])
+    target = tmp_path / "out"
+    code, out, _ = run_cli(capsys, *argv.split(), "--out", str(target))
+    assert (code, out) == (1, "") and not target.exists()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    n = argv.split()[2]
+    line = rf"engine disagreement[^\n]*\bn={n}: recurrence [^\n]*, closed form [^\n]*\n"
+    assert re.fullmatch(line, err), err
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize(
     "argv, engine, cell",
@@ -325,9 +341,19 @@ def test_bounded_names_every_mismatching_index(capsys, monkeypatch):
     assert "automaton 2, determinant 3" in err  # n = 3
 
 
-def test_output_is_written_in_bounded_chunks(monkeypatch):
-    # m(0..3000) is 1.9 MB of csv; no single write holds much of it
-    writes = []
+def run_chunked(*argv):
+    # main's exit code, the length of each chunk written to stdout, and the
+    # most a chunk may hold: CHUNK plus the longest piece `render.batched`
+    # took, with its separator and `end`
+    writes, longest = [], [0]
+    batched = render.batched
+
+    def recording(pieces, sep="", end=""):
+        def seen(piece):
+            longest[0] = max(longest[0], len(sep) + len(piece) + len(end))
+            return piece
+
+        return batched(map(seen, pieces), sep, end)
 
     class Sink:
         def writelines(self, chunks):
@@ -336,30 +362,36 @@ def test_output_is_written_in_bounded_chunks(monkeypatch):
         def flush(self):
             pass
 
-    monkeypatch.setattr(sys, "stdout", Sink())
-    assert main(["count", "-n", "3000", "--format", "csv"]) == 0
-    assert len(writes) > 20 and max(writes) <= 2 * render.CHUNK
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render, "batched", recording)
+        patch.setattr(sys, "stdout", Sink())
+        code = main(list(argv))
+    return code, writes, render.CHUNK + longest[0]
 
 
-def test_enumerate_text_is_streamed(monkeypatch):
+def test_output_is_written_in_bounded_chunks():
+    # m(0..3000) is 1.9 MB of csv, m(0..10000) 21 MB; the 853 467 paths of
+    # length 16 are 14.5 MB of text and 20 MB of json, written in prefix
+    # blocks of 1 to 518 paths; no single write holds much of any of them
+    for argv in (
+        "count -n 3000 --format csv",
+        "count -n 10000 --format csv",
+        "count -n 5000 --format json",
+        "enumerate -n 16",
+        "enumerate -n 16 --format json",
+    ):
+        code, writes, bound = run_chunked(*argv.split())
+        assert code == 0 and len(writes) > 20 and max(writes) <= bound, argv
+
+
+def test_enumerate_text_is_streamed():
     # `enumerate -n 14 -l 3` lists 98 514 paths, 1.5 MB of text, without
     # holding them; an empty listing still writes nothing at all
-    writes = []
-
-    class Sink:
-        def writelines(self, chunks):
-            writes.extend(map(len, chunks))
-
-        def flush(self):
-            pass
-
-    monkeypatch.setattr(sys, "stdout", Sink())
-    assert main(["enumerate", "-n", "14", "-l", "3"]) == 0
-    assert sum(writes) == 1477710
-    assert len(writes) > 10 and max(writes) <= 2 * render.CHUNK
-    writes.clear()
-    assert main(["enumerate", "-n", "1", "--end-level", "2"]) == 0
-    assert sum(writes) == 0
+    code, writes, bound = run_chunked("enumerate", "-n", "14", "-l", "3")
+    assert code == 0 and sum(writes) == 1477710
+    assert len(writes) > 10 and max(writes) <= bound
+    code, writes, _ = run_chunked("enumerate", "-n", "1", "--end-level", "2")
+    assert code == 0 and sum(writes) == 0
 
 
 @pytest.mark.parametrize(
