@@ -17,10 +17,12 @@ output that cannot be written, 3 resource-cap error.
 interpreter's teardown, so `atexit` callbacks (coverage, cProfile) do not
 see the end of a request made that way; profile through `main` instead.
 
-A request loads only what its subcommand runs: this module imports
-`render` and `errors` (the budgets and the exit-code exceptions), the
-parser reads its option defaults from them and from `COLUMN_METHODS`, and
-each handler imports its own engine modules and calls them through the
+A request loads only what its subcommand runs.  Each option is declared
+once, in `COMMANDS`; `read_argv` reads a well-formed argv from it, and
+argparse (with gettext and locale) loads only for --help and usage
+errors, in `build_parser`.  This module imports `render` and `errors`
+(the budgets and the exit-code exceptions), and each handler imports its
+own engine modules and calls them through the
 module, `counting.peakless_series(...)`, so that a rebinding of a module
 attribute reaches it.  `count` loads `counting` (and `decimal`) alone;
 `bounded` and `export bounded` load `bounded` and `series`, and `dist`
@@ -30,10 +32,10 @@ at a time (`paths.prefix_blocks`): the paths sharing a prefix joined into
 one string, in text one per line, in json each quoted with no escape,
 since a path holds only the letters U, D and F.
 """
-import argparse
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import render
 from .errors import (
@@ -234,114 +236,152 @@ def cmd_export(args):
     )
 
 
+def _option(*flags, **spec):
+    # one option: its flags and add_argument's keywords, dest and default spelt out
+    spec.setdefault("default", False if spec.get("action") == "store_true" else None)
+    return flags, dict(spec, dest=flags[-1][2:].replace("-", "_"))
+
+
+def _output(formats=FORMATS):
+    return [
+        _option("--format", choices=formats, default=formats[0],
+                help="output format (default %(default)s)"),
+        _option("--out", help="write output to this file instead of stdout"),
+    ]
+
+
+def _length(order_help, formats=FORMATS):
+    return [_option("-n", "--order", type=int, required=True, help=order_help),
+            *_output(formats)]
+
+
+def _report(formats, **kind):
+    caps = ", ".join(f"{cap} for {name}" for name, cap in REPORT_CAPS.items())
+    return [
+        _option("--kind", choices=tuple(REPORT_CAPS), help="report kind", **kind),
+        _option("-n", "--order", type=int, action="append", required=True,
+                help="length to report (repeatable)"),
+        _option("--cap", type=int, help=f"largest n (default: {caps})"),
+        *_output(formats),
+    ]
+
+
+BOUND = _option("-l", "--bound", type=int, required=True, help="height bound")
+
+# Every subcommand once, in help order: its words, help, handler and options;
+# a group (`export`) has no handler.  build_parser and read_argv read only this.
+COMMANDS = {
+    ("count",): ("peakless Motzkin counts m(0..n)", cmd_count,
+                 _length("largest length n")),
+    ("bounded",): ("height-bounded counts A(n, l)", cmd_bounded, [
+        *_length("largest length n"),
+        BOUND,
+        _option("--table", action="store_true",
+                help="print all bounds 0..l, not just l"),
+    ]),
+    ("dist",): ("height distribution and expected height", cmd_dist,
+                _length("path length n")),
+    ("enumerate",): ("list paths in the U/D/F text format", cmd_enumerate, [
+        *_length("path length n", ("text", "json")),
+        _option("--peakless", action="store_true", help="forbid UD factors"),
+        _option("-l", "--bound", type=int, help="height bound"),
+        _option("--end-level", type=int, default=0, help="required final level"),
+        _option("--oracle-cap", type=int,
+                help="override the brute-force length cap (default "
+                f"{DEFAULT_ORACLE_CAP} or {ORACLE_CAP_ENV})"),
+    ]),
+    ("verify",): ("run the cross-engine agreement suite", cmd_verify, [
+        _option("--level", choices=("quick", "full"), default="quick",
+                help="suite size"),
+        *_output(("text", "json")),
+    ]),
+    ("asympt",): ("exact versus predicted convergence report", cmd_asympt,
+                  _report(FORMATS, required=True)),
+    ("export",): ("write a table in its stable schema", None, []),
+    ("export", "bounded"): ("the A(n, l) table of bounded_count_table", cmd_export, [
+        *_length("largest length n", ("csv", "json")),
+        BOUND,
+        _option("--method", choices=COLUMN_METHODS, default="cf",
+                help="counting engine (default %(default)s)"),
+    ]),
+    ("export", "report"): ("the convergence report of asympt", cmd_asympt,
+                           _report(("csv", "json"), default="count")),
+}
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="peakless",
-        description="Exact enumeration of peakless Motzkin paths and their height statistics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    """The argparse parser of COMMANDS, built for --help and usage errors."""
+    import argparse
 
-    def output_options(p, formats=FORMATS):
-        p.add_argument(
-            "--format",
-            choices=formats,
-            default=formats[0],
-            help="output format (default %(default)s)",
-        )
-        p.add_argument("--out", help="write output to this file instead of stdout")
-
-    def common(p, order_help, formats=FORMATS):
-        p.add_argument("-n", "--order", type=int, required=True, help=order_help)
-        output_options(p, formats)
-
-    p = sub.add_parser("count", help="peakless Motzkin counts m(0..n)")
-    common(p, "largest length n")
-    p.set_defaults(handler=cmd_count)
-
-    p = sub.add_parser("bounded", help="height-bounded counts A(n, l)")
-    common(p, "largest length n")
-    p.add_argument("-l", "--bound", type=int, required=True, help="height bound")
-    p.add_argument(
-        "--table", action="store_true", help="print all bounds 0..l, not just l"
-    )
-    p.set_defaults(handler=cmd_bounded)
-
-    p = sub.add_parser("dist", help="height distribution and expected height")
-    common(p, "path length n")
-    p.set_defaults(handler=cmd_dist)
-
-    p = sub.add_parser("enumerate", help="list paths in the U/D/F text format")
-    common(p, "path length n", formats=("text", "json"))
-    p.add_argument("--peakless", action="store_true", help="forbid UD factors")
-    p.add_argument("-l", "--bound", type=int, default=None, help="height bound")
-    p.add_argument("--end-level", type=int, default=0, help="required final level")
-    p.add_argument(
-        "--oracle-cap",
-        type=int,
-        default=None,
-        help="override the brute-force length cap (default "
-        f"{DEFAULT_ORACLE_CAP} or {ORACLE_CAP_ENV})",
-    )
-    p.set_defaults(handler=cmd_enumerate)
-
-    p = sub.add_parser("verify", help="run the cross-engine agreement suite")
-    p.add_argument(
-        "--level", choices=("quick", "full"), default="quick", help="suite size"
-    )
-    output_options(p, formats=("text", "json"))
-    p.set_defaults(handler=cmd_verify)
-
-    caps = "default: " + ", ".join(
-        f"{cap} for {kind}" for kind, cap in REPORT_CAPS.items()
-    )
-
-    def report_options(p, formats, **kind):
-        kinds = tuple(REPORT_CAPS)
-        p.add_argument("--kind", choices=kinds, help="report kind", **kind)
-        p.add_argument(
-            "-n",
-            "--order",
-            type=int,
-            action="append",
-            required=True,
-            help="length to report (repeatable)",
-        )
-        p.add_argument("--cap", type=int, default=None, help=f"largest n ({caps})")
-        output_options(p, formats)
-
-    p = sub.add_parser("asympt", help="exact versus predicted convergence report")
-    report_options(p, FORMATS, required=True)
-    p.set_defaults(handler=cmd_asympt)
-
-    p = sub.add_parser("export", help="write a table in its stable schema")
-    tables = p.add_subparsers(dest="what", required=True)
-    p = tables.add_parser("bounded", help="the A(n, l) table of bounded_count_table")
-    common(p, "largest length n", formats=("csv", "json"))
-    p.add_argument("-l", "--bound", type=int, required=True, help="height bound")
-    p.add_argument(
-        "--method",
-        choices=COLUMN_METHODS,
-        default="cf",
-        help="counting engine (default %(default)s)",
-    )
-    p.set_defaults(handler=cmd_export)
-    p = tables.add_parser("report", help="the convergence report of asympt")
-    report_options(p, ("csv", "json"), default="count")
-    p.set_defaults(handler=cmd_asympt)
-
+    about = "Exact enumeration of peakless Motzkin paths and their height statistics."
+    parser = argparse.ArgumentParser(prog="peakless", description=about)
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, (help, handler, options) in COMMANDS.items():
+        p = groups[words[:-1]].add_parser(words[-1], help=help)
+        if handler is None:
+            groups[words] = p.add_subparsers(dest="what", required=True)
+            continue
+        for flags, spec in options:
+            p.add_argument(*flags, **spec)
+        p.set_defaults(handler=handler)
     return parser
+
+
+def read_argv(argv):
+    """The namespace `build_parser().parse_args(argv)` makes, or None.
+
+    It reads a subcommand's words, then its options, each flag spelt as in
+    COMMANDS and each value (a switch has none) the next word.  It leaves
+    to argparse -h/--help, `--`, an unknown or abbreviated flag, the joined
+    forms --opt=value and -n5, a missing required option, a value that
+    int() or the choices reject, and a value starting with `-` unless it
+    is a negative integer for an int option.
+    """
+    for words, (_, handler, options) in COMMANDS.items():
+        if handler and tuple(argv[: len(words)]) == words:
+            break
+    else:
+        return None
+    values = dict(zip(("command", "what"), words), handler=handler)
+    values.update((spec["dest"], spec["default"]) for _, spec in options)
+    specs = {flag: spec for flags, spec in options for flag in flags}
+    missing = {spec["dest"] for _, spec in options if spec.get("required")}
+    rest = iter(argv[len(words) :])
+    for flag in rest:
+        spec = specs.get(flag)
+        if spec is None:
+            return None
+        dest, action, convert = spec["dest"], spec.get("action"), spec.get("type", str)
+        missing.discard(dest)
+        if action == "store_true":
+            values[dest] = True
+            continue
+        value = next(rest, "-")
+        negative_int = convert is int and value[1:].isascii() and value[1:].isdigit()
+        if value.startswith("-") and not negative_int:
+            return None
+        try:
+            value = convert(value)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", [value]):
+            return None
+        values[dest] = [*(values[dest] or ()), value] if action == "append" else value
+    return None if missing else SimpleNamespace(**values)
 
 
 def main(argv=None):
     """Answer one request in this process and return its exit code.
 
-    Exact counts run past Python's int-to-str digit limit (4300 digits by
-    default, m(n) for n > ~10 290), in the output and in a disagreement's
-    message alike, so the limit is lifted while the request is answered
-    and restored afterwards.  argparse's usage errors and --help raise
-    SystemExit; nothing else ends the process.
+    `read_argv` reads a well-formed request; any other argv goes to
+    argparse, whose --help and usage errors raise SystemExit, and nothing
+    else ends the process.  Exact counts run past Python's int-to-str digit
+    limit (4300 digits by default, m(n) for n > ~10 290), in the output and
+    in a disagreement's message alike, so the limit is lifted while the
+    request is answered and restored afterwards.
     """
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = read_argv(argv) or build_parser().parse_args(argv)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -15,21 +15,19 @@ linear in their length, and the A(n, l) tables write one row object at a
 time through `json_record`.  Integers past Python's int-to-str digit
 limit format only while the writer has lifted it.
 """
+from collections import namedtuple
 from functools import cache, partial
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple
 
 CHUNK = 1 << 16  # characters per chunk, about 64 KB
 
-
-class Output(NamedTuple):
-    """What a subcommand prints, in each format it supports, and its exit code."""
-
-    text: Callable[[], Iterable[str]] | None = None  # returns text chunks
-    json: Callable[[], Iterable[str]] | None = None  # returns the one writer's chunks
-    header: tuple = ()  # csv column names
-    rows: Iterable = ()  # csv cells, one sequence per line; iterated once
-    code: int = 0
+# What a subcommand prints, in each format it supports, and its exit code:
+# `text` returns text chunks, `json` the one writer's chunks, `header` and
+# `rows` are the csv column names and cells (one sequence per line, iterated
+# once), and `code` is the exit code.
+Output = namedtuple(
+    "Output", "text json header rows code", defaults=(None, None, (), (), 0)
+)
 
 
 def batched(pieces, sep="", end=""):

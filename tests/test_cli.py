@@ -729,12 +729,16 @@ def test_import_loads_no_numpy():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+FRONT_END = {"argparse", "gettext", "locale", "typing"}  # argparse's imports
+
+
 def _modules_after(code):
-    # the peakless, dataclasses and decimal modules a fresh interpreter holds
-    # after code, printed on the last line of its stdout
-    names = "('peakless.', 'dataclasses', 'decimal')"
+    # the peakless, dataclasses and decimal modules and those of FRONT_END
+    # that a fresh interpreter holds after code, printed on the last line of
+    # its stdout; -S keeps site from loading any of them first
+    names = ("peakless.", "dataclasses", "decimal", *FRONT_END)
     shown = f"(m for m in sys.modules if m.startswith({names}))"
-    proc = run_python("-c", f"import sys\n{code}\nprint(*{shown})")
+    proc = run_python("-S", "-c", f"import sys\n{code}\nprint(*{shown})")
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
@@ -776,20 +780,39 @@ def test_a_request_loads_only_its_engines(argv, unused):
     assert ENGINE_MODULES - unused <= loaded
 
 
+# one well-formed request per subcommand
+REQUESTS = [
+    "count -n 4",
+    "bounded -n 6 -l 2 --table",
+    "dist -n 6",
+    "enumerate -n 4",
+    "verify",
+    "asympt --kind avg_height -n 10",
+    "export bounded -n 6 -l 2",
+    "export report -n 10",
+]
+
+
 def test_no_subcommand_loads_dataclasses():
-    requests = [
-        "count -n 4",
-        "bounded -n 6 -l 2 --table",
-        "dist -n 6",
-        "enumerate -n 4",
-        "verify",
-        "asympt --kind avg_height -n 10",
-        "export bounded -n 6 -l 2",
-        "export report -n 10",
-    ]
-    calls = "".join(f"cli.main({r.split()})\n" for r in requests)
+    calls = "".join(f"cli.main({r.split()})\n" for r in REQUESTS)
     loaded = _modules_after(f"from peakless import cli\n{calls}")
     assert "peakless.verify" in loaded and "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("request_", REQUESTS)
+def test_a_well_formed_request_loads_no_argparse(request_):
+    # cli.read_argv reads it; argparse is built only for help and usage errors
+    loaded = _modules_after(f"from peakless import cli\ncli.main({request_.split()})")
+    assert loaded & FRONT_END == set()
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["count", "-n", "x"], 2)])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    call = f"with contextlib.suppress(SystemExit):\n    cli.main({argv})"
+    loaded = _modules_after(f"import contextlib\nfrom peakless import cli\n{call}")
+    assert "argparse" in loaded
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stdout == "") == (code, code != 0)
 
 
 def test_module_entry_point(capsys, monkeypatch):
