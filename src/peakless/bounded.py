@@ -31,7 +31,9 @@ joins of one shared-prefix pass.
 Each printed quantity meets a second route in one `check_*` function:
 `check_columns` (A(n, l) rows and tables) and `check_height_distribution`,
 whose total meets `counting.check_far_end`; each calls its engines
-through the module's globals.
+through the module's globals.  Only the ladder and the strip family use
+`series`, and they import it when called, so `height_distribution` and its
+check load no `series`.
 
 The strip transfer matrix is tridiagonal with diagonal z - z^2 - 1
 (`STRIP_DIAGONAL`) and off-diagonal z, except that the row of the top
@@ -51,7 +53,6 @@ from itertools import count, islice, pairwise, repeat
 from operator import attrgetter
 
 from .errors import CROSS_CHECK_LIMIT, EngineDisagreement, check_agreement
-from .series import Series, poly_divide_series, poly_mul, poly_neg, poly_sub
 
 STRIP_DIAGONAL = (-1, 1, -1)  # z - z^2 - 1, the strip family's multiplier
 
@@ -71,6 +72,8 @@ def bounded_series_cf(bound, order):
 
 def _ladder(order):
     # A_0, A_1, A_2, ... to the given order, one inverse per rung
+    from .series import Series
+
     a = Series((1, -1), order).inverse()
     q = Series((1, -1, 1), order)
     while True:
@@ -79,6 +82,8 @@ def _ladder(order):
 
 
 def _three_term_family(seed0=(-1, 1)):
+    from .series import poly_mul, poly_sub
+
     prev, cur = (1,), seed0
     yield prev
     while True:
@@ -127,6 +132,8 @@ def bounded_series_det(bound, order):
 
 def _strip_quotient(pair, order):
     # -E_{l-1}/E_l from the pair (E_{l-1}, E_l)
+    from .series import poly_divide_series, poly_neg
+
     return poly_divide_series(poly_neg(pair[0]), pair[1], order)
 
 

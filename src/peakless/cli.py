@@ -26,7 +26,8 @@ own engine modules and calls them through the
 module, `counting.peakless_series(...)`, so that a rebinding of a module
 attribute reaches it.  `count` loads `counting` (and `decimal`) alone;
 `bounded` and `export bounded` load `bounded` and `series`, and `dist`
-both engine modules, because its total meets the closed form.
+both engine modules, because its total meets the closed form, but no
+`series`.
 `enumerate` loads `paths` alone and writes its listing one prefix block
 at a time (`paths.prefix_blocks`): the paths sharing a prefix joined into
 one string, in text one per line, in json each quoted with no escape,
@@ -81,18 +82,24 @@ def _table_output(columns, text=None, **meta):
     )
 
 
+def _sequence_output(values, header, rows, **meta):
+    # one sequence of exact terms: space-separated text, a json `counts` list
+    # (`str` writes an int as the default encoder does) and csv `rows`
+    return render.Output(
+        text=lambda: render.batched(map(str, values), " ", "\n"),
+        json=lambda: render.json_text(dict(meta, counts=values), str),
+        header=header,
+        rows=rows,
+    )
+
+
 def cmd_count(args):
     from . import counting
 
     n = args.order
     values = counting.peakless_decimals(n)  # exact, and linear to print
     counting.check_counts(values, n)
-    return render.Output(
-        text=lambda: render.batched(map(str, values), " ", "\n"),
-        json=lambda: render.json_text({"n_max": n, "counts": values}, str),
-        header=("n", "count"),
-        rows=enumerate(values),
-    )
+    return _sequence_output(values, ("n", "count"), enumerate(values), n_max=n)
 
 
 def cmd_bounded(args):
@@ -102,12 +109,8 @@ def cmd_bounded(args):
     if not args.table:
         values = bounded.bounded_column_dp(bound, n)
         bounded.check_columns([values], n, bound, "dp")
-        return render.Output(
-            text=lambda: render.batched(map(str, values), " ", "\n"),
-            json=lambda: render.json_text(dict(n_max=n, bound=bound, counts=values)),
-            header=TABLE_HEADER,
-            rows=((i, bound, v) for i, v in enumerate(values)),
-        )
+        rows = ((i, bound, v) for i, v in enumerate(values))
+        return _sequence_output(values, TABLE_HEADER, rows, n_max=n, bound=bound)
     columns = bounded.bounded_count_table(n, bound, method="dp")
     bounded.check_columns(columns, n, bound, "dp")
     return _table_output(

@@ -115,8 +115,9 @@ def height(path):
 
 
 def has_peak(path):
-    """True if some up-step is immediately followed by a down-step."""
-    return any(a == UP and b == DOWN for a, b in zip(path, path[1:]))
+    """True if some up-step is immediately followed by a down-step: the
+    path has the factor UD."""
+    return UP + DOWN in path
 
 
 def automaton_accepts(path):

@@ -9,8 +9,10 @@ falling back to rationals.
 
 Polynomials are plain tuples of ints, lowest degree first, with a handful
 of helper functions; `poly_divide_series` expands an exact rational
-function num/den into a Series.
+function num/den into a Series.  One loop, `_product`, multiplies both.
 """
+from itertools import starmap, zip_longest
+from operator import add, neg, sub
 
 
 def poly_trim(coeffs):
@@ -22,23 +24,27 @@ def poly_trim(coeffs):
 
 
 def poly_sub(a, b):
-    n = max(len(a), len(b))
-    return poly_trim(
-        tuple((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n))
-    )
+    return poly_trim(starmap(sub, zip_longest(a, b, fillvalue=0)))
 
 
 def poly_neg(a):
-    return tuple(-c for c in a)
+    return tuple(map(neg, a))
 
 
 def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
+    return poly_trim(_product(a, b, len(a) + len(b) - 2))
+
+
+def _product(a, b, order):
+    # coefficients 0..order of the product of two coefficient sequences; a
+    # zero coefficient is skipped, so a sparse operand costs only its terms
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return poly_trim(out)
+            for j, bj in enumerate(b[: order + 1 - i], i):
+                if bj:
+                    out[j] += ai * bj
+    return out
 
 
 class Series:
@@ -90,26 +96,17 @@ class Series:
         return hash(self.coeffs)
 
     def __neg__(self):
-        return Series(tuple(-c for c in self.coeffs))
+        return Series(map(neg, self.coeffs))
 
+    # map stops at the shorter operand: the smaller order, as truncation says
     def __add__(self, other):
-        n = min(self.order, other.order)
-        return Series(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+        return Series(map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        n = min(self.order, other.order)
-        return Series(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
+        return Series(map(sub, self.coeffs, other.coeffs))
 
     def __mul__(self, other):
-        n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        for i, ai in enumerate(self.coeffs[: n + 1]):
-            if ai:
-                for j in range(n + 1 - i):
-                    bj = other.coeffs[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        return Series(out)
+        return Series(_product(self.coeffs, other.coeffs, min(self.order, other.order)))
 
     def shift(self, k):
         """Multiply by z^k, truncating at the same order."""

@@ -768,7 +768,11 @@ ENGINE_MODULES = {"peakless.counting", "peakless.bounded"}
             {"counting", "decimal"},
         ),
         # the total of a distribution meets the closed form of `counting`
-        (["dist", "-n", "6"], {"oracle", "paths", "verify", "asymptotics"}),
+        (["dist", "-n", "6"], {"series", "oracle", "paths", "verify", "asymptotics"}),
+        (
+            ["asympt", "--kind", "avg_height", "-n", "10"],
+            {"series", "oracle", "paths", "verify"},
+        ),
     ],
 )
 def test_a_request_loads_only_its_engines(argv, unused):

@@ -525,7 +525,7 @@ def test_column_streams_build_each_column_once(monkeypatch):
     # min(l_max, n_max // 2) + 1 columns; a step of the family costs at most
     # two polynomial products
     calls = {"mul": 0, "inverse": 0}
-    real_mul, real_inverse = bounded.poly_mul, Series.inverse
+    real_mul, real_inverse = series_module.poly_mul, Series.inverse
 
     def mul(*args):
         calls["mul"] += 1
@@ -535,7 +535,7 @@ def test_column_streams_build_each_column_once(monkeypatch):
         calls["inverse"] += 1
         return real_inverse(self)
 
-    monkeypatch.setattr(bounded, "poly_mul", mul)
+    monkeypatch.setattr(series_module, "poly_mul", mul)
     monkeypatch.setattr(Series, "inverse", inverse)
     for n_max, l_max in ((40, 20), (10, 1500)):
         calls["mul"] = 0

@@ -21,6 +21,34 @@ unit_series = st.builds(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=20),
 )
 
+dense_coefficients = st.integers(min_value=-(10**12), max_value=10**12)
+sparse_coefficients = st.sampled_from((0,) * 7 + (1, -1, 3))
+# coefficient lists of orders 0..40, dense or mostly zero
+operands = st.tuples(
+    st.integers(min_value=1, max_value=41),
+    st.sampled_from((dense_coefficients, sparse_coefficients)),
+).flatmap(lambda shape: st.lists(shape[1], min_size=shape[0], max_size=shape[0]))
+
+
+def _schoolbook(a, b):
+    # every product a_i b_j added into term i + j, zeros included
+    out = [0] * (len(a) + len(b) - 1)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+@settings(max_examples=200)
+@given(operands, operands)
+def test_arithmetic_matches_schoolbook(a, b):
+    n = min(len(a), len(b))
+    full = _schoolbook(a, b)
+    assert (Series(a) * Series(b)).coeffs == tuple(full[:n])
+    assert poly_mul(tuple(a), tuple(b)) == poly_trim(full)
+    assert (Series(a) + Series(b)).coeffs == tuple(a[i] + b[i] for i in range(n))
+    assert (Series(a) - Series(b)).coeffs == tuple(a[i] - b[i] for i in range(n))
+
 
 def test_product_fixtures():
     one_plus = Series((1, 1), 2)
