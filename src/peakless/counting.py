@@ -244,9 +244,9 @@ def pretty_cf_series(depth, order):
 def pretty_cf_agreement(depth, order):
     """Largest M <= order with the depth-d truncation matching m(0)..m(M).
 
-    The period-3 numerator pattern is a hypothesis to be validated: the
-    agreement order must keep growing with depth, which the tests check to
-    substantial depth.
+    It is the numerators' valuation sum v_1 + ... + v_{d+1} - 1, which
+    `verify.check_pretty_cf` holds it to, together with the period's fixed
+    point against the functional equation.
     """
     truncation = pretty_cf_series(depth, order)
     reference = peakless_series(order)

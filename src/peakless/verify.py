@@ -6,13 +6,13 @@ functional equation, recurrence, and fixed values from the paper's
 examples.  Each comparison goes through `errors.check_agreement`, as in
 the `check_*` functions of `counting` and `bounded`, so a failure names
 both routes and the first mismatching indices: two engines, an engine
-and a `fixture`, a residual series and `zero`.  The one exception is the
-growth bound of the continued-fraction agreement in `check_pretty_cf`.
-A check returns nothing and fails only by raising; `run_checks` returns
-one record per check so the CLI can print a line each and emit a
-machine-readable failure list.  The kernel identities read h_0..h_6 off
-one `counting.end_level_stream`: one run of the functional equation and
-one product per power.
+and a `fixture`, a residual series and `zero`, the continued fraction's
+agreement orders and its numerators' valuation sums.  A check returns
+nothing and fails only by raising; `run_checks` returns one record per
+check so the CLI can print a line each and emit a machine-readable
+failure list.  The kernel identities read h_0..h_6 off one
+`counting.end_level_stream`: one run of the functional equation and one
+product per power.
 
 The sizes of both levels live in `SIZES`: path length and height bound of
 the brute-force comparisons (every height distribution up to that length
@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import bounded, counting, oracle, paths
 from .errors import ResourceLimitError, check_agreement
-from .series import Series
+from .series import Series, poly_mul, poly_neg, poly_sub
 
 # level -> (length, bound, kernel order, recurrence length, table length)
 SIZES = {"quick": (10, 4, 30, 500, None), "full": (14, 7, 200, 5000, 60)}
@@ -163,13 +163,43 @@ def check_height_stats(n_limit):
 
 
 def check_pretty_cf():
-    orders = [counting.pretty_cf_agreement(d, 40) for d in range(1, 11)]
-    _fixtures(("depth-1 agreement", orders[:1], [1]))
+    # F = 1 + lead/W, where one period p_1..p_k fixes W = 1 - p_1/(1 - ... -
+    # p_k/W): t -> 1 - p/t maps (num, den) by [[1, -p], [1, 0]], and the
+    # period's product [[a, b], [c, d]] gives c W^2 + (d - a) W - b = 0
+    lead = counting.PRETTY_CF_LEAD
+    a, b, c, d = (1,), (0,), (0,), (1,)
+    for p in counting.PRETTY_CF_PERIOD:
+        a, b = poly_sub(a, poly_neg(b)), poly_neg(poly_mul(a, p))
+        c, d = poly_sub(c, poly_neg(d)), poly_neg(poly_mul(c, p))
+    # that times (F - 1)^2 under W = lead/(F - 1), by powers F^0, F^1, F^2,
+    # is z(1 - z) times the functional equation 1 - (1 - z + z^2) F + z^2 F^2
+    e = poly_mul(poly_sub(d, a), lead)
+    in_f = [
+        poly_sub(poly_sub(poly_mul(c, poly_mul(lead, lead)), e), b),
+        poly_sub(e, poly_mul((-2,), b)),
+        poly_neg(b),
+    ]
+    equation = [poly_mul((0, 1, -1), q) for q in ((1,), (-1, 1, -1), (0, 0, 1))]
     check_agreement(
-        ("agreement orders", "sorted"), orders, sorted(orders), start=1, index="depth"
+        ("period fixed point", "functional equation"),
+        in_f,
+        equation,
+        " in the coefficient of F^k",
+        index="k",
     )
-    if orders[6] < 7:  # a bound, not a comparison of two routes
-        raise AssertionError(f"depth-7 agreement {orders[6]}")
+    # depth d agrees with F up to the valuation sum v_1 + ... + v_{d+1} - 1
+    # of its first d + 1 numerators, lead then period cycling
+    depths = range(1, 11)
+    numerators = itertools.chain([lead], itertools.cycle(counting.PRETTY_CF_PERIOD))
+    valuations = [
+        next(i for i, x in enumerate(q) if x)
+        for q in itertools.islice(numerators, len(depths) + 1)
+    ]
+    sums = [total - 1 for total in itertools.accumulate(valuations)][1:]
+    orders = [counting.pretty_cf_agreement(d, 40) for d in depths]
+    check_agreement(
+        ("agreement orders", "valuation sum"), orders, sums, start=1, index="depth"
+    )
 
 
 def check_recurrence_exactness(n_limit):

@@ -13,7 +13,7 @@ import pytest
 
 import peakless
 from peakless import bounded, counting, oracle, render
-from peakless.cli import COLUMN_METHODS, main
+from peakless.cli import COLUMN_METHODS, main, read_argv
 from peakless.paths import PathConstraints, enumerate_paths
 from peakless.series import Series
 
@@ -899,3 +899,24 @@ def test_golden_stdout_bytes(capsys, argv, sha256):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256, out
+
+
+def test_golden_stdout_meets_the_benchmark_pins():
+    # a golden request that reads as the same namespace as a request pinned
+    # in perfbench/digests.json holds the same sha256, so the two homes of
+    # those bytes cannot drift apart
+    digests = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+    pinned = [
+        (vars(read_argv(request.split())), pin)
+        for request, pin in json.loads(digests.read_text()).items()
+    ]
+    shared = [
+        (argv, sha256, pin)
+        for argv, sha256 in GOLDEN_STDOUT
+        for namespace, pin in pinned
+        if vars(read_argv(argv.split())) == namespace
+    ]
+    verify_requests = {"verify --format json", "verify --level full --format json"}
+    assert {argv for argv, _, _ in shared} >= verify_requests
+    for argv, sha256, pin in shared:
+        assert pin == {"exit": 0, "sha256": sha256}, argv

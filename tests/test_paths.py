@@ -62,19 +62,37 @@ def test_automaton_examples():
 
 def test_automaton_equivalence_exhaustive():
     # acceptance == (valid prefix and no peak), checked over every sequence
-    # of length <= 12; accepted walks also report the profile's end level
-    # and Motzkin paths never exceed height floor(n/2)
-    for n in range(13):
-        for tup in itertools.product("FUD", repeat=n):
-            path = "".join(tup)
-            profile = level_profile(path)
-            valid = min(profile) >= 0
+    # of length <= 12; accepted walks also report the walk's end level and
+    # Motzkin paths never exceed height floor(n/2).  A depth-first walk
+    # carries each word's level, minimum, maximum and UD flag forward one
+    # step at a time, and holds that state to level_profile and has_peak on
+    # every word of length <= 10
+    def visit(words):
+        for path, level, low, high, peak in words:
+            n = len(path)
+            if n <= 10:
+                profile = level_profile(path)
+                assert (profile[-1], min(profile), max(profile)) == (level, low, high)
+                assert has_peak(path) == peak, path
+            valid = low >= 0
             accepted, end = automaton_accepts(path)
-            assert accepted == (valid and not has_peak(path)), path
+            assert accepted == (valid and not peak), path
             if accepted:
-                assert end == profile[-1], path
-            if valid and profile[-1] == 0:
-                assert max(profile) <= n // 2, path
+                assert end == level, path
+            if valid and level == 0:
+                assert high <= n // 2, path
+            if n < 12:
+                up, down = level + 1, level - 1
+                peak_at_d = peak or path.endswith("U")
+                visit(
+                    (
+                        (path + "F", level, low, high, peak),
+                        (path + "U", up, low, max(high, up), peak),
+                        (path + "D", down, min(low, down), high, peak_at_d),
+                    )
+                )
+
+    visit([("", 0, 0, 0, False)])
 
 
 def test_counts_match_count_engines():

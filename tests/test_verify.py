@@ -226,7 +226,12 @@ FAULTS = {
     "pretty_cf": (
         "quick", counting, "pretty_cf_agreement",
         lambda real: lambda d, order: 0 if d == 3 else real(d, order),
-        ("agreement orders", "sorted"),
+        ("agreement orders", "valuation sum"),
+    ),
+    "pretty_cf/period": (
+        "quick", counting, "PRETTY_CF_PERIOD",
+        lambda period: (*period[:2], (0, 0, 0, 2)),
+        ("period fixed point", "functional equation"),
     ),
     "kernel_identities": (
         "quick", counting, "kernel_residual", _skew_kernel,
@@ -245,7 +250,8 @@ FAULTS = {
 
 # rows whose terms are not numbered by a length n: the first index shown
 FIRST_INDEX = {
-    "pretty_cf": "depth=1",
+    "pretty_cf": "depth=3",
+    "pretty_cf/period": "k=0",
     "table_invariants": "l=30",
 }
 
