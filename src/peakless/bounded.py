@@ -15,9 +15,10 @@ and the brute-force oracle:
 * `bounded_column_dp`: dynamic programming over the two-layer automaton
   with levels capped at l, every level packed into one int so that one
   pass of n big-int steps yields A(0..n, l).  `bounded_counts_dp` gives
-  A(n, l) alone for each of many bounds l: it joins the walks of length n/2
-  at the middle, half the steps on slots half as wide, and every bound
-  branches off one shared pass (`bounded_count_dp` is the one-bound call).
+  A(n, l) alone for each of many bounds l: it joins the walks of length
+  n // 2 at the middle, through one middle step for odd n, half the steps
+  on slots half as wide, and every bound branches off one shared pass
+  (`bounded_count_dp` is the one-bound call).
 
 The three bounded engines share one domain: every bound l >= 0, with a
 bound above n/2 read as n/2, because no path of length <= n rises higher.
@@ -193,20 +194,23 @@ def bounded_counts_dp(n, bounds):
     first ends with U and the second starts with D, that is unless both
     end in the bottom layer.  For even n
 
-        A(n, l) = sum_j (T_j + B_j)^2 - B_j^2 = sum_j T_j (T_j + 2 B_j),
+        A(n, l) = sum_j (T_j + B_j)^2 - B_j^2 = sum_j T_j (T_j + 2 B_j).
 
-    and for odd n, with T'_j, B'_j read off the same pass one step later
-    (a first half of h + 1 steps),
+    For odd n the two halves of h steps meet around one middle step.  With
+    S_j = T_j + B_j: an F joins any two halves at level j, a U from j needs
+    a second half that starts at j + 1 with no D (top layer), and a D to j
+    needs a first half that ends at j + 1 with no U (top layer), so
 
-        A(n, l) = sum_j T'_j (T_j + B_j) + B'_j T_j.
+        A(n, l) = sum_j S_j (S_j + 2 T_{j+1}),   T_{l+1} = 0.
 
     No level above h can return to 0 in h steps, so a bound past h is read
     as h.  A walk of l steps from level 0 stays within levels 0..l, so all
     bounds share one unmasked pass, taken in increasing order: at step l it
     holds bound l's own state, which finishes the h - l masked steps and is
     joined before the pass goes on.  Only that one branch is kept beside
-    the pass.  Cells stay below 3^(h + n % 2); each takes a slot of whole
-    bytes, so a layer's counts are read off its `to_bytes` in linear time.
+    the pass.  Cells, and the sums S_j of the two layers, stay within 3^h;
+    each takes a slot of whole bytes, so a layer's counts are read off its
+    `to_bytes` in linear time.
     """
     bounds = tuple(bounds)
     if n < 0 or min(bounds, default=0) < 0:
@@ -214,7 +218,7 @@ def bounded_counts_dp(n, bounds):
             f"bounds and length must be nonnegative, got bounds={bounds}, n={n}"
         )
     h, odd = divmod(n, 2)
-    size = ((3 ** (h + odd)).bit_length() + 7) // 8  # bytes per slot
+    size = ((3**h).bit_length() + 7) // 8  # bytes per slot
     w = 8 * size
     joins = {}
     top, bot, done = 1, 0, 0
@@ -234,13 +238,10 @@ def _join(top, bot, steps, odd, size, levels):
     for _ in range(steps):
         both = top + bot
         top, bot = both + (top >> w), (both << w) & keep
-    tops, bots = _cells(top, size, levels), _cells(bot, size, levels)
-    if not odd:
-        return sum(t * (t + 2 * b) for t, b in zip(tops, bots))
-    both = top + bot  # one step more: the first half of odd n
-    tops1 = _cells(both + (top >> w), size, levels)
-    bots1 = _cells((both << w) & keep, size, levels)
-    return sum(t1 * (t + b) + b1 * t for t, b, t1, b1 in zip(tops, bots, tops1, bots1))
+    # even n: sum_j T_j (T_j + 2 B_j); odd n: sum_j S_j (S_j + 2 T_{j+1})
+    x, y = (top + bot, top >> w) if odd else (top, bot)
+    xs, ys = _cells(x, size, levels), _cells(y, size, levels)
+    return sum(a * (a + 2 * b) for a, b in zip(xs, ys))
 
 
 def _cells(packed, size, levels):
@@ -264,7 +265,7 @@ COLUMN_STREAMS = {
 COLUMN_NAMES = {"cf": "ladder", "det": "strip family", "dp": "automaton"}
 
 
-def bounded_count_table(n_max, l_max, method="cf"):
+def bounded_count_table(n_max, l_max, method):
     """Columns of A(n, l): l_max + 1 tuples with table[l][n] = A(n, l).
 
     Each column holds A(0..n_max, l).  method names a column stream of

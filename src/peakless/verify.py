@@ -208,7 +208,7 @@ def check_recurrence_exactness(n_limit):
 
 def check_table_invariants(n_limit):
     series = counting.peakless_series(n_limit)
-    columns = bounded.bounded_count_table(n_limit, n_limit // 2)
+    columns = bounded.bounded_count_table(n_limit, n_limit // 2, "cf")
     check_agreement(("A(n, 0)", "one"), columns[0], [1] * len(columns[0]))
     for n, cells in enumerate(zip(*columns)):
         where = f" in row n={n}"

@@ -385,9 +385,14 @@ def test_dp_column_slots_hold_large_counts():
     # 3^n_max carries into its neighbour only far past the oracle's lengths
     series = counting.peakless_series(1000)
     assert bounded.bounded_column_dp(500, 1000)[1000] == series[1000]
+    # the middle join's slots hold 3^(n // 2): odd n, whose halves meet
+    # around one middle step, at scale
+    assert bounded.bounded_count_dp(999, 499) == series[999]
     for bound in (30, 150):
         det = bounded.bounded_series_det(bound, 300)
         assert bounded.bounded_column_dp(bound, 300) == list(det.coeffs), bound
+    joins = bounded.bounded_counts_dp(301, (30, 150))
+    assert joins == [bounded.bounded_column_dp(l, 301)[301] for l in (30, 150)]
 
 
 def test_dp_matches_oracle():
@@ -471,7 +476,7 @@ def test_height_distribution_matches_oracle():
 def test_height_distribution_consistency():
     series = counting.peakless_series(60)
     # ladder columns: an engine independent of the automaton behind the stats
-    ladder = bounded.bounded_count_table(60, 30)
+    ladder = bounded.bounded_count_table(60, 30, "cf")
     for n in range(61):
         stats = bounded.height_distribution(n)
         bounded.check_height_distribution(stats)  # free invariants and total
@@ -496,13 +501,13 @@ def test_bounded_table_invariants():
 def test_bounded_count_table_and_csv():
     # the table is its columns, table[l][n] = A(n, l); its csv lines are
     # pinned through the CLI (golden `export bounded` bytes, route test)
-    table = bounded.bounded_count_table(4, 2)
+    table = bounded.bounded_count_table(4, 2, "cf")
     assert table == [(1, 1, 1, 1, 1), (1, 1, 1, 2, 4), (1, 1, 1, 2, 4)]
     for method in ("det", "dp"):
         assert bounded.bounded_count_table(4, 2, method=method) == table
     # l_max past n_max // 2 reads the wider columns as the last one built
     for n_max, l_max in ((12, 9), (10, 40)):
-        wide = bounded.bounded_count_table(n_max, l_max)
+        wide = bounded.bounded_count_table(n_max, l_max, "cf")
         assert len(wide) == l_max + 1
         assert {(type(column), len(column)) for column in wide} == {(tuple, n_max + 1)}
         assert wide[n_max // 2 :] == [wide[n_max // 2]] * (l_max + 1 - n_max // 2)

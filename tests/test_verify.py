@@ -142,8 +142,8 @@ def _skew_last(fn, when, delta=1):
 
 
 def _skew_table(real):
-    def skewed(n_max, l_max):
-        columns = list(real(n_max, l_max))
+    def skewed(n_max, l_max, method):
+        columns = list(real(n_max, l_max, method))
         if n_max == 60:  # A(40, 30) lies past the active range of row 40
             columns[30] = list(columns[30])
             columns[30][40] += 1
