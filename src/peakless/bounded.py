@@ -20,8 +20,9 @@ and the brute-force oracle:
   on slots half as wide, and every bound branches off one shared pass
   (`bounded_count_dp` is the one-bound call).
 
-The three bounded engines share one domain: every bound l >= 0, with a
-bound above n/2 read as n/2, because no path of length <= n rises higher.
+The three bounded engines share one domain, and `_top` holds its rule
+for all of them: no negative bound or length, and a bound above n // 2
+read as n // 2, because no path of length <= n rises higher.
 
 Each bounded engine is one stream of the columns l = 0, 1, ...: the ladder,
 one run of the strip family (one quotient per column) or one automaton pass
@@ -58,17 +59,25 @@ from .errors import CROSS_CHECK_LIMIT, EngineDisagreement, check_agreement
 STRIP_DIAGONAL = (-1, 1, -1)  # z - z^2 - 1, the strip family's multiplier
 
 
+def _top(bound, n):
+    # the one bound rule of every engine: no negative length or bound, and
+    # a bound above n // 2 read as n // 2, since no path of length <= n
+    # rises higher
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    return min(bound, n // 2)
+
+
 def bounded_series_cf(bound, order):
     """Generating function of height <= bound paths via the ladder.
 
     Applies A_l = 1 / (1 - z + z^2 - z^2 A_{l-1}) starting from
-    A_0 = 1/(1-z); coefficient n is A(n, bound).  No path of length
-    <= order rises above order // 2, so a larger bound is read as that
-    one: at most order // 2 + 1 rungs.
+    A_0 = 1/(1-z); coefficient n is A(n, bound).  The bound follows
+    `_top`, so at most order // 2 + 1 rungs.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    return next(islice(_ladder(order), min(bound, order // 2), None))
+    return next(islice(_ladder(order), _top(bound, order), None))
 
 
 def _ladder(order):
@@ -121,14 +130,11 @@ def bounded_series_det(bound, order):
     Expands -E_{bound-1}/E_bound with one exact series division.  At z = 0
     the three-term step reads E_l(0) = -E_{l-1}(0), so E_l(0) = (-1)^{l+1}
     and the constant term -E_{l-1}(0)/E_l(0) is +1 for every l.  Bound 0
-    is -E_{-1}/E_0 = 1/(1 - z).  No path of length <= order rises above
-    order // 2, so a larger bound is read as that one, and E_bound has at
-    most order + 2 coefficients.
+    is -E_{-1}/E_0 = 1/(1 - z).  The bound follows `_top`, so E_bound has
+    at most order + 2 coefficients.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
     pairs = pairwise(_three_term_family())
-    return _strip_quotient(next(islice(pairs, min(bound, order // 2), None)), order)
+    return _strip_quotient(next(islice(pairs, _top(bound, order), None)), order)
 
 
 def _strip_quotient(pair, order):
@@ -151,16 +157,13 @@ def bounded_column_dp(bound, n_max):
     most n_max, so it stays below 3^n_max < 2^w and never carries into the
     next slot.  After step k the lowest top slot is A(k, bound): the bottom
     layer cannot be at level 0.  A walk above level n_max // 2 cannot
-    return to 0 within n_max steps, so no level above that is kept either:
-    O(n_max) steps on ints of O(n_max * min(bound, n_max / 2)) bits.
+    return to 0 within n_max steps, so no level above that is kept either
+    (`_top`): O(n_max) steps on ints of O(n_max * min(bound, n_max / 2)) bits.
     """
-    if n_max < 0 or bound < 0:
-        raise ValueError(
-            f"bound and length must be nonnegative, got bound={bound}, n_max={n_max}"
-        )
+    levels = _top(bound, n_max) + 1
     w = (3**n_max).bit_length()
     slot = (1 << w) - 1
-    keep = (1 << (w * (min(bound, n_max // 2) + 1))) - 1
+    keep = (1 << (w * levels)) - 1
     top, bot = 1, 0
     column = [1]
     for _ in range(n_max):
@@ -204,31 +207,27 @@ def bounded_counts_dp(n, bounds):
         A(n, l) = sum_j S_j (S_j + 2 T_{j+1}),   T_{l+1} = 0.
 
     No level above h can return to 0 in h steps, so a bound past h is read
-    as h.  A walk of l steps from level 0 stays within levels 0..l, so all
-    bounds share one unmasked pass, taken in increasing order: at step l it
-    holds bound l's own state, which finishes the h - l masked steps and is
-    joined before the pass goes on.  Only that one branch is kept beside
-    the pass.  Cells, and the sums S_j of the two layers, stay within 3^h;
-    each takes a slot of whole bytes, so a layer's counts are read off its
-    `to_bytes` in linear time.
+    as h (`_top`).  A walk of l steps from level 0 stays within levels
+    0..l, so all bounds share one unmasked pass, taken in increasing order:
+    at step l it holds bound l's own state, which finishes the h - l masked
+    steps and is joined before the pass goes on.  Only that one branch is
+    kept beside the pass.  Cells, and the sums S_j of the two layers, stay
+    within 3^h; each takes a slot of whole bytes, so a layer's counts are
+    read off its `to_bytes` in linear time.
     """
-    bounds = tuple(bounds)
-    if n < 0 or min(bounds, default=0) < 0:
-        raise ValueError(
-            f"bounds and length must be nonnegative, got bounds={bounds}, n={n}"
-        )
-    h, odd = divmod(n, 2)
+    h, odd = _top(n, n), n % 2  # every bound from h up is read as h
+    tops = [_top(l, n) for l in bounds]
     size = ((3**h).bit_length() + 7) // 8  # bytes per slot
     w = 8 * size
     joins = {}
     top, bot, done = 1, 0, 0
-    for bound in sorted({min(l, h) for l in bounds}):
+    for bound in sorted(set(tops)):
         for _ in range(bound - done):
             both = top + bot
             top, bot = both + (top >> w), both << w
         done = bound
         joins[bound] = _join(top, bot, h - bound, odd, size, bound + 1)
-    return [joins[min(l, h)] for l in bounds]
+    return [joins[l] for l in tops]
 
 
 def _join(top, bot, steps, odd, size, levels):
@@ -270,16 +269,12 @@ def bounded_count_table(n_max, l_max, method):
 
     Each column holds A(0..n_max, l).  method names a column stream of
     `COLUMN_STREAMS`: "cf" (the ladder), "det" (the strip family) or "dp"
-    (the automaton), and the three give equal tables.  No path of length
-    <= n_max rises above n_max // 2, so wider columns repeat that one.
+    (the automaton), and the three give equal tables.  A bound above
+    n_max // 2 is read as that one (`_top`), so wider columns repeat it.
     """
     if method not in COLUMN_STREAMS:
         raise ValueError(f"unknown method {method!r}")
-    if n_max < 0 or l_max < 0:
-        raise ValueError(
-            f"table sizes must be nonnegative, got n_max={n_max}, l_max={l_max}"
-        )
-    columns = list(islice(COLUMN_STREAMS[method](n_max), min(l_max, n_max // 2) + 1))
+    columns = list(islice(COLUMN_STREAMS[method](n_max), _top(l_max, n_max) + 1))
     return columns + columns[-1:] * (l_max + 1 - len(columns))
 
 
@@ -304,8 +299,6 @@ def height_distribution(n):
     """
     from fractions import Fraction  # only here: the other engines are ints
 
-    if n < 0:
-        raise ValueError("length must be nonnegative")
     dist = []
     prev = 0
     for count in bounded_counts_dp(n, range(n // 2 + 1)):
@@ -337,7 +330,7 @@ def check_columns(columns, n, bound, method):
     check_agreement((route, other), checked, values, f" for bound={bound}")
     first = bound + 1 - len(columns)
     # columns past n // 2 repeat that one, so a huge bound costs n // 2 + 1 joins
-    bounds = (bound, *range(min(bound, n // 2) - 1, first - 1, -1))
+    bounds = (bound, *range(_top(bound, n) - 1, first - 1, -1))
     names = (f"{route} column", "middle join")
     for l, join in zip(bounds, bounded_counts_dp(n, bounds)):
         where = f" for bound={l} at n={n}"

@@ -6,6 +6,8 @@ route with one `check_*` call of its engine module, `counting` for m(n)
 and `bounded` for A(n, l) (`enumerate` has none yet), and returns a
 `render.Output`; `main` then writes it in the requested format, chunk by
 chunk, so nothing reaches stdout or --out unless every check has passed.
+`bounded --table` and `export bounded` share one table builder,
+`_table_output`, which builds, checks and renders the A(n, l) table.
 Text output is for humans; --format csv and --format json are stable
 machine formats whose bytes depend only on the flags.  Exit codes: 0
 success, 1 verification failure or engine disagreement, 2 usage error or
@@ -66,16 +68,26 @@ def _emit(chunks, out):
         sys.stdout.flush()
 
 
-def _table_output(columns, text=None, **meta):
-    # columns[l][n] = A(n, l); csv and json rows run n-major, l fastest
+def _table_output(n_max, l_max, method, /, **meta):
+    # the checked table of `bounded --table` and `export bounded`;
+    # columns[l][n] = A(n, l), csv and json rows run n-major, l fastest
+    from . import bounded
+
+    columns = bounded.bounded_count_table(n_max, l_max, method)
+    bounded.check_columns(columns, n_max, l_max, method)
+
     def cells():
-        lengths = range(len(columns[0]))
+        lengths = range(n_max + 1)
         return ((n, l, column[n]) for n in lengths for l, column in enumerate(columns))
 
     return render.Output(
-        text=text,
+        text=lambda: render.batched(
+            f"l={l}: " + " ".join(map(str, column)) + "\n"
+            for l, column in enumerate(columns)
+        ),
         json=lambda: render.json_text(
-            dict(meta, rows=cells()), render.json_record(TABLE_HEADER)
+            dict(n_max=n_max, l_max=l_max, **meta, rows=cells()),
+            render.json_record(TABLE_HEADER),
         ),
         header=TABLE_HEADER,
         rows=cells(),
@@ -103,25 +115,15 @@ def cmd_count(args):
 
 
 def cmd_bounded(args):
+    n, bound = args.order, args.bound
+    if args.table:
+        return _table_output(n, bound, "dp")
     from . import bounded
 
-    n, bound = args.order, args.bound
-    if not args.table:
-        values = bounded.bounded_column_dp(bound, n)
-        bounded.check_columns([values], n, bound, "dp")
-        rows = ((i, bound, v) for i, v in enumerate(values))
-        return _sequence_output(values, TABLE_HEADER, rows, n_max=n, bound=bound)
-    columns = bounded.bounded_count_table(n, bound, method="dp")
-    bounded.check_columns(columns, n, bound, "dp")
-    return _table_output(
-        columns,
-        text=lambda: render.batched(
-            f"l={l}: " + " ".join(map(str, column)) + "\n"
-            for l, column in enumerate(columns)
-        ),
-        n_max=n,
-        l_max=bound,
-    )
+    values = bounded.bounded_column_dp(bound, n)
+    bounded.check_columns([values], n, bound, "dp")
+    rows = ((i, bound, v) for i, v in enumerate(values))
+    return _sequence_output(values, TABLE_HEADER, rows, n_max=n, bound=bound)
 
 
 def cmd_dist(args):
@@ -230,13 +232,7 @@ def cmd_asympt(args):
 
 
 def cmd_export(args):
-    from . import bounded
-
-    columns = bounded.bounded_count_table(args.order, args.bound, method=args.method)
-    bounded.check_columns(columns, args.order, args.bound, args.method)
-    return _table_output(
-        columns, n_max=args.order, l_max=args.bound, method=args.method
-    )
+    return _table_output(args.order, args.bound, args.method, method=args.method)
 
 
 def _option(*flags, **spec):

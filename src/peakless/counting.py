@@ -95,7 +95,9 @@ def peakless_series(n_max):
 
 
 def _extend_recurrence(values, n_max):
-    # values must hold at least the four initial terms
+    # m(0)..m(n_max) from values, which must hold at least the four initial terms
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     v = list(values)
     for n in range(len(v) - 4, n_max - 3):
         num = (
@@ -110,23 +112,19 @@ def _extend_recurrence(values, n_max):
                 f"recurrence step at n={n} is not an exact division (remainder {rem})"
             )
         v.append(quot)
-    return v
+    return v[: n_max + 1]
 
 
 def peakless_recurrence(n_max):
     """m(0)..m(n_max) from the holonomic recurrence, exact division only."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return _extend_recurrence(PEAKLESS_INITIAL, n_max)[: n_max + 1]
+    return _extend_recurrence(PEAKLESS_INITIAL, n_max)
 
 
 def peakless_decimals(n_max):
     """`peakless_recurrence(n_max)` as exact Decimals, whose str() is linear."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     with decimal.localcontext(EXACT_DECIMAL):
         seeds = map(decimal.Decimal, PEAKLESS_INITIAL)
-        return _extend_recurrence(seeds, n_max)[: n_max + 1]
+        return _extend_recurrence(seeds, n_max)
 
 
 def peakless_closed_form(n):

@@ -616,19 +616,27 @@ def test_export_bounded(capsys):
     assert payload["rows"][0] == {"n": 0, "ell": 0, "count": 1}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "export bounded -n 5 -l -2",
-        "export bounded -n 5 -l -2 --method det",
-        "export bounded -n 5 -l -2 --method dp",
-        "export bounded -n -1 -l 2 --method dp",
-    ],
-)
+# one line per mistake, whichever A(n, l) request makes it
+NEGATIVE_BOUND = "error: bound must be nonnegative\n"
+NEGATIVE_LENGTH = "error: length must be nonnegative\n"
+NEGATIVE_SIZES = {
+    "export bounded -n 5 -l -2": NEGATIVE_BOUND,
+    "export bounded -n 5 -l -2 --method det": NEGATIVE_BOUND,
+    "export bounded -n 5 -l -2 --method dp": NEGATIVE_BOUND,
+    "export bounded -n -1 -l 2 --method dp": NEGATIVE_LENGTH,
+    "export bounded -n -1 -l 2": NEGATIVE_LENGTH,
+    "export bounded -n -1 -l 2 --method det": NEGATIVE_LENGTH,
+    "bounded -n 5 -l -1": NEGATIVE_BOUND,
+    "bounded -n 5 -l -1 --table": NEGATIVE_BOUND,
+    "bounded -n -1 -l 2": NEGATIVE_LENGTH,
+    "bounded -n -1 -l 2 --table": NEGATIVE_LENGTH,
+    "dist -n -1": NEGATIVE_LENGTH,
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SIZES)
 def test_export_bounded_negative_size_is_a_usage_error(capsys, argv):
-    code, out, err = run_cli(capsys, *argv.split())
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "nonnegative" in err
+    assert run_cli(capsys, *argv.split()) == (2, "", NEGATIVE_SIZES[argv])
 
 
 def test_export_report(capsys):

@@ -429,6 +429,31 @@ def test_shared_pass_joins_match_the_column():
         bounded.bounded_counts_dp(9, (3, -1))
 
 
+def test_every_entry_point_words_a_negative_size_alike():
+    # one bound rule for every engine: the same two messages, from the
+    # engines, the table, its check and the height distribution
+    calls = {
+        "bounded_series_cf": bounded.bounded_series_cf,
+        "bounded_series_det": bounded.bounded_series_det,
+        "bounded_column_dp": bounded.bounded_column_dp,
+        "bounded_counts_dp": lambda l, n: bounded.bounded_counts_dp(n, (3, l)),
+        "bounded_count_dp": lambda l, n: bounded.bounded_count_dp(n, l),
+        "check_columns": lambda l, n: bounded.check_columns([(1,)], n, l, "dp"),
+    }
+    for method in ("cf", "det", "dp"):
+        calls[method] = lambda l, n, m=method: bounded.bounded_count_table(n, l, m)
+    for call in calls.values():
+        with pytest.raises(ValueError, match="^bound must be nonnegative$"):
+            call(-1, 6)
+        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+            call(2, -1)
+    for n in (-1, -2, -3):
+        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+            bounded.height_distribution(n)
+        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+            bounded.bounded_counts_dp(n, ())
+
+
 def test_join_slots_read_back_whole_bytes():
     # a cell that fills the top byte of its slot reads back exactly, beside
     # full, empty and one-bit neighbours and a last level that is zero
@@ -528,9 +553,11 @@ def test_bounded_count_table_and_csv():
 def test_column_streams_build_each_column_once(monkeypatch):
     # one run of the strip family and one ladder per table, never more than
     # min(l_max, n_max // 2) + 1 columns; a step of the family costs at most
-    # two polynomial products
-    calls = {"mul": 0, "inverse": 0}
+    # two polynomial products, and a table one series division per column;
+    # one quotient, however high the bound, makes exactly one division
+    calls = {"mul": 0, "inverse": 0, "divide": 0}
     real_mul, real_inverse = series_module.poly_mul, Series.inverse
+    real_divide = series_module.poly_divide_series
 
     def mul(*args):
         calls["mul"] += 1
@@ -540,17 +567,28 @@ def test_column_streams_build_each_column_once(monkeypatch):
         calls["inverse"] += 1
         return real_inverse(self)
 
+    def divide(*args):
+        calls["divide"] += 1
+        return real_divide(*args)
+
     monkeypatch.setattr(series_module, "poly_mul", mul)
     monkeypatch.setattr(Series, "inverse", inverse)
-    for n_max, l_max in ((40, 20), (10, 1500)):
-        calls["mul"] = 0
+    monkeypatch.setattr(series_module, "poly_divide_series", divide)
+    for n_max, l_max in ((40, 20), (10, 1500), (40, 7), (9, 0)):
+        calls["mul"] = calls["divide"] = 0
         bounded.bounded_count_table(n_max, l_max, method="det")
-        assert calls["mul"] <= 2 * (min(l_max, n_max // 2) + 1), (n_max, l_max)
+        columns = min(l_max, n_max // 2) + 1
+        assert calls["mul"] <= 2 * columns, (n_max, l_max)
+        assert calls["divide"] == columns, (n_max, l_max)
     bounded.bounded_count_table(10, 1500, method="cf")
     assert calls["inverse"] <= 6
     calls["mul"] = 0
     bounded.bounded_series_det(20, 40)
     assert calls["mul"] <= 42
+    for bound in (0, 20, 10**8):
+        calls["divide"] = 0
+        bounded.bounded_series_det(bound, 40)
+        assert calls["divide"] == 1, bound
 
 
 def test_pretty_cf_agreement_orders():
