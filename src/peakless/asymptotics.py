@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 
 from . import counting
-from .errors import REPORT_CAPS, ResourceLimitError
+from .errors import REPORT_CAPS, ResourceLimitError, check_sizes
 
 RHO = (3.0 - math.sqrt(5.0)) / 2.0
 INV_RHO = (3.0 + math.sqrt(5.0)) / 2.0
@@ -46,8 +46,7 @@ REPORT_TOLERANCES = {"count": 1e-2, "avg_height": 0.15}
 
 def log_predicted_count(n):
     """log of the singularity-analysis count prediction, overflow-free."""
-    if n < 1:
-        raise ValueError("prediction needs n >= 1")
+    check_sizes("length", [n], least=1)
     return (
         0.25 * math.log(5.0)
         - (n + 1) * math.log(RHO)
@@ -74,8 +73,7 @@ def count_ratio(n, exact=None):
 
 def predicted_avg_height(n):
     """Recorded large-n prediction 2 * 5^{-1/4} * sqrt(pi n)."""
-    if n < 1:
-        raise ValueError("prediction needs n >= 1")
+    check_sizes("length", [n], least=1)
     return AVG_HEIGHT_CONSTANT * math.sqrt(math.pi * n)
 
 
@@ -126,8 +124,7 @@ def convergence_report(kind, n_values, cap=None):
     if kind not in REPORT_CAPS:
         raise ValueError(f"unknown report kind {kind!r}")
     ns = [int(n) for n in n_values]
-    if any(n < 1 for n in ns):
-        raise ValueError("report lengths must be >= 1")
+    check_sizes("report length", ns, least=1)
     ResourceLimitError.check(
         f"{kind} report", ns, REPORT_CAPS[kind] if cap is None else cap
     )

@@ -21,8 +21,9 @@ and the brute-force oracle:
   (`bounded_count_dp` is the one-bound call).
 
 The three bounded engines share one domain, and `_top` holds its rule
-for all of them: no negative bound or length, and a bound above n // 2
-read as n // 2, because no path of length <= n rises higher.
+for all of them: the package's lower gate, `errors.check_sizes`, rejects
+a negative length or bound, and `_top` clamps a bound above n // 2 to
+n // 2, because no path of length <= n rises higher.
 
 Each bounded engine is one stream of the columns l = 0, 1, ...: the ladder,
 one run of the strip family (one quotient per column) or one automaton pass
@@ -54,19 +55,17 @@ from collections import namedtuple
 from itertools import count, islice, pairwise, repeat
 from operator import attrgetter
 
-from .errors import CROSS_CHECK_LIMIT, EngineDisagreement, check_agreement
+from .errors import CROSS_CHECK_LIMIT, EngineDisagreement, check_agreement, check_sizes
 
 STRIP_DIAGONAL = (-1, 1, -1)  # z - z^2 - 1, the strip family's multiplier
 
 
 def _top(bound, n):
-    # the one bound rule of every engine: no negative length or bound, and
-    # a bound above n // 2 read as n // 2, since no path of length <= n
-    # rises higher
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    # the one bound rule of every engine: the gate rejects a negative length
+    # or bound, and a bound above n // 2 is read as n // 2, since no path
+    # of length <= n rises higher
+    check_sizes("length", [n])
+    check_sizes("bound", [bound])
     return min(bound, n // 2)
 
 
@@ -102,8 +101,7 @@ def _three_term_family(seed0=(-1, 1)):
 
 
 def _family_member(seed0, index):
-    if index < -1:
-        raise ValueError("index must be >= -1")
+    check_sizes("index", [index], least=-1)
     return next(islice(_three_term_family(seed0), index + 1, None))
 
 

@@ -38,7 +38,7 @@ import decimal
 from itertools import chain, cycle, islice
 from operator import mul
 
-from .errors import CROSS_CHECK_LIMIT, check_agreement
+from .errors import CROSS_CHECK_LIMIT, check_agreement, check_sizes
 
 # kernel of the end-level recursion: z u^2 + (z - z^2 - 1) u + z
 KERNEL_U2 = (0, 1)
@@ -66,8 +66,7 @@ def motzkin_numbers(n_max):
     M_{n+1} = M_n + sum_{k<n} M_k M_{n-1-k}; used as the oracle for
     unrestricted-path tests (all Motzkin paths, peaks allowed).
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    check_sizes("length", [n_max])
     m = [1]
     for n in range(n_max):
         m.append(m[n] + sum(m[k] * m[n - 1 - k] for k in range(n)))
@@ -82,8 +81,7 @@ def peakless_series(n_max):
     n >= 2, the convolution folded in half by its symmetry.  O(n^2) big-int
     products, no division.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    check_sizes("length", [n_max])
     f = [1, 1]
     for n in range(2, n_max + 1):
         m = n - 2
@@ -96,8 +94,7 @@ def peakless_series(n_max):
 
 def _extend_recurrence(values, n_max):
     # m(0)..m(n_max) from values, which must hold at least the four initial terms
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    check_sizes("length", [n_max])
     v = list(values)
     for n in range(len(v) - 4, n_max - 3):
         num = (
@@ -138,8 +135,7 @@ def peakless_closed_form(n):
     division (past that the result stays exact, only slower).  The sum is
     returned as an int, which int() builds without a decimal string.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_sizes("length", [n])
     with decimal.localcontext(EXACT_DECIMAL):
         total = term = decimal.Decimal(1)  # k = 0, also for n = 0
         for k in range((n - 1) // 2):
@@ -172,8 +168,7 @@ def end_level_series(k, n_max):
     the number of length-n peakless walks from the origin to level k:
     element k of `end_level_stream(n_max)`.
     """
-    if k < 0:
-        raise ValueError("end level must be nonnegative")
+    check_sizes("end level", [k])
     return list(next(islice(end_level_stream(n_max), k, None)).coeffs)
 
 
@@ -226,8 +221,7 @@ def pretty_cf_series(depth, order):
     B_{-1} = 0, B_0 = 1: polynomials, then one exact division of
     A_d + B_d by B_d, whose constant term is 1 since no a_i has one.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    check_sizes("depth", [depth], least=1)
     from .series import poly_divide_series, poly_mul, poly_neg, poly_sub
 
     # -a_1, -a_2, ...: X_k = X_{k-1} - (-a_k) X_{k-2}

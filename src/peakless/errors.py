@@ -1,17 +1,21 @@
 """Exceptions, budgets and the agreement check shared across the package.
 
-Every size budget goes through one gate, `ResourceLimitError.check`: a
-negative cap is a malformed setting (ValueError, exit 2 in the CLI) and a
-size past the cap is an exhausted budget (exit 3), both with one message
-form.  The default budgets live here too: the brute-force length cap
-(`DEFAULT_ORACLE_CAP`, overridden by the `ORACLE_CAP_ENV` variable, read
-in `paths`) and the largest n of each convergence report (`REPORT_CAPS`).
-Two routes to one sequence are compared by `check_agreement`, which
-raises `EngineDisagreement` (exit 1); the checks of both engine modules,
-`counting` and `bounded`, meet a second engine over the first
-`CROSS_CHECK_LIMIT` + 1 terms of a printed sequence, so neither module
-loads the other to read it.  This module imports nothing, so
-the CLI reads its option defaults without loading an engine.
+Every size goes through two gates, each with one message form.  The lower
+one, `check_sizes`, rejects a size below its domain (a negative length,
+bound, end level or order, a report length below 1) with ValueError,
+exit 2 in the CLI.  The upper one, `ResourceLimitError.check`, holds a
+size to its budget: a size past the cap is an exhausted budget (exit 3),
+and the cap itself passes the lower gate first, so a negative cap is a
+malformed setting (exit 2).  The default budgets live here too: the
+brute-force length cap (`DEFAULT_ORACLE_CAP`, overridden by the
+`ORACLE_CAP_ENV` variable, read in `paths`) and the largest n of each
+convergence report (`REPORT_CAPS`).  Two routes to one sequence are
+compared by `check_agreement`, which raises `EngineDisagreement` (exit
+1); the checks of both engine modules, `counting` and `bounded`, meet a
+second engine over the first `CROSS_CHECK_LIMIT` + 1 terms of a printed
+sequence, so neither module loads the other to read it.  This module
+imports nothing, so the CLI reads its option defaults without loading an
+engine.
 """
 
 DEFAULT_ORACLE_CAP = 16
@@ -24,6 +28,18 @@ MISMATCHES_SHOWN = 5  # a disagreement lists at most this many indices
 CROSS_CHECK_LIMIT = 200  # printed sequences meet a second engine up to here
 
 
+def check_sizes(what, sizes, least=0):
+    """Raise ValueError at the first size below least, naming it.
+
+    The message reads "<what> must be nonnegative, got <v>" for least 0
+    and "<what> must be at least <least>, got <v>" otherwise.
+    """
+    for n in sizes:
+        if n < least:
+            floor = f"at least {least}" if least else "nonnegative"
+            raise ValueError(f"{what} must be {floor}, got {n}")
+
+
 class ResourceLimitError(RuntimeError):
     """An exact computation was asked to exceed its configured budget."""
 
@@ -31,11 +47,11 @@ class ResourceLimitError(RuntimeError):
     def check(cls, what, sizes, cap):
         """Raise unless every size is at most cap.
 
-        A negative cap raises ValueError; sizes past the cap raise cls,
-        naming all of them, so a subclass call raises that subclass.
+        A negative cap raises ValueError from `check_sizes`; sizes past the
+        cap raise cls, naming all of them, so a subclass call raises that
+        subclass.
         """
-        if cap < 0:
-            raise ValueError(f"{what} cap must be nonnegative, got {cap}")
+        check_sizes(f"{what} cap", [cap])
         over = [n for n in sizes if n > cap]
         if over:
             raise cls(f"{what} limited to n <= {cap}; out of budget: {over}")

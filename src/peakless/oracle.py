@@ -27,6 +27,7 @@ Step digit coding, shared with the enumeration order in `paths`:
 from collections import Counter
 from functools import cache, lru_cache
 
+from .errors import check_sizes
 from .paths import PathConstraints, check_oracle_length
 
 
@@ -92,8 +93,7 @@ def classification_table(n):
         height, where pk = 1 for peakless sequences and 0 for the rest.
         Tuples keep the cached table read-only.
     """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
+    check_sizes("length", [n])
     return tuple(tuple(map(tuple, layer)) for layer in _classify_halves(n))
 
 
@@ -108,8 +108,7 @@ def brute_force_count(n, constraints=None):
 
 def height_counts(n, peakless=False, end_level=0):
     """Counts of length-n paths by exact height, as a plain list."""
-    if end_level < 0:
-        raise ValueError("end level must be nonnegative")
+    check_sizes("end level", [end_level])
     check_oracle_length(n)
     table = classification_table(n)
     if end_level > n:

@@ -35,7 +35,7 @@ OracleLimitError.
 import os
 from collections import namedtuple
 
-from .errors import DEFAULT_ORACLE_CAP, ORACLE_CAP_ENV, OracleLimitError
+from .errors import DEFAULT_ORACLE_CAP, ORACLE_CAP_ENV, OracleLimitError, check_sizes
 
 UP = "U"
 DOWN = "D"
@@ -72,13 +72,11 @@ class PathConstraints(namedtuple("PathConstraints", "peakless max_height end_lev
     __slots__ = ()
 
     def __new__(cls, peakless=False, max_height=None, end_level=0):
-        if end_level < 0:
-            raise ValueError("end_level must be nonnegative")
+        check_sizes("end level", [end_level])
         if max_height is not None:
-            if max_height < 0:
-                raise ValueError("max_height must be nonnegative")
+            check_sizes("bound", [max_height])
             if end_level > max_height:
-                raise ValueError("end_level cannot exceed max_height")
+                raise ValueError("end level cannot exceed bound")
         return super().__new__(cls, peakless, max_height, end_level)
 
     @classmethod
@@ -185,8 +183,7 @@ def prefix_blocks(n, constraints=None, cap=None):
     if constraints is None:
         constraints = PathConstraints()
     check_oracle_length(n, cap)
-    if n < 0:
-        raise ValueError("length must be nonnegative")
+    check_sizes("length", [n])
 
     end = constraints.end_level
     peakless = constraints.peakless

@@ -14,6 +14,8 @@ function num/den into a Series.  One loop, `_product`, multiplies both.
 from itertools import starmap, zip_longest
 from operator import add, neg, sub
 
+from .errors import check_sizes
+
 
 def poly_trim(coeffs):
     """Drop trailing zero coefficients; the zero polynomial becomes (0,)."""
@@ -57,13 +59,9 @@ class Series:
         if order is None:
             if not coeffs:
                 raise ValueError("need coefficients or an explicit order")
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if len(coeffs) <= order:
-            coeffs = coeffs + (0,) * (order + 1 - len(coeffs))
-        else:
-            coeffs = coeffs[: order + 1]
+        else:  # truncate or pad with zeros to c_0..c_order
+            check_sizes("order", [order])
+            coeffs = coeffs[: order + 1] + (0,) * (order + 1 - len(coeffs))
         object.__setattr__(self, "coeffs", coeffs)
 
     # Series is immutable; block attribute assignment despite __slots__.
@@ -110,8 +108,7 @@ class Series:
 
     def shift(self, k):
         """Multiply by z^k, truncating at the same order."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
+        check_sizes("shift", [k])
         n = self.order
         if k > n:
             return Series.zero(n)
@@ -150,4 +147,4 @@ def poly_divide_series(num, den, order):
             if dj:
                 acc -= dj * out[k - j]
         out[k] = acc * d0
-    return Series(out)
+    return Series(out, order)

@@ -616,26 +616,36 @@ def test_export_bounded(capsys):
     assert payload["rows"][0] == {"n": 0, "ell": 0, "count": 1}
 
 
-# one line per mistake, whichever A(n, l) request makes it
-NEGATIVE_BOUND = "error: bound must be nonnegative\n"
-NEGATIVE_LENGTH = "error: length must be nonnegative\n"
+# one line per mistake, whichever request makes it: each size below its
+# domain goes through one gate, `errors.check_sizes`
+NEGATIVE = "error: {} must be nonnegative, got {}\n".format
+BELOW_ONE = "error: report length must be at least 1, got {}\n".format
 NEGATIVE_SIZES = {
-    "export bounded -n 5 -l -2": NEGATIVE_BOUND,
-    "export bounded -n 5 -l -2 --method det": NEGATIVE_BOUND,
-    "export bounded -n 5 -l -2 --method dp": NEGATIVE_BOUND,
-    "export bounded -n -1 -l 2 --method dp": NEGATIVE_LENGTH,
-    "export bounded -n -1 -l 2": NEGATIVE_LENGTH,
-    "export bounded -n -1 -l 2 --method det": NEGATIVE_LENGTH,
-    "bounded -n 5 -l -1": NEGATIVE_BOUND,
-    "bounded -n 5 -l -1 --table": NEGATIVE_BOUND,
-    "bounded -n -1 -l 2": NEGATIVE_LENGTH,
-    "bounded -n -1 -l 2 --table": NEGATIVE_LENGTH,
-    "dist -n -1": NEGATIVE_LENGTH,
+    "export bounded -n 5 -l -2": NEGATIVE("bound", -2),
+    "export bounded -n 5 -l -2 --method det": NEGATIVE("bound", -2),
+    "export bounded -n 5 -l -2 --method dp": NEGATIVE("bound", -2),
+    "export bounded -n -1 -l 2 --method dp": NEGATIVE("length", -1),
+    "export bounded -n -1 -l 2": NEGATIVE("length", -1),
+    "export bounded -n -1 -l 2 --method det": NEGATIVE("length", -1),
+    "bounded -n 5 -l -1": NEGATIVE("bound", -1),
+    "bounded -n 5 -l -1 --table": NEGATIVE("bound", -1),
+    "bounded -n -1 -l 2": NEGATIVE("length", -1),
+    "bounded -n -1 -l 2 --table": NEGATIVE("length", -1),
+    "dist -n -1": NEGATIVE("length", -1),
+    "count -n -1": NEGATIVE("length", -1),
+    "enumerate -n -1": NEGATIVE("length", -1),
+    "enumerate -n 4 -l -1": NEGATIVE("bound", -1),
+    "enumerate -n 4 --end-level -1": NEGATIVE("end level", -1),
+    "enumerate -n 4 -l 1 --end-level 2": "error: end level cannot exceed bound\n",
+    "asympt --kind count -n -1": BELOW_ONE(-1),
+    "asympt --kind avg_height -n 0": BELOW_ONE(0),
+    "export report -n 0": BELOW_ONE(0),
 }
 
 
 @pytest.mark.parametrize("argv", NEGATIVE_SIZES)
 def test_export_bounded_negative_size_is_a_usage_error(capsys, argv):
+    # every subcommand that takes a size has a row
     assert run_cli(capsys, *argv.split()) == (2, "", NEGATIVE_SIZES[argv])
 
 

@@ -4,13 +4,15 @@ For any mix of options, `cli.main` returns 0, 2 or 3, or argparse raises
 SystemExit(2); it never raises anything else and, on correct engines,
 never returns 1.  Exit 2 or 3 writes one stderr line, `error: ...` or
 `resource cap: ...`, and nothing to stdout or --out; exit 0 writes no
-stderr.  `cli.read_argv` reads an argv exactly as argparse does, or
-leaves it to argparse.
+stderr.  Every exit-2 line has one of the forms of `USAGE_ERRORS`.
+`cli.read_argv` reads an argv exactly as argparse does, or leaves it to
+argparse.
 """
 import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -44,6 +46,16 @@ def joined(parts):
 def parts(*strategies):
     return st.tuples(*strategies).map(joined)
 
+
+# the exit-2 lines of `main`: a size below its domain (`errors.check_sizes`),
+# the one relation between sizes, a cap setting that is not an integer and
+# an output that cannot be written
+USAGE_ERRORS = re.compile(
+    r"error: (.+ must be (nonnegative|at least -?\d+), got -?\d+"
+    r"|end level cannot exceed bound"
+    rf"|{ORACLE_CAP_ENV} must be an integer, got .+"
+    r"|\[Errno \d+\] .+)\n"
+)
 
 ALL = ("text", "csv", "json")
 KINDS = st.sampled_from(("count", "avg_height"))
@@ -120,6 +132,7 @@ def test_every_request_keeps_the_exit_code_contract(argv, out, cap):
     else:
         prefix = "error: " if code == 2 else "resource cap: "
         assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+        assert code == 3 or USAGE_ERRORS.fullmatch(err), (args, err)
         assert stdout.getvalue() == "" and not written, (args, err)
 
 

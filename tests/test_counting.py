@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from peakless import bounded, counting, oracle
+from peakless import asymptotics, bounded, counting, oracle, paths
 from peakless import series as series_module
+from peakless.errors import ResourceLimitError
 from peakless.paths import PathConstraints
 from peakless.series import (
     Series,
@@ -429,8 +430,49 @@ def test_shared_pass_joins_match_the_column():
         bounded.bounded_counts_dp(9, (3, -1))
 
 
+# every entry point with a size, a size below its domain and the exact line
+# it raises: one gate, `errors.check_sizes`, words each of them
+NEGATIVE = "^{} must be nonnegative, got {}$".format
+BELOW = "^{} must be at least {}, got {}$".format
+BAD_SIZES = [
+    (lambda: bounded.determinant_poly(-2), BELOW("index", -1, -2)),
+    (lambda: bounded.strip_denominator_poly(-3), BELOW("index", -1, -3)),
+    (lambda: counting.motzkin_numbers(-1), NEGATIVE("length", -1)),
+    (lambda: counting.peakless_series(-2), NEGATIVE("length", -2)),
+    (lambda: counting.peakless_recurrence(-1), NEGATIVE("length", -1)),
+    (lambda: counting.peakless_decimals(-1), NEGATIVE("length", -1)),
+    (lambda: counting.peakless_closed_form(-1), NEGATIVE("length", -1)),
+    (lambda: counting.end_level_series(-1, 5), NEGATIVE("end level", -1)),
+    (lambda: counting.pretty_cf_series(0, 5), BELOW("depth", 1, 0)),
+    (lambda: counting.pretty_cf_series(3, -1), NEGATIVE("order", -1)),
+    (lambda: counting.pretty_cf_agreement(3, -1), NEGATIVE("order", -1)),
+    (lambda: PathConstraints(end_level=-1), NEGATIVE("end level", -1)),
+    (lambda: PathConstraints(max_height=-2), NEGATIVE("bound", -2)),
+    (lambda: paths.prefix_blocks(-1), NEGATIVE("length", -1)),
+    (lambda: paths.enumerate_paths(-2), NEGATIVE("length", -2)),
+    (lambda: oracle.classification_table(-1), NEGATIVE("length", -1)),
+    (lambda: oracle.height_counts(4, end_level=-1), NEGATIVE("end level", -1)),
+    (lambda: oracle.brute_force_count(-1), NEGATIVE("length", -1)),
+    (lambda: Series((1, 2), -1), NEGATIVE("order", -1)),
+    (lambda: Series((1, 2)).shift(-1), NEGATIVE("shift", -1)),
+    (lambda: poly_divide_series((1,), (1, -1), -1), NEGATIVE("order", -1)),
+    (lambda: asymptotics.log_predicted_count(0), BELOW("length", 1, 0)),
+    (lambda: asymptotics.predicted_count(-1), BELOW("length", 1, -1)),
+    (lambda: asymptotics.predicted_avg_height(0), BELOW("length", 1, 0)),
+    (
+        lambda: asymptotics.convergence_report("count", [5, 0, -1]),
+        BELOW("report length", 1, 0),
+    ),
+    (
+        lambda: asymptotics.convergence_report("avg_height", [-3], cap=-1),
+        BELOW("report length", 1, -3),
+    ),
+    (lambda: ResourceLimitError.check("report", [], -1), NEGATIVE("report cap", -1)),
+]
+
+
 def test_every_entry_point_words_a_negative_size_alike():
-    # one bound rule for every engine: the same two messages, from the
+    # one bound rule for every bounded engine: the same two lines, from the
     # engines, the table, its check and the height distribution
     calls = {
         "bounded_series_cf": bounded.bounded_series_cf,
@@ -443,15 +485,19 @@ def test_every_entry_point_words_a_negative_size_alike():
     for method in ("cf", "det", "dp"):
         calls[method] = lambda l, n, m=method: bounded.bounded_count_table(n, l, m)
     for call in calls.values():
-        with pytest.raises(ValueError, match="^bound must be nonnegative$"):
+        with pytest.raises(ValueError, match=NEGATIVE("bound", -1)):
             call(-1, 6)
-        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+        with pytest.raises(ValueError, match=NEGATIVE("length", -1)):
             call(2, -1)
     for n in (-1, -2, -3):
-        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+        with pytest.raises(ValueError, match=NEGATIVE("length", n)):
             bounded.height_distribution(n)
-        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+        with pytest.raises(ValueError, match=NEGATIVE("length", n)):
             bounded.bounded_counts_dp(n, ())
+    # and every other entry point through the same gate
+    for call, message in BAD_SIZES:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_join_slots_read_back_whole_bytes():

@@ -202,9 +202,9 @@ def test_constraint_validation():
 @pytest.mark.parametrize(
     "fields, message",
     [
-        (dict(end_level=-1), "end_level must be nonnegative"),
-        (dict(max_height=-1), "max_height must be nonnegative"),
-        (dict(max_height=1, end_level=2), "end_level cannot exceed max_height"),
+        (dict(end_level=-1), "end level must be nonnegative, got -1"),
+        (dict(max_height=-1), "bound must be nonnegative, got -1"),
+        (dict(max_height=1, end_level=2), "end level cannot exceed bound"),
     ],
 )
 def test_constraint_messages(fields, message):
