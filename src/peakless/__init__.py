@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "asymptotics": """AVG_HEIGHT_CONSTANT ConvergenceReport INV_RHO
+        "asymptotics": """AVG_HEIGHT_CONSTANT ConvergenceReport
             MOTZKIN_HEIGHT_CONSTANT RHO SINGULAR_AMPLITUDE convergence_report
             count_ratio log_predicted_count predicted_avg_height predicted_count""",
         "bounded": """HeightStats bounded_column_dp bounded_count_dp

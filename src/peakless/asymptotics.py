@@ -32,7 +32,6 @@ from . import counting
 from .errors import REPORT_CAPS, ResourceLimitError, check_sizes
 
 RHO = (3.0 - math.sqrt(5.0)) / 2.0
-INV_RHO = (3.0 + math.sqrt(5.0)) / 2.0
 SINGULAR_AMPLITUDE = 5.0**0.25
 AVG_HEIGHT_CONSTANT = 2.0 * 5.0**-0.25  # 1.337480610...
 MOTZKIN_HEIGHT_CONSTANT = 3.0**-0.5  # 0.5773502691...
@@ -48,7 +47,7 @@ def log_predicted_count(n):
     """log of the singularity-analysis count prediction, overflow-free."""
     check_sizes("length", [n], least=1)
     return (
-        0.25 * math.log(5.0)
+        math.log(SINGULAR_AMPLITUDE)
         - (n + 1) * math.log(RHO)
         - math.log(2.0)
         - 0.5 * math.log(math.pi)

@@ -45,14 +45,20 @@ diagonal entry is z - 1.  `determinant_poly` gives the determinants D_l of
 the uncorrected all-equal tridiagonal matrix (D_0 = z - z^2 - 1,
 D_1 = (1-z)^2 (1+z^2), ...); `strip_denominator_poly` gives the corrected
 family E_l whose quotients -E_{l-1}/E_l are the true bounded generating
-functions.  The two families share the recurrence
-X_l = (z - z^2 - 1) X_{l-1} - z^2 X_{l-2} and differ only in the seed
-(D_0 = z - z^2 - 1 versus E_0 = z - 1); the uncorrected quotient first
-deviates from the true count at n = 2l + 2, the shortest length at which a
-path can touch level l + 1.
+functions.  One recurrence runs, X_l = (z - z^2 - 1) X_{l-1} - z^2 X_{l-2}
+from D_{-2} = 0 and D_{-1} = 1, and E is read off consecutive terms of
+that one run: E_l = D_l + z^2 D_{l-1}, since both sides follow the
+recurrence and agree at l = -1 and l = 0.  The run has the Chebyshev form
+of de Bruijn, Knuth & Rice (1972),
+
+    D_l = sum_k C(l + 1 - k, k) (z - z^2 - 1)^(l + 1 - 2k) (-z^2)^k,
+
+which `verify` holds it to.  The uncorrected quotient first deviates from
+the true count at n = 2l + 2, the shortest length at which a path can
+touch level l + 1.
 """
 from collections import namedtuple
-from itertools import count, islice, pairwise, repeat
+from itertools import count, islice, pairwise, repeat, starmap
 from operator import attrgetter
 
 from .errors import CROSS_CHECK_LIMIT, EngineDisagreement, check_agreement, check_sizes
@@ -90,49 +96,69 @@ def _ladder(order):
         a = (q - a.shift(2)).inverse()
 
 
-def _three_term_family(seed0=(-1, 1)):
+def _three_term_family():
+    # D_{-2} = 0, D_{-1} = 1, D_0, D_1, ...: one product per term from D_0 on
     from .series import poly_mul, poly_sub
 
-    prev, cur = (1,), seed0
+    prev, cur = (0,), (1,)
     yield prev
     while True:
         yield cur
         prev, cur = cur, poly_sub(poly_mul(STRIP_DIAGONAL, cur), (0, 0) + prev)
 
 
-def _family_member(seed0, index):
+def _strip_denominators():
+    # E_{-1}, E_0, E_1, ...: E_l = D_l + z^2 D_{l-1}, off consecutive D terms
+    return starmap(_corrected, pairwise(_three_term_family()))
+
+
+def _corrected(before, d):
+    from .series import poly_neg, poly_sub
+
+    return poly_sub(d, (0, 0) + poly_neg(before))
+
+
+def _family_member(index):
+    # the pair (D_{index-1}, D_index) of the one run
     check_sizes("index", [index], least=-1)
-    return next(islice(_three_term_family(seed0), index + 1, None))
+    return next(islice(pairwise(_three_term_family()), index + 1, None))
 
 
 def determinant_poly(bound):
     """Determinant D_l of the (l+1) x (l+1) tridiagonal matrix with
-    diagonal z - z^2 - 1 and off-diagonal z; D_{-1} = 1 by convention."""
-    return _family_member(STRIP_DIAGONAL, bound)
+    diagonal z - z^2 - 1 and off-diagonal z; D_{-1} = 1 by convention.
+
+    Term l of the one strip run, from D_{-2} = 0 and D_{-1} = 1: l + 1
+    polynomial products.
+    """
+    return _family_member(bound)[1]
 
 
 def strip_denominator_poly(bound):
     """Denominator E_l of the bounded-height generating function.
 
-    Same three-term recurrence as `determinant_poly` but seeded with
-    E_0 = z - 1: the matrix row of the top level has no -z^2 term because
-    nothing may rise above the ceiling.  -E_{l-1}/E_l expands to the exact
-    height <= l counts for every l >= 0.
+    The matrix row of the top level has no -z^2 term because nothing may
+    rise above the ceiling, so expanding the determinant along that row
+    gives E_l = D_l + z^2 D_{l-1}, read off the same run as
+    `determinant_poly` (E_{-1} = 1, E_0 = z - 1).  -E_{l-1}/E_l expands
+    to the exact height <= l counts for every l >= 0.
     """
-    return _family_member((-1, 1), bound)
+    return _corrected(*_family_member(bound))
 
 
 def bounded_series_det(bound, order):
     """Height <= bound generating function as a determinant quotient.
 
-    Expands -E_{bound-1}/E_bound with one exact series division.  At z = 0
-    the three-term step reads E_l(0) = -E_{l-1}(0), so E_l(0) = (-1)^{l+1}
-    and the constant term -E_{l-1}(0)/E_l(0) is +1 for every l.  Bound 0
-    is -E_{-1}/E_0 = 1/(1 - z).  The bound follows `_top`, so E_bound has
-    at most order + 2 coefficients.
+    Expands -E_{bound-1}/E_bound with one exact series division, both
+    read off one run of D_{-2}..D_bound: bound + 1 polynomial products.
+    At z = 0 the three-term step reads D_l(0) = -D_{l-1}(0), so
+    E_l(0) = D_l(0) = (-1)^{l+1} and the constant term -E_{l-1}(0)/E_l(0)
+    is +1 for every l.  Bound 0 is -E_{-1}/E_0 = 1/(1 - z).  The bound
+    follows `_top`, so E_bound has at most order + 2 coefficients.
     """
-    pairs = pairwise(_three_term_family())
-    return _strip_quotient(next(islice(pairs, _top(bound, order), None)), order)
+    l = _top(bound, order)
+    run = islice(_three_term_family(), l, l + 3)  # D_{l-2}, D_{l-1}, D_l
+    return _strip_quotient(tuple(starmap(_corrected, pairwise(run))), order)
 
 
 def _strip_quotient(pair, order):
@@ -254,7 +280,7 @@ _coeffs = attrgetter("coeffs")
 COLUMN_STREAMS = {
     "cf": lambda n: map(_coeffs, _ladder(n)),
     "det": lambda n: map(
-        _coeffs, map(_strip_quotient, pairwise(_three_term_family()), repeat(n))
+        _coeffs, map(_strip_quotient, pairwise(_strip_denominators()), repeat(n))
     ),
     "dp": lambda n: map(tuple, map(bounded_column_dp, count(), repeat(n))),
 }

@@ -6,21 +6,23 @@ functional equation, recurrence, and fixed values from the paper's
 examples.  Each comparison goes through `errors.check_agreement`, as in
 the `check_*` functions of `counting` and `bounded`, so a failure names
 both routes and the first mismatching indices: two engines, an engine
-and a `fixture`, a residual series and `zero`, the continued fraction's
-agreement orders and its numerators' valuation sums.  A check returns
-nothing and fails only by raising; `run_checks` returns one record per
-check so the CLI can print a line each and emit a machine-readable
-failure list.  The kernel identities read h_0..h_6 off one
+and a `fixture`, a residual series and `zero`, the strip family and its
+Chebyshev form, the continued fraction's agreement orders and its
+numerators' valuation sums.  A check returns nothing and fails only by
+raising; `run_checks` returns one record per check so the CLI can print a
+line each and emit a machine-readable failure list.  The kernel identities read h_0..h_6 off one
 `counting.end_level_stream`: one run of the functional equation and one
 product per power.
 
 The sizes of both levels live in `SIZES`: path length and height bound of
 the brute-force comparisons (every height distribution up to that length
-is held to the oracle's height census), the order of the kernel
-identities, the length of the recurrence's exactness run, and the length
-of the `bounded_count_table` invariants, which only full runs.
+is held to the oracle's height census; the strip run meets its Chebyshev
+form up to that bound), the order of the kernel identities, the length of
+the recurrence's exactness run, and the length of the `bounded_count_table`
+invariants, which only full runs.
 """
 import itertools
+import math
 from fractions import Fraction
 
 from . import bounded, counting, oracle, paths
@@ -121,11 +123,26 @@ def check_end_levels(n_limit):
         )
 
 
-def check_determinants():
-    # D_1 = (1 - z)^2 (1 + z^2); the quotient for bound 1 is A(n, 1), n <= 4
+def check_determinants(bound):
+    # the strip run D_{-1}..D_bound against its Chebyshev form, a sum over
+    # powers of S = z - z^2 - 1 that shares no loop with the run:
+    # D_l = sum_k C(l + 1 - k, k) S^(l + 1 - 2k) (-z^2)^k, of degree 2l + 2
+    powers = [(1,)]
+    for _ in range(bound + 1):
+        powers.append(poly_mul(powers[-1], bounded.STRIP_DIAGONAL))
+    chebyshev = []
+    for l in range(-1, bound + 1):
+        d = [0] * (2 * l + 3)
+        for k in range((l + 1) // 2 + 1):
+            c = math.comb(l + 1 - k, k) * (-1) ** k
+            for i, x in enumerate(powers[l + 1 - 2 * k], 2 * k):
+                d[i] += c * x
+        chebyshev.append(tuple(d))
+    family = [bounded.determinant_poly(l) for l in range(-1, bound + 1)]
+    names = ("strip family", "Chebyshev form")
+    check_agreement(names, family, chebyshev, start=-1, index="l")
+    # E_0 = z - 1; the quotient for bound 1 is A(n, 1), n <= 4
     _fixtures(
-        ("D_0", bounded.determinant_poly(0), (-1, 1, -1)),
-        ("D_1", bounded.determinant_poly(1), (1, -2, 2, -2, 1)),
         ("E_0", bounded.strip_denominator_poly(0), (-1, 1)),
         ("det quotient", bounded.bounded_series_det(1, 4).coeffs, (1, 1, 1, 2, 4)),
     )
@@ -230,7 +247,7 @@ def checks_for_level(level):
         ("sequence_fixture", check_sequence_fixture),
         ("five_way_agreement", lambda: check_five_way(n, l)),
         ("end_level_counts", lambda: check_end_levels(min(n, 10))),
-        ("determinant_fixtures", check_determinants),
+        ("determinant_fixtures", lambda: check_determinants(l)),
         ("height_stats", lambda: check_height_stats(n)),
         ("pretty_cf", check_pretty_cf),
         ("kernel_identities", lambda: check_kernel_identities(order)),

@@ -11,9 +11,10 @@ from peakless.errors import ResourceLimitError
 
 def test_singularity_constants():
     assert abs(1.0 - 3.0 * asymptotics.RHO + asymptotics.RHO**2) < 1e-12
-    assert abs(asymptotics.RHO * asymptotics.INV_RHO - 1.0) < 1e-12
+    # 1/rho is the other real root, the square of the golden ratio
+    assert abs(1.0 - 3.0 / asymptotics.RHO + asymptotics.RHO**-2) < 1e-12
     golden = (1.0 + math.sqrt(5.0)) / 2.0
-    assert abs(asymptotics.INV_RHO - golden**2) < 1e-12
+    assert abs(1.0 / asymptotics.RHO - golden**2) < 1e-12
     assert abs(asymptotics.SINGULAR_AMPLITUDE**4 - 5.0) < 1e-12
     # the companion factor 1 + z + z^2 only has unit-modulus roots
     for root in ((-1 + cmath.sqrt(-3)) / 2, (-1 - cmath.sqrt(-3)) / 2):

@@ -295,6 +295,19 @@ def test_determinant_fixtures():
         poly_mul((0, 0, 1), bounded.determinant_poly(0)),
     )
     assert bounded.determinant_poly(2) == d2_step
+    # E_l = D_l + z^2 D_{l-1} (expand the ceiling row z - 1 = S + z^2), and
+    # D_l matches its Chebyshev form in S = z - z^2 - 1 at 2l + 3 integer
+    # points, as many as pin a polynomial of degree 2l + 2
+    for l in range(40):
+        d, before = bounded.determinant_poly(l), bounded.determinant_poly(l - 1)
+        expected = poly_sub(d, poly_mul((0, 0, -1), before))
+        assert bounded.strip_denominator_poly(l) == expected, l
+        for x in range(-l - 1, l + 2):
+            s, ks = x - x * x - 1, range((l + 1) // 2 + 1)
+            form = sum(
+                comb(l + 1 - k, k) * s ** (l + 1 - 2 * k) * (-x * x) ** k for k in ks
+            )
+            assert sum(c * x**i for i, c in enumerate(d)) == form, (l, x)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3, 4])
@@ -598,9 +611,9 @@ def test_bounded_count_table_and_csv():
 
 def test_column_streams_build_each_column_once(monkeypatch):
     # one run of the strip family and one ladder per table, never more than
-    # min(l_max, n_max // 2) + 1 columns; a step of the family costs at most
-    # two polynomial products, and a table one series division per column;
-    # one quotient, however high the bound, makes exactly one division
+    # min(l_max, n_max // 2) + 1 columns; a step of the family costs one
+    # polynomial product, and a table one series division per column; one
+    # quotient, however high the bound, makes exactly one division
     calls = {"mul": 0, "inverse": 0, "divide": 0}
     real_mul, real_inverse = series_module.poly_mul, Series.inverse
     real_divide = series_module.poly_divide_series
@@ -624,13 +637,13 @@ def test_column_streams_build_each_column_once(monkeypatch):
         calls["mul"] = calls["divide"] = 0
         bounded.bounded_count_table(n_max, l_max, method="det")
         columns = min(l_max, n_max // 2) + 1
-        assert calls["mul"] <= 2 * columns, (n_max, l_max)
+        assert calls["mul"] <= columns, (n_max, l_max)
         assert calls["divide"] == columns, (n_max, l_max)
     bounded.bounded_count_table(10, 1500, method="cf")
     assert calls["inverse"] <= 6
     calls["mul"] = 0
     bounded.bounded_series_det(20, 40)
-    assert calls["mul"] <= 42
+    assert calls["mul"] <= 21  # D_0..D_20
     for bound in (0, 20, 10**8):
         calls["divide"] = 0
         bounded.bounded_series_det(bound, 40)

@@ -219,6 +219,11 @@ FAULTS = {
         "quick", bounded, "strip_denominator_poly", _skew_always,
         ("E_0", "fixture"),
     ),
+    "determinant_fixtures/chebyshev": (
+        "quick", bounded, "determinant_poly",
+        lambda real: lambda l: real(l) + (1,) if l == 3 else real(l),
+        ("strip family", "Chebyshev form"),
+    ),
     "height_stats": (
         "quick", bounded, "height_distribution", _skew_height,
         ("expected heights", "fixture"),
@@ -250,6 +255,7 @@ FAULTS = {
 
 # rows whose terms are not numbered by a length n: the first index shown
 FIRST_INDEX = {
+    "determinant_fixtures/chebyshev": "l=3",
     "pretty_cf": "depth=3",
     "pretty_cf/period": "k=0",
     "table_invariants": "l=30",
