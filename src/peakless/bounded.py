@@ -61,7 +61,7 @@ from collections import namedtuple
 from itertools import count, islice, pairwise, repeat, starmap
 from operator import attrgetter
 
-from .errors import CROSS_CHECK_LIMIT, EngineDisagreement, check_agreement, check_sizes
+from .errors import CROSS_CHECK_LIMIT, check_agreement, check_sizes
 
 STRIP_DIAGONAL = (-1, 1, -1)  # z - z^2 - 1, the strip family's multiplier
 
@@ -339,7 +339,7 @@ def check_columns(columns, n, bound, method):
     """Hold columns A(0..n, l), l = bound - len(columns) + 1..bound, of the
     `method` stream to two routes.
 
-    The last column's first 201 terms meet the determinant quotient, or the
+    The last column's first 201 terms meet the strip family, or the
     automaton column for "det", whose columns are the strip family's own
     quotients, and the last term of each distinct column, the last first,
     the middle join.
@@ -350,7 +350,7 @@ def check_columns(columns, n, bound, method):
     if method == "det":
         other, values = "automaton", bounded_column_dp(bound, order)
     else:
-        other, values = "determinant", bounded_series_det(bound, order).coeffs
+        other, values = "strip family", bounded_series_det(bound, order).coeffs
     check_agreement((route, other), checked, values, f" for bound={bound}")
     first = bound + 1 - len(columns)
     # columns past n // 2 repeat that one, so a huge bound costs n // 2 + 1 joins
@@ -375,12 +375,8 @@ def check_height_distribution(stats):
 
     n, dist = stats.n, stats.distribution
     heights = (n - 1) // 2 + 1 if n else 1
-    wrong = [h for h, c in enumerate(dist) if c < 1 or (h == 0 and c != 1)]
-    if wrong or len(dist) != heights:
-        first = "".join(f", {dist[h]} at height {h}" for h in wrong[:1])
-        raise EngineDisagreement(
-            f"engine disagreement at n={n}: height distribution has {len(dist)} "
-            f"heights{first}, free invariants {heights} heights, 1 at height 0, "
-            "every count positive"
-        )
+    # height 0 counts one path, and min(c, 1) reads 1 at every positive count
+    held = [dist[0], *(min(c, 1) for c in dist[1:])]
+    names = ("height distribution", "free invariants")
+    check_agreement(names, held, [1] * heights, f" at n={n}", index="height")
     counting.check_far_end("height distribution total", sum(dist), n)

@@ -11,7 +11,8 @@ cross-check each other and the brute-force oracle:
   equation one at a time (O(n^2) products).
 * `peakless_recurrence`: the holonomic recurrence
   n m(n) - (2n+3) m(n+1) - (n+3) m(n+2) - (2n+9) m(n+3) + (n+6) m(n+4) = 0
-  with exact division at every step.  `peakless_decimals` runs the same
+  with exact division at every step (a remainder is a disagreement between
+  the recurrence and exact division).  `peakless_decimals` runs the same
   loop on `Decimal` terms under `EXACT_DECIMAL`, a context in which a lost
   digit raises instead of rounding; libmpdec keeps base-10^19 digits, so
   printing those terms is linear in their length where `str(int)` is
@@ -104,10 +105,9 @@ def _extend_recurrence(values, n_max):
             - v[n] * n
         )
         quot, rem = divmod(num, n + 6)
-        if rem:
-            raise ArithmeticError(
-                f"recurrence step at n={n} is not an exact division (remainder {rem})"
-            )
+        if rem:  # m(n + 4) is no integer: the seeds or the step are wrong
+            names = ("recurrence remainder", "exact division")
+            check_agreement(names, [rem], [0], start=n + 4)
         v.append(quot)
     return v[: n_max + 1]
 

@@ -10,10 +10,11 @@ malformed setting (exit 2).  The default budgets live here too: the
 brute-force length cap (`DEFAULT_ORACLE_CAP`, overridden by the
 `ORACLE_CAP_ENV` variable, read in `paths`) and the largest n of each
 convergence report (`REPORT_CAPS`).  Two routes to one sequence are
-compared by `check_agreement`, which raises `EngineDisagreement` (exit
-1); the checks of both engine modules, `counting` and `bounded`, meet a
-second engine over the first `CROSS_CHECK_LIMIT` + 1 terms of a printed
-sequence, so neither module loads the other to read it.  This module
+compared by `check_agreement`, the one place that raises
+`EngineDisagreement` (exit 1); the checks of both engine modules,
+`counting` and `bounded`, meet a second engine over the first
+`CROSS_CHECK_LIMIT` + 1 terms of a printed sequence, so neither module
+loads the other to read it.  This module
 imports nothing, so the CLI reads its option defaults without loading an
 engine.
 """

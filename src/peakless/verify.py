@@ -1,18 +1,20 @@
 """Cross-engine agreement suites behind the `verify` CLI command.
 
 Every check pits independent routes to one quantity against each other:
-brute-force scan, automaton DP, ladder series, determinant quotient,
-functional equation, recurrence, and fixed values from the paper's
-examples.  Each comparison goes through `errors.check_agreement`, as in
-the `check_*` functions of `counting` and `bounded`, so a failure names
-both routes and the first mismatching indices: two engines, an engine
-and a `fixture`, a residual series and `zero`, the strip family and its
-Chebyshev form, the continued fraction's agreement orders and its
-numerators' valuation sums.  A check returns nothing and fails only by
-raising; `run_checks` returns one record per check so the CLI can print a
-line each and emit a machine-readable failure list.  The kernel identities read h_0..h_6 off one
-`counting.end_level_stream`: one run of the functional equation and one
-product per power.
+brute force, automaton, ladder, strip family, middle join, functional
+equation, recurrence, end-level stream, height distribution, and fixed
+values from the paper's examples.  Each comparison goes through
+`errors.check_agreement`, as in the `check_*` functions of `counting` and
+`bounded`, and names an engine by the same words they use, so a failure
+names both routes and the first mismatching indices: two engines, an
+engine and a `fixture`, a residual series and `zero`, the strip family and
+its Chebyshev form, the continued fraction's agreement orders and its
+numerators' valuation sums, a recurrence remainder and exact division.  A
+check returns nothing and fails only by raising; `run_checks` returns one
+record per check so the CLI can print a line each and emit a
+machine-readable failure list.  The kernel identities read h_0..h_6 off
+one `counting.end_level_stream`: one run of the functional equation and
+one product per power.
 
 The sizes of both levels live in `SIZES`: path length and height bound of
 the brute-force comparisons (every height distribution up to that length
@@ -95,19 +97,20 @@ def check_five_way(n_limit, l_limit):
     lengths = range(n_limit + 1)
     series = counting.peakless_series(n_limit)
     recurrence = counting.peakless_recurrence(n_limit)
-    check_agreement(("series", "recurrence"), series, recurrence)
+    check_agreement(("functional equation", "recurrence"), series, recurrence)
     unbounded = paths.PathConstraints(peakless=True)
     brute = [oracle.brute_force_count(n, unbounded) for n in lengths]
-    check_agreement(("brute force", "series"), brute, series)
+    check_agreement(("brute force", "functional equation"), brute, series)
     inactive = [bounded.bounded_count_dp(n, n // 2) for n in lengths]
-    check_agreement(("bounded_count_dp", "series"), inactive, series, " at bound n/2")
+    names = ("middle join", "functional equation")
+    check_agreement(names, inactive, series, " at bound n/2")
     for l in range(l_limit + 1):
         capped = paths.PathConstraints(peakless=True, max_height=l)
         brute = [oracle.brute_force_count(n, capped) for n in lengths]
         for name, column in (
-            ("bounded_column_dp", bounded.bounded_column_dp(l, n_limit)),
-            ("bounded_series_cf", bounded.bounded_series_cf(l, n_limit).coeffs),
-            ("bounded_series_det", bounded.bounded_series_det(l, n_limit).coeffs),
+            ("automaton", bounded.bounded_column_dp(l, n_limit)),
+            ("ladder", bounded.bounded_series_cf(l, n_limit).coeffs),
+            ("strip family", bounded.bounded_series_det(l, n_limit).coeffs),
         ):
             check_agreement((name, "brute force"), column, brute, f" for bound={l}")
 
@@ -116,7 +119,7 @@ def check_end_levels(n_limit):
     for k in range(3):
         at_k = paths.PathConstraints(peakless=True, end_level=k)
         check_agreement(
-            ("end_level_series", "brute force"),
+            ("end-level stream", "brute force"),
             counting.end_level_series(k, n_limit),
             [oracle.brute_force_count(n, at_k) for n in range(n_limit + 1)],
             f" for end level {k}",
@@ -173,7 +176,7 @@ def check_height_stats(n_limit):
     )
     lengths = range(n_limit + 1)
     check_agreement(
-        ("height_distribution", "oracle"),
+        ("height distribution", "brute force"),
         [bounded.height_distribution(n).distribution for n in lengths],
         [tuple(oracle.height_counts(n, peakless=True)) for n in lengths],
     )
@@ -220,7 +223,7 @@ def check_pretty_cf():
 
 
 def check_recurrence_exactness(n_limit):
-    counting.peakless_recurrence(n_limit)  # raises ArithmeticError on inexact division
+    counting.peakless_recurrence(n_limit)  # a remainder is a disagreement
 
 
 def check_table_invariants(n_limit):

@@ -9,7 +9,7 @@ import pytest
 
 from peakless import asymptotics, bounded, counting, oracle, paths
 from peakless import series as series_module
-from peakless.errors import ResourceLimitError
+from peakless.errors import EngineDisagreement, ResourceLimitError
 from peakless.paths import PathConstraints
 from peakless.series import (
     Series,
@@ -136,8 +136,11 @@ def test_recurrence_matches_series():
 
 def test_recurrence_exactness_and_failure():
     counting.peakless_recurrence(1500)  # raises if any division is inexact
-    with pytest.raises(ArithmeticError):
-        counting._extend_recurrence((1, 1, 1, 3), 10)
+    # m(3) = 3 leaves 33 / 6 at the step to m(4), on ints and Decimals alike
+    message = r"first n=4: recurrence remainder 3, exact division 0$"
+    for seeds in ((1, 1, 1, 3), map(decimal.Decimal, (1, 1, 1, 3))):
+        with pytest.raises(EngineDisagreement, match=message):
+            counting._extend_recurrence(seeds, 10)
 
 
 def test_decimal_recurrence_is_the_int_one():

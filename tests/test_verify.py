@@ -36,7 +36,7 @@ def test_corrupted_determinant_engine_is_named(monkeypatch):
     results = verify.run_checks("quick")
     failures = [r for r in results if not r["ok"]]
     assert failures, "corruption went unnoticed"
-    assert any("bounded_series_det" in r["detail"] for r in failures)
+    assert any("strip family" in r["detail"] for r in failures)
 
 
 def test_crashing_engine_becomes_failure(monkeypatch):
@@ -82,7 +82,7 @@ def test_recurrence_fault_is_located(monkeypatch):
     detail = by_name["five_way_agreement"]["detail"]
     assert not by_name["five_way_agreement"]["ok"]
     assert "n=7" in detail
-    assert "series 37, recurrence 38" in detail
+    assert "functional equation 37, recurrence 38" in detail
 
 
 def test_check_agreement():
@@ -208,12 +208,12 @@ FAULTS = {
     "five_way_agreement": (
         "quick", bounded, "bounded_column_dp",
         lambda real: _skew_last(real, lambda l, n: l == 2),
-        ("bounded_column_dp", "brute force"),
+        ("automaton", "brute force"),
     ),
     "end_level_counts": (
         "quick", counting, "end_level_series",
         lambda real: _skew_last(real, lambda k, n: k == 1),
-        ("end_level_series", "brute force"),
+        ("end-level stream", "brute force"),
     ),
     "determinant_fixtures": (
         "quick", bounded, "strip_denominator_poly", _skew_always,
@@ -246,6 +246,11 @@ FAULTS = {
         "quick", counting, "end_level_stream", _skew_stream,
         ("end-level residual", "zero"),
     ),
+    "recurrence_exactness": (
+        "quick", counting, "PEAKLESS_INITIAL",
+        lambda seeds: (*seeds[:3], seeds[3] + 1),
+        ("recurrence remainder", "exact division"),
+    ),
     "table_invariants": (
         "full", bounded, "bounded_count_table", _skew_table,
         ("A(n, l)", "m(n)"),
@@ -264,7 +269,6 @@ FIRST_INDEX = {
 
 @pytest.mark.parametrize("row", sorted(FAULTS))
 def test_every_failure_names_two_routes(monkeypatch, row):
-    # recurrence_exactness has no second route: it fails by ArithmeticError
     level, module, attribute, fault, routes = FAULTS[row]
     check = row.partition("/")[0]
     monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
