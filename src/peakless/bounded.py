@@ -20,15 +20,18 @@ and the brute-force oracle:
   on slots half as wide, and every bound branches off one shared pass
   (`bounded_count_dp` is the one-bound call).
 
-The three bounded engines share one domain, and `_top` holds its rule
-for all of them: the package's lower gate, `errors.check_sizes`, rejects
-a negative length or bound, and `_top` clamps a bound above n // 2 to
-n // 2, because no path of length <= n rises higher.
+The three column engines return one format, the column A(0..n, l) as a
+tuple of ints, and so do the column streams and `bounded_count_table`;
+`series` is only the arithmetic of the ladder and the strip family.
+They share one domain, and `_top` holds its rule for all of them: the
+package's lower gate, `errors.check_sizes`, rejects a negative length or
+bound, and `_top` clamps a bound above n // 2 to n // 2, because no path
+of length <= n rises higher.
 
 Each bounded engine is one stream of the columns l = 0, 1, ...: the ladder,
 one run of the strip family (one quotient per column) or one automaton pass
 per column.  `bounded_count_table` builds at most min(l, n/2) + 1 of them
-and returns the columns themselves, each a tuple A(0..n, l).
+and returns the columns themselves.
 `height_distribution` reads A(n, l) for every l <= n/2 off the middle
 joins of one shared-prefix pass.
 Each printed quantity meets a second route in one `check_*` function:
@@ -59,7 +62,6 @@ touch level l + 1.
 """
 from collections import namedtuple
 from itertools import count, islice, pairwise, repeat, starmap
-from operator import attrgetter
 
 from .errors import CROSS_CHECK_LIMIT, check_agreement, check_sizes
 
@@ -76,23 +78,23 @@ def _top(bound, n):
 
 
 def bounded_series_cf(bound, order):
-    """Generating function of height <= bound paths via the ladder.
+    """A(0..order, bound), a tuple of ints, from the ladder.
 
     Applies A_l = 1 / (1 - z + z^2 - z^2 A_{l-1}) starting from
-    A_0 = 1/(1-z); coefficient n is A(n, bound).  The bound follows
-    `_top`, so at most order // 2 + 1 rungs.
+    A_0 = 1/(1-z); coefficient n of A_bound is A(n, bound).  The bound
+    follows `_top`, so at most order // 2 + 1 rungs.
     """
     return next(islice(_ladder(order), _top(bound, order), None))
 
 
 def _ladder(order):
-    # A_0, A_1, A_2, ... to the given order, one inverse per rung
+    # the columns A(0..order, l), l = 0, 1, ..., one Series inverse per rung
     from .series import Series
 
     a = Series((1, -1), order).inverse()
     q = Series((1, -1, 1), order)
     while True:
-        yield a
+        yield a.coeffs
         a = (q - a.shift(2)).inverse()
 
 
@@ -147,29 +149,32 @@ def strip_denominator_poly(bound):
 
 
 def bounded_series_det(bound, order):
-    """Height <= bound generating function as a determinant quotient.
+    """A(0..order, bound), a tuple of ints, as a determinant quotient.
 
-    Expands -E_{bound-1}/E_bound with one exact series division, both
-    read off one run of D_{-2}..D_bound: bound + 1 polynomial products.
+    Expands -E_{bound-1}/E_bound with one exact series division, the pair
+    read off one run of the strip family: bound + 1 polynomial products.
     At z = 0 the three-term step reads D_l(0) = -D_{l-1}(0), so
     E_l(0) = D_l(0) = (-1)^{l+1} and the constant term -E_{l-1}(0)/E_l(0)
-    is +1 for every l.  Bound 0 is -E_{-1}/E_0 = 1/(1 - z).  The bound
-    follows `_top`, so E_bound has at most order + 2 coefficients.
+    is +1 for every l; a faulty family whose E_l(0) is no unit is an
+    engine disagreement, not a division error.  Bound 0 is
+    -E_{-1}/E_0 = 1/(1 - z).  The bound follows `_top`, so E_bound has at
+    most order + 2 coefficients.
     """
-    l = _top(bound, order)
-    run = islice(_three_term_family(), l, l + 3)  # D_{l-2}, D_{l-1}, D_l
-    return _strip_quotient(tuple(starmap(_corrected, pairwise(run))), order)
+    pairs = pairwise(_strip_denominators())  # (E_{l-1}, E_l), l = 0, 1, ...
+    return _strip_quotient(next(islice(pairs, _top(bound, order), None)), order)
 
 
 def _strip_quotient(pair, order):
-    # -E_{l-1}/E_l from the pair (E_{l-1}, E_l)
+    # the column -E_{l-1}/E_l from the pair (E_{l-1}, E_l)
     from .series import poly_divide_series, poly_neg
 
-    return poly_divide_series(poly_neg(pair[0]), pair[1], order)
+    before, den = pair
+    check_agreement(("strip family", "unit constant term"), [abs(den[0])], [1])
+    return poly_divide_series(poly_neg(before), den, order).coeffs
 
 
 def bounded_column_dp(bound, n_max):
-    """A(0..n_max, bound) from one pass of the two-layer automaton.
+    """A(0..n_max, bound), a tuple of ints, from one automaton pass.
 
     The top layer holds walks whose last step was flat or down, the bottom
     layer those whose last step was up (so the next step may not be down).
@@ -194,7 +199,7 @@ def bounded_column_dp(bound, n_max):
         both = top + bot
         top, bot = both + (top >> w), (both << w) & keep
         column.append(top & slot)
-    return column
+    return tuple(column)
 
 
 def bounded_count_dp(n, bound):
@@ -274,15 +279,11 @@ def _cells(packed, size, levels):
     return [int.from_bytes(data[i : i + size], "little") for i in starts]
 
 
-_coeffs = attrgetter("coeffs")
-
 # each stream yields the columns A(0..n, l), l = 0, 1, ..., as tuples of ints
 COLUMN_STREAMS = {
-    "cf": lambda n: map(_coeffs, _ladder(n)),
-    "det": lambda n: map(
-        _coeffs, map(_strip_quotient, pairwise(_strip_denominators()), repeat(n))
-    ),
-    "dp": lambda n: map(tuple, map(bounded_column_dp, count(), repeat(n))),
+    "cf": _ladder,
+    "det": lambda n: map(_strip_quotient, pairwise(_strip_denominators()), repeat(n)),
+    "dp": lambda n: map(bounded_column_dp, count(), repeat(n)),
 }
 # the engine of each column stream, as disagreements name it
 COLUMN_NAMES = {"cf": "ladder", "det": "strip family", "dp": "automaton"}
@@ -350,7 +351,7 @@ def check_columns(columns, n, bound, method):
     if method == "det":
         other, values = "automaton", bounded_column_dp(bound, order)
     else:
-        other, values = "strip family", bounded_series_det(bound, order).coeffs
+        other, values = "strip family", bounded_series_det(bound, order)
     check_agreement((route, other), checked, values, f" for bound={bound}")
     first = bound + 1 - len(columns)
     # columns past n // 2 repeat that one, so a huge bound costs n // 2 + 1 joins

@@ -109,8 +109,8 @@ def check_five_way(n_limit, l_limit):
         brute = [oracle.brute_force_count(n, capped) for n in lengths]
         for name, column in (
             ("automaton", bounded.bounded_column_dp(l, n_limit)),
-            ("ladder", bounded.bounded_series_cf(l, n_limit).coeffs),
-            ("strip family", bounded.bounded_series_det(l, n_limit).coeffs),
+            ("ladder", bounded.bounded_series_cf(l, n_limit)),
+            ("strip family", bounded.bounded_series_det(l, n_limit)),
         ):
             check_agreement((name, "brute force"), column, brute, f" for bound={l}")
 
@@ -147,7 +147,7 @@ def check_determinants(bound):
     # E_0 = z - 1; the quotient for bound 1 is A(n, 1), n <= 4
     _fixtures(
         ("E_0", bounded.strip_denominator_poly(0), (-1, 1)),
-        ("det quotient", bounded.bounded_series_det(1, 4).coeffs, (1, 1, 1, 2, 4)),
+        ("det quotient", bounded.bounded_series_det(1, 4), (1, 1, 1, 2, 4)),
     )
 
 

@@ -15,7 +15,6 @@ import peakless
 from peakless import bounded, counting, oracle, render
 from peakless.cli import COLUMN_METHODS, main, read_argv
 from peakless.paths import PathConstraints, enumerate_paths
-from peakless.series import Series
 
 
 def run_cli(capsys, *argv):
@@ -179,9 +178,7 @@ def test_a_huge_table_bound_joins_each_distinct_column_once(capsys, monkeypatch)
 
 
 def _plus(values, n, delta):
-    # a list, tuple or Series with delta added at index n, if it has one
-    if isinstance(values, Series):
-        return Series(_plus(values.coeffs, n, delta), values.order)
+    # a list or tuple with delta added at index n, if it has one
     if n >= len(values):
         return values
     with decimal.localcontext(counting.EXACT_DECIMAL):  # exact for Decimals too
@@ -311,6 +308,19 @@ def test_an_inexact_recurrence_step_is_a_disagreement(capsys, monkeypatch, argv)
     assert re.fullmatch(line, err), err
 
 
+@pytest.mark.parametrize(
+    "argv", ["bounded -n 10 -l 2", "export bounded -n 10 -l 2 --method det"]
+)
+def test_a_non_unit_strip_denominator_is_a_disagreement(capsys, monkeypatch, argv):
+    # a faulty strip family whose E_l(0) is no unit cannot be divided: that
+    # is one disagreement line and exit 1, not a usage error
+    monkeypatch.setattr(bounded, "STRIP_DIAGONAL", (-2, 1, -1))
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    line = r"engine disagreement[^\n]*\bn=0: strip family \d+, unit constant term 1\n"
+    assert re.fullmatch(line, err), err
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize(
     "argv, engine, cell",
@@ -338,10 +348,10 @@ def test_a_disagreement_writes_nothing(
 
 def test_bounded_names_every_mismatching_index(capsys, monkeypatch):
     def broken(bound, order):
-        warped = list(bounded.bounded_series_cf(bound, order).coeffs)
+        warped = list(bounded.bounded_series_cf(bound, order))
         for i in range(3, 10):
             warped[i] += 1
-        return Series(warped, order)
+        return tuple(warped)
 
     monkeypatch.setattr(bounded, "bounded_series_det", broken)
     code, out, err = run_cli(capsys, "bounded", "-n", "12", "-l", "2")
@@ -523,7 +533,7 @@ def test_verify_json(capsys):
 
 def test_verify_failure_lists_machine_readable(capsys, monkeypatch):
     def broken(bound, order):
-        return Series((9,), order)
+        return (9,) + (0,) * order
 
     monkeypatch.setattr(bounded, "bounded_series_det", broken)
     code, out, _ = run_cli(capsys, "verify")

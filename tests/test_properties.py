@@ -1,7 +1,8 @@
 """Random (length, bound, end level) against the exhaustive oracle.
 
 Each bounded engine and `end_level_series` must give the count that the
-oracle reads off its table for the matching `PathConstraints`.
+oracle reads off its table for the matching `PathConstraints`, and every
+column engine and column stream one column, a tuple of ints A(0..n, l).
 """
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,16 @@ def test_engines_match_oracle(args):
     n, bound, k = args
     want = oracle.brute_force_count(n, PathConstraints(peakless=True, max_height=bound))
     assert bounded.bounded_count_dp(n, bound) == want
-    assert bounded.bounded_series_cf(bound, n)[n] == want
-    assert bounded.bounded_series_det(bound, n)[n] == want
+    column = bounded.bounded_column_dp(bound, n)
+    assert type(column) is tuple and all(type(c) is int for c in column)
+    assert column[n] == want
+    streams = bounded.COLUMN_STREAMS
+    tables = [bounded.bounded_count_table(n, bound, m)[bound] for m in streams]
+    for other in (
+        bounded.bounded_series_cf(bound, n),
+        bounded.bounded_series_det(bound, n),
+        *tables,
+    ):
+        assert type(other) is tuple and other == column
     want = oracle.brute_force_count(n, PathConstraints(peakless=True, end_level=k))
     assert counting.end_level_series(k, n)[n] == want

@@ -27,10 +27,9 @@ def test_unknown_level_rejected():
 def test_corrupted_determinant_engine_is_named(monkeypatch):
     # a sign slip in the determinant quotient must be caught and attributed
     def broken(bound, order):
-        good = bounded.bounded_series_cf(bound, order)
-        flipped = list(good.coeffs)
+        flipped = list(bounded.bounded_series_cf(bound, order))
         flipped[-1] = -flipped[-1]
-        return Series(flipped, order)
+        return tuple(flipped)
 
     monkeypatch.setattr(bounded, "bounded_series_det", broken)
     results = verify.run_checks("quick")
