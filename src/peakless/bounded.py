@@ -18,7 +18,9 @@ and the brute-force oracle:
   A(n, l) alone for each of many bounds l: it joins the walks of length
   n // 2 at the middle, through one middle step for odd n, half the steps
   on slots half as wide, and every bound branches off one shared pass
-  (`bounded_count_dp` is the one-bound call).
+  (`bounded_count_dp` is the one-bound call).  One loop, `_walk`, steps
+  the shared pass and every branch; `bounded_column_dp` keeps its own,
+  so the column and the join it is held to share no step code.
 
 The three column engines return one format, the column A(0..n, l) as a
 tuple of ints, and so do the column streams and `bounded_count_table`;
@@ -49,10 +51,13 @@ the uncorrected all-equal tridiagonal matrix (D_0 = z - z^2 - 1,
 D_1 = (1-z)^2 (1+z^2), ...); `strip_denominator_poly` gives the corrected
 family E_l whose quotients -E_{l-1}/E_l are the true bounded generating
 functions.  One recurrence runs, X_l = (z - z^2 - 1) X_{l-1} - z^2 X_{l-2}
-from D_{-2} = 0 and D_{-1} = 1, and E is read off consecutive terms of
-that one run: E_l = D_l + z^2 D_{l-1}, since both sides follow the
-recurrence and agree at l = -1 and l = 0.  The run has the Chebyshev form
-of de Bruijn, Knuth & Rice (1972),
+from D_{-2} = 0 and D_{-1} = 1, in one generator that yields the pairs
+(D_l, E_l), l = -1, 0, 1, ..., one polynomial product per step.  It alone
+forms E_l = D_l + z^2 D_{l-1} from consecutive terms, since both sides
+follow the recurrence and agree at l = -1 and l = 0.  `determinant_poly`
+and `strip_denominator_poly` read one pair of the run, and each quotient
+-E_{l-1}/E_l divides two consecutive pairs.  The run has the Chebyshev
+form of de Bruijn, Knuth & Rice (1972),
 
     D_l = sum_k C(l + 1 - k, k) (z - z^2 - 1)^(l + 1 - 2k) (-z^2)^k,
 
@@ -61,7 +66,7 @@ the true count at n = 2l + 2, the shortest length at which a path can
 touch level l + 1.
 """
 from collections import namedtuple
-from itertools import count, islice, pairwise, repeat, starmap
+from itertools import count, islice, pairwise, repeat
 
 from .errors import CROSS_CHECK_LIMIT, check_agreement, check_sizes
 
@@ -98,32 +103,15 @@ def _ladder(order):
         a = (q - a.shift(2)).inverse()
 
 
-def _three_term_family():
-    # D_{-2} = 0, D_{-1} = 1, D_0, D_1, ...: one product per term from D_0 on
-    from .series import poly_mul, poly_sub
+def _strip_family():
+    # the pairs (D_l, E_l), l = -1, 0, 1, ..., from D_{-2} = 0 and D_{-1} = 1:
+    # one product per step, and E_l = D_l + z^2 D_{l-1} is read off here alone
+    from .series import poly_mul, poly_neg, poly_sub
 
-    prev, cur = (0,), (1,)
-    yield prev
+    before, d = (0,), (1,)
     while True:
-        yield cur
-        prev, cur = cur, poly_sub(poly_mul(STRIP_DIAGONAL, cur), (0, 0) + prev)
-
-
-def _strip_denominators():
-    # E_{-1}, E_0, E_1, ...: E_l = D_l + z^2 D_{l-1}, off consecutive D terms
-    return starmap(_corrected, pairwise(_three_term_family()))
-
-
-def _corrected(before, d):
-    from .series import poly_neg, poly_sub
-
-    return poly_sub(d, (0, 0) + poly_neg(before))
-
-
-def _family_member(index):
-    # the pair (D_{index-1}, D_index) of the one run
-    check_sizes("index", [index], least=-1)
-    return next(islice(pairwise(_three_term_family()), index + 1, None))
+        yield d, poly_sub(d, (0, 0) + poly_neg(before))
+        before, d = d, poly_sub(poly_mul(STRIP_DIAGONAL, d), (0, 0) + before)
 
 
 def determinant_poly(bound):
@@ -133,7 +121,8 @@ def determinant_poly(bound):
     Term l of the one strip run, from D_{-2} = 0 and D_{-1} = 1: l + 1
     polynomial products.
     """
-    return _family_member(bound)[1]
+    check_sizes("index", [bound], least=-1)
+    return next(islice(_strip_family(), bound + 1, None))[0]
 
 
 def strip_denominator_poly(bound):
@@ -142,10 +131,12 @@ def strip_denominator_poly(bound):
     The matrix row of the top level has no -z^2 term because nothing may
     rise above the ceiling, so expanding the determinant along that row
     gives E_l = D_l + z^2 D_{l-1}, read off the same run as
-    `determinant_poly` (E_{-1} = 1, E_0 = z - 1).  -E_{l-1}/E_l expands
-    to the exact height <= l counts for every l >= 0.
+    `determinant_poly` (E_{-1} = 1, E_0 = z - 1), at the same l + 1
+    products.  -E_{l-1}/E_l expands to the exact height <= l counts for
+    every l >= 0.
     """
-    return _corrected(*_family_member(bound))
+    check_sizes("index", [bound], least=-1)
+    return next(islice(_strip_family(), bound + 1, None))[1]
 
 
 def bounded_series_det(bound, order):
@@ -160,15 +151,15 @@ def bounded_series_det(bound, order):
     -E_{-1}/E_0 = 1/(1 - z).  The bound follows `_top`, so E_bound has at
     most order + 2 coefficients.
     """
-    pairs = pairwise(_strip_denominators())  # (E_{l-1}, E_l), l = 0, 1, ...
+    pairs = pairwise(_strip_family())  # ((D, E)_{l-1}, (D, E)_l), l = 0, 1, ...
     return _strip_quotient(next(islice(pairs, _top(bound, order), None)), order)
 
 
 def _strip_quotient(pair, order):
-    # the column -E_{l-1}/E_l from the pair (E_{l-1}, E_l)
+    # the column -E_{l-1}/E_l from consecutive terms ((D, E)_{l-1}, (D, E)_l)
     from .series import poly_divide_series, poly_neg
 
-    before, den = pair
+    (_, before), (_, den) = pair
     check_agreement(("strip family", "unit constant term"), [abs(den[0])], [1])
     return poly_divide_series(poly_neg(before), den, order).coeffs
 
@@ -205,9 +196,9 @@ def bounded_column_dp(bound, n_max):
 def bounded_count_dp(n, bound):
     """A(n, bound) by joining half-length automaton walks at the middle.
 
-    The one-bound call of `bounded_counts_dp`: its unmasked steps up to
-    step min(bound, n // 2) and masked ones after it cost what one masked
-    pass of n // 2 steps does.
+    The one-bound call of `bounded_counts_dp`: its shared pass up to step
+    min(bound, n // 2) and the branch after it make one masked pass of
+    n // 2 steps.
     """
     return bounded_counts_dp(n, (bound,))[0]
 
@@ -237,37 +228,42 @@ def bounded_counts_dp(n, bounds):
 
     No level above h can return to 0 in h steps, so a bound past h is read
     as h (`_top`).  A walk of l steps from level 0 stays within levels
-    0..l, so all bounds share one unmasked pass, taken in increasing order:
-    at step l it holds bound l's own state, which finishes the h - l masked
-    steps and is joined before the pass goes on.  Only that one branch is
-    kept beside the pass.  Cells, and the sums S_j of the two layers, stay
-    within 3^h; each takes a slot of whole bytes, so a layer's counts are
-    read off its `to_bytes` in linear time.
+    0..l, so bound l's mask keeps every cell of the first l steps, and all
+    bounds share one pass, taken in increasing order: at step l it holds
+    bound l's own state, which finishes the h - l masked steps and is
+    joined before the pass goes on.  One loop, `_walk`, takes the steps of
+    the pass and of each branch under that bound's mask, and `_join` only
+    joins; only that one branch is kept beside the pass.  Cells, and the
+    sums S_j of the two layers, stay within 3^h; each takes a slot of whole
+    bytes, so a layer's counts are read off its `to_bytes` in linear time.
     """
     h, odd = _top(n, n), n % 2  # every bound from h up is read as h
     tops = [_top(l, n) for l in bounds]
     size = ((3**h).bit_length() + 7) // 8  # bytes per slot
-    w = 8 * size
     joins = {}
     top, bot, done = 1, 0, 0
     for bound in sorted(set(tops)):
-        for _ in range(bound - done):
-            both = top + bot
-            top, bot = both + (top >> w), both << w
+        levels = bound + 1
+        top, bot = _walk(top, bot, bound - done, size, levels)
         done = bound
-        joins[bound] = _join(top, bot, h - bound, odd, size, bound + 1)
+        joins[bound] = _join(*_walk(top, bot, h - bound, size, levels), odd, size, levels)
     return [joins[l] for l in tops]
 
 
-def _join(top, bot, steps, odd, size, levels):
-    # finish one bound's branch of the shared pass and join its halves
+def _walk(top, bot, steps, size, levels):
+    # take `steps` packed automaton steps on slots of `size` bytes, keeping
+    # levels 0..levels-1: the one step loop of the shared pass and each branch
     w = 8 * size
     keep = (1 << (w * levels)) - 1
     for _ in range(steps):
         both = top + bot
         top, bot = both + (top >> w), (both << w) & keep
+    return top, bot
+
+
+def _join(top, bot, odd, size, levels):
     # even n: sum_j T_j (T_j + 2 B_j); odd n: sum_j S_j (S_j + 2 T_{j+1})
-    x, y = (top + bot, top >> w) if odd else (top, bot)
+    x, y = (top + bot, top >> 8 * size) if odd else (top, bot)
     xs, ys = _cells(x, size, levels), _cells(y, size, levels)
     return sum(a * (a + 2 * b) for a, b in zip(xs, ys))
 
@@ -282,7 +278,7 @@ def _cells(packed, size, levels):
 # each stream yields the columns A(0..n, l), l = 0, 1, ..., as tuples of ints
 COLUMN_STREAMS = {
     "cf": _ladder,
-    "det": lambda n: map(_strip_quotient, pairwise(_strip_denominators()), repeat(n)),
+    "det": lambda n: map(_strip_quotient, pairwise(_strip_family()), repeat(n)),
     "dp": lambda n: map(bounded_column_dp, count(), repeat(n)),
 }
 # the engine of each column stream, as disagreements name it

@@ -60,7 +60,7 @@ def _emit(chunks, out):
     stdout is flushed here, so a write that fails raises its OSError to
     `main` (exit 2) and nothing is left to write when the process ends.
     """
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
     else:
@@ -77,8 +77,8 @@ def _table_output(n_max, l_max, method, /, **meta):
     bounded.check_columns(columns, n_max, l_max, method)
 
     def cells():
-        lengths = range(n_max + 1)
-        return ((n, l, column[n]) for n in lengths for l, column in enumerate(columns))
+        rows = enumerate(zip(*columns))
+        return ((n, l, cell) for n, row in rows for l, cell in enumerate(row))
 
     return render.Output(
         text=lambda: render.batched(

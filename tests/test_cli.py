@@ -281,6 +281,24 @@ def test_every_printed_number_meets_a_second_route(
     assert re.fullmatch(line, err), err
 
 
+def test_a_fault_in_the_join_walk_leaves_the_column_it_meets(capsys, monkeypatch):
+    # the middle join's one step loop, `_walk`, shares no code with the
+    # automaton column, so a fault there moves the join alone and the row's
+    # last term catches it
+    column, walk = bounded.bounded_column_dp(10, 250), bounded._walk
+
+    def faulty(*args):
+        top, bot = walk(*args)
+        return top + 1, bot
+
+    monkeypatch.setattr(bounded, "_walk", faulty)
+    assert bounded.bounded_column_dp(10, 250) == column
+    code, out, err = run_cli(capsys, "bounded", "-n", "250", "-l", "10")
+    assert (code, out) == (1, "")
+    line = r"engine disagreement[^\n]*\bn=250: automaton column [^\n]*, middle join [^\n]*\n"
+    assert re.fullmatch(line, err), err
+
+
 @pytest.mark.parametrize("argv", ["count -n 100 --format json", "count -n 250"])
 def test_a_short_count_is_a_disagreement(capsys, monkeypatch, tmp_path, argv):
     # m(0..n-1) printed for -n n: the length is held to n + 1, the far end
@@ -723,13 +741,15 @@ def test_export_defaults(capsys):
 
 
 def test_out_unwritable_path_exits_2(tmp_path, capsys):
+    # an empty --out names a file too: it fails to open, never falls to stdout
     target = tmp_path / "missing" / "table.csv"
-    code, out, err = run_cli(
-        capsys, "export", "bounded", "-n", "3", "-l", "1", "--out", str(target)
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
+    for path in (str(target), ""):
+        code, out, err = run_cli(
+            capsys, "export", "bounded", "-n", "3", "-l", "1", "--out", path
+        )
+        assert code == 2, path
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not target.exists()
 
 

@@ -647,6 +647,10 @@ def test_column_streams_build_each_column_once(monkeypatch):
     calls["mul"] = 0
     bounded.bounded_series_det(20, 40)
     assert calls["mul"] <= 21  # D_0..D_20
+    for family in (bounded.determinant_poly, bounded.strip_denominator_poly):
+        calls["mul"] = 0
+        family(20)
+        assert calls["mul"] <= 21, family  # D_0..D_20, as the docstrings state
     for bound in (0, 20, 10**8):
         calls["divide"] = 0
         bounded.bounded_series_det(bound, 40)
