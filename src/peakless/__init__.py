@@ -21,10 +21,10 @@ _EXPORTS = {
             MOTZKIN_HEIGHT_CONSTANT RHO SINGULAR_AMPLITUDE convergence_report
             count_ratio log_predicted_count predicted_avg_height predicted_count""",
         "bounded": """HeightStats bounded_column_dp bounded_count_dp
-            bounded_count_table bounded_series_cf bounded_series_det
-            determinant_poly height_distribution strip_denominator_poly""",
-        "counting": """end_level_series kernel_residual kernel_root_series
-            motzkin_numbers peakless_recurrence peakless_series
+            bounded_count_table bounded_series_cf bounded_series_det determinant_poly
+            height_distribution strip_denominator_poly strip_family""",
+        "counting": """end_level_series end_level_stream kernel_residual
+            kernel_root_series motzkin_numbers peakless_recurrence peakless_series
             pretty_cf_agreement pretty_cf_series""",
         "errors": "OracleLimitError ResourceLimitError",
         "oracle": "brute_force_count classification_table height_counts",

@@ -26,6 +26,7 @@ to a float would overflow; math.log takes arbitrary-size ints directly,
 so no manual mantissa splitting is needed.
 """
 import math
+import operator
 from collections import namedtuple
 
 from . import counting
@@ -122,7 +123,7 @@ def convergence_report(kind, n_values, cap=None):
     """
     if kind not in REPORT_CAPS:
         raise ValueError(f"unknown report kind {kind!r}")
-    ns = [int(n) for n in n_values]
+    ns = list(map(operator.index, n_values))
     check_sizes("report length", ns, least=1)
     ResourceLimitError.check(
         f"{kind} report", ns, REPORT_CAPS[kind] if cap is None else cap

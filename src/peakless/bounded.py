@@ -51,19 +51,19 @@ the uncorrected all-equal tridiagonal matrix (D_0 = z - z^2 - 1,
 D_1 = (1-z)^2 (1+z^2), ...); `strip_denominator_poly` gives the corrected
 family E_l whose quotients -E_{l-1}/E_l are the true bounded generating
 functions.  One recurrence runs, X_l = (z - z^2 - 1) X_{l-1} - z^2 X_{l-2}
-from D_{-2} = 0 and D_{-1} = 1, in one generator that yields the pairs
-(D_l, E_l), l = -1, 0, 1, ..., one polynomial product per step.  It alone
-forms E_l = D_l + z^2 D_{l-1} from consecutive terms, since both sides
-follow the recurrence and agree at l = -1 and l = 0.  `determinant_poly`
-and `strip_denominator_poly` read one pair of the run, and each quotient
--E_{l-1}/E_l divides two consecutive pairs.  The run has the Chebyshev
-form of de Bruijn, Knuth & Rice (1972),
+from D_{-2} = 0 and D_{-1} = 1, in one generator, `strip_family`, that
+yields the pairs (D_l, E_l), l = -1, 0, 1, ..., one polynomial product per
+step.  It alone forms E_l = D_l + z^2 D_{l-1} from consecutive terms, since
+both sides follow the recurrence and agree at l = -1 and l = 0.
+`determinant_poly` and `strip_denominator_poly` read one pair of the run,
+and each quotient -E_{l-1}/E_l divides two consecutive pairs.  The run has
+the Chebyshev form of de Bruijn, Knuth & Rice (1972),
 
     D_l = sum_k C(l + 1 - k, k) (z - z^2 - 1)^(l + 1 - 2k) (-z^2)^k,
 
-which `verify` holds it to.  The uncorrected quotient first deviates from
-the true count at n = 2l + 2, the shortest length at which a path can
-touch level l + 1.
+which `verify` holds D_{-1}..D_l of one `strip_family` run to.  The
+uncorrected quotient first deviates from the true count at n = 2l + 2,
+the shortest length at which a path can touch level l + 1.
 """
 from collections import namedtuple
 from itertools import count, islice, pairwise, repeat
@@ -103,9 +103,12 @@ def _ladder(order):
         a = (q - a.shift(2)).inverse()
 
 
-def _strip_family():
-    # the pairs (D_l, E_l), l = -1, 0, 1, ..., from D_{-2} = 0 and D_{-1} = 1:
-    # one product per step, and E_l = D_l + z^2 D_{l-1} is read off here alone
+def strip_family():
+    """The pairs (D_l, E_l), l = -1, 0, 1, ..., of the strip run.
+
+    From D_{-2} = 0 and D_{-1} = 1, one polynomial product per step; the
+    only place that forms E_l = D_l + z^2 D_{l-1}.
+    """
     from .series import poly_mul, poly_neg, poly_sub
 
     before, d = (0,), (1,)
@@ -122,7 +125,7 @@ def determinant_poly(bound):
     polynomial products.
     """
     check_sizes("index", [bound], least=-1)
-    return next(islice(_strip_family(), bound + 1, None))[0]
+    return next(islice(strip_family(), bound + 1, None))[0]
 
 
 def strip_denominator_poly(bound):
@@ -136,7 +139,7 @@ def strip_denominator_poly(bound):
     every l >= 0.
     """
     check_sizes("index", [bound], least=-1)
-    return next(islice(_strip_family(), bound + 1, None))[1]
+    return next(islice(strip_family(), bound + 1, None))[1]
 
 
 def bounded_series_det(bound, order):
@@ -151,7 +154,7 @@ def bounded_series_det(bound, order):
     -E_{-1}/E_0 = 1/(1 - z).  The bound follows `_top`, so E_bound has at
     most order + 2 coefficients.
     """
-    pairs = pairwise(_strip_family())  # ((D, E)_{l-1}, (D, E)_l), l = 0, 1, ...
+    pairs = pairwise(strip_family())  # ((D, E)_{l-1}, (D, E)_l), l = 0, 1, ...
     return _strip_quotient(next(islice(pairs, _top(bound, order), None)), order)
 
 
@@ -278,7 +281,7 @@ def _cells(packed, size, levels):
 # each stream yields the columns A(0..n, l), l = 0, 1, ..., as tuples of ints
 COLUMN_STREAMS = {
     "cf": _ladder,
-    "det": lambda n: map(_strip_quotient, pairwise(_strip_family()), repeat(n)),
+    "det": lambda n: map(_strip_quotient, pairwise(strip_family()), repeat(n)),
     "dp": lambda n: map(bounded_column_dp, count(), repeat(n)),
 }
 # the engine of each column stream, as disagreements name it

@@ -12,9 +12,18 @@ its Chebyshev form, the continued fraction's agreement orders and its
 numerators' valuation sums, a recurrence remainder and exact division.  A
 check returns nothing and fails only by raising; `run_checks` returns one
 record per check so the CLI can print a line each and emit a
-machine-readable failure list.  The kernel identities read h_0..h_6 off
-one `counting.end_level_stream`: one run of the functional equation and
-one product per power.
+machine-readable failure list.
+
+Each check reads a family once, from the same streams the CLI prints: the
+five-way agreement one `bounded.bounded_count_table` per column engine
+(columns 0..l) and one oracle height census per length (each bound's
+brute-force count is a prefix sum of it), the determinant check one
+`bounded.strip_family` run (D_{-1}..D_l and the E_0 fixture), and the
+end-level and kernel checks one `counting.end_level_stream` walk each
+(h_0..h_2, and h_0..h_6 with F = h_0).  The kernel identities solve the
+functional equation twice: once for that walk and once for
+`counting.kernel_root_series`.  So a check's engine work grows linearly
+in its bound; only the oracle's half scans grow like 3^(n/2).
 
 The sizes of both levels live in `SIZES`: path length and height bound of
 the brute-force comparisons (every height distribution up to that length
@@ -98,32 +107,26 @@ def check_five_way(n_limit, l_limit):
     series = counting.peakless_series(n_limit)
     recurrence = counting.peakless_recurrence(n_limit)
     check_agreement(("functional equation", "recurrence"), series, recurrence)
-    unbounded = paths.PathConstraints(peakless=True)
-    brute = [oracle.brute_force_count(n, unbounded) for n in lengths]
-    check_agreement(("brute force", "functional equation"), brute, series)
+    census = [oracle.height_counts(n, peakless=True) for n in lengths]
+    check_agreement(("brute force", "functional equation"), map(sum, census), series)
     inactive = [bounded.bounded_count_dp(n, n // 2) for n in lengths]
     names = ("middle join", "functional equation")
     check_agreement(names, inactive, series, " at bound n/2")
+    tables = [
+        (name, bounded.bounded_count_table(n_limit, l_limit, method))
+        for method, name in bounded.COLUMN_NAMES.items()
+    ]
     for l in range(l_limit + 1):
-        capped = paths.PathConstraints(peakless=True, max_height=l)
-        brute = [oracle.brute_force_count(n, capped) for n in lengths]
-        for name, column in (
-            ("automaton", bounded.bounded_column_dp(l, n_limit)),
-            ("ladder", bounded.bounded_series_cf(l, n_limit)),
-            ("strip family", bounded.bounded_series_det(l, n_limit)),
-        ):
-            check_agreement((name, "brute force"), column, brute, f" for bound={l}")
+        brute = [sum(counts[: l + 1]) for counts in census]
+        for name, columns in tables:
+            check_agreement((name, "brute force"), columns[l], brute, f" for bound={l}")
 
 
 def check_end_levels(n_limit):
-    for k in range(3):
-        at_k = paths.PathConstraints(peakless=True, end_level=k)
-        check_agreement(
-            ("end-level stream", "brute force"),
-            counting.end_level_series(k, n_limit),
-            [oracle.brute_force_count(n, at_k) for n in range(n_limit + 1)],
-            f" for end level {k}",
-        )
+    names = ("end-level stream", "brute force")
+    for k, h in zip(range(3), counting.end_level_stream(n_limit)):
+        brute = [sum(oracle.height_counts(n, True, k)) for n in range(n_limit + 1)]
+        check_agreement(names, h.coeffs, brute, f" for end level {k}")
 
 
 def check_determinants(bound):
@@ -141,25 +144,25 @@ def check_determinants(bound):
             for i, x in enumerate(powers[l + 1 - 2 * k], 2 * k):
                 d[i] += c * x
         chebyshev.append(tuple(d))
-    family = [bounded.determinant_poly(l) for l in range(-1, bound + 1)]
+    run = list(itertools.islice(bounded.strip_family(), bound + 2))
     names = ("strip family", "Chebyshev form")
-    check_agreement(names, family, chebyshev, start=-1, index="l")
+    check_agreement(names, [d for d, _ in run], chebyshev, start=-1, index="l")
     # E_0 = z - 1; the quotient for bound 1 is A(n, 1), n <= 4
     _fixtures(
-        ("E_0", bounded.strip_denominator_poly(0), (-1, 1)),
+        ("E_0", run[1][1], (-1, 1)),
         ("det quotient", bounded.bounded_series_det(1, 4), (1, 1, 1, 2, 4)),
     )
 
 
 def check_kernel_identities(order):
-    f = Series(counting.peakless_series(order), order)
+    hk = list(itertools.islice(counting.end_level_stream(order), 7))
+    f = hk[0]
     q = Series((1, -1, 1), order)
     residual = (f * f).shift(2) - q * f + Series.one(order)
     _vanishes("functional equation residual", residual)
     s2 = counting.kernel_root_series(order)
     _fixtures(("kernel root", s2.coeffs[:4], (0, 1, 1, 1)))
     _vanishes("kernel residual", counting.kernel_residual(s2))
-    hk = list(itertools.islice(counting.end_level_stream(order), 7))
     qbar = Series((-1, 1, -1), order)
     for k in range(2, 7):
         residual = hk[k].shift(1) + qbar * hk[k - 1] + hk[k - 2].shift(1)

@@ -130,6 +130,10 @@ def test_report_validation():
         asymptotics.convergence_report("count", [5], cap=-3)
     with pytest.raises(ValueError, match="nonnegative"):
         asymptotics.convergence_report("avg_height", [5], cap=-1)
+    # a length that is no integer is refused, not truncated or parsed
+    for length in (2.9, "7"):
+        with pytest.raises(TypeError):
+            asymptotics.convergence_report("count", [length])
 
 
 def test_report_serialization_is_stable(capsys):

@@ -550,10 +550,10 @@ def test_verify_json(capsys):
 
 
 def test_verify_failure_lists_machine_readable(capsys, monkeypatch):
-    def broken(bound, order):
+    def broken(pair, order):
         return (9,) + (0,) * order
 
-    monkeypatch.setattr(bounded, "bounded_series_det", broken)
+    monkeypatch.setattr(bounded, "_strip_quotient", broken)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "FAIL" in out

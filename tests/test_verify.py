@@ -1,6 +1,6 @@
 import pytest
 
-from peakless import bounded, counting, paths, verify
+from peakless import bounded, counting, oracle, paths, series, verify
 from peakless.errors import EngineDisagreement, check_agreement
 from peakless.series import Series
 
@@ -25,13 +25,16 @@ def test_unknown_level_rejected():
 
 
 def test_corrupted_determinant_engine_is_named(monkeypatch):
-    # a sign slip in the determinant quotient must be caught and attributed
-    def broken(bound, order):
-        flipped = list(bounded.bounded_series_cf(bound, order))
+    # a sign slip in the det column stream's quotient must be caught and
+    # attributed
+    real = bounded._strip_quotient
+
+    def broken(pair, order):
+        flipped = list(real(pair, order))
         flipped[-1] = -flipped[-1]
         return tuple(flipped)
 
-    monkeypatch.setattr(bounded, "bounded_series_det", broken)
+    monkeypatch.setattr(bounded, "_strip_quotient", broken)
     results = verify.run_checks("quick")
     failures = [r for r in results if not r["ok"]]
     assert failures, "corruption went unnoticed"
@@ -82,6 +85,50 @@ def test_recurrence_fault_is_located(monkeypatch):
     assert not by_name["five_way_agreement"]["ok"]
     assert "n=7" in detail
     assert "functional equation 37, recurrence 38" in detail
+
+
+# check -> (its run, {module attribute: most calls}): one strip run of
+# D_{-1}..D_40 (41 products) and the bound-1 quotient (2), one table per
+# column engine (8 ladder inverses, 8 det quotients) and one height census
+# per length, one end-level walk, plus the kernel root's own F
+FAMILY_WORK = {
+    "determinant_fixtures": (
+        lambda: verify.check_determinants(40), {(series, "poly_mul"): 43}
+    ),
+    "five_way_agreement": (
+        lambda: verify.check_five_way(14, 7),
+        {(oracle, "height_counts"): 15, (series, "poly_divide_series"): 16},
+    ),
+    "kernel_identities": (
+        lambda: verify.check_kernel_identities(200),
+        {(counting, "peakless_series"): 2},
+    ),
+    "end_level_counts": (
+        lambda: verify.check_end_levels(10), {(counting, "peakless_series"): 1}
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(FAMILY_WORK))
+def test_each_check_runs_each_family_once(monkeypatch, check):
+    # calls counted through the module attributes the engines look up, so
+    # the products count those of the strip family, not verify's own
+    run, most = FAMILY_WORK[check]
+    calls = dict.fromkeys(most, 0)
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in most:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, counted((module, name), real))
+    run()
+    for (module, name), limit in most.items():
+        assert 0 < calls[module, name] <= limit, (name, calls[module, name])
 
 
 def test_check_agreement():
@@ -167,13 +214,28 @@ def _skew_kernel(real):
     return skewed
 
 
-def _skew_stream(real):
-    # h_4 off by z^5: the relation fails at k = 4, 5 and 6
-    def skewed(order):
-        for k, h in enumerate(real(order)):
-            yield h + Series((0,) * 5 + (1,), order) if k == 4 else h
+def _skew_stream(at):
+    # h_at off by z^5: at 4 the relation fails at k = 4, 5 and 6
+    def fault(real):
+        def skewed(order):
+            for k, h in enumerate(real(order)):
+                yield h + Series((0,) * 5 + (1,), order) if k == at else h
 
-    return skewed
+        return skewed
+
+    return fault
+
+
+def _skew_strip(at, slip):
+    # the pair (D_at, E_at) of the strip run, one of its two members slipped
+    def fault(real):
+        def skewed():
+            for l, pair in enumerate(real(), -1):
+                yield slip(*pair) if l == at else pair
+
+        return skewed
+
+    return fault
 
 
 def _accept_d(real):
@@ -210,17 +272,17 @@ FAULTS = {
         ("automaton", "brute force"),
     ),
     "end_level_counts": (
-        "quick", counting, "end_level_series",
-        lambda real: _skew_last(real, lambda k, n: k == 1),
+        "quick", counting, "end_level_stream", _skew_stream(1),
         ("end-level stream", "brute force"),
     ),
     "determinant_fixtures": (
-        "quick", bounded, "strip_denominator_poly", _skew_always,
+        "quick", bounded, "strip_family",
+        _skew_strip(0, lambda d, e: (d, (*e[:-1], e[-1] + 1))),
         ("E_0", "fixture"),
     ),
     "determinant_fixtures/chebyshev": (
-        "quick", bounded, "determinant_poly",
-        lambda real: lambda l: real(l) + (1,) if l == 3 else real(l),
+        "quick", bounded, "strip_family",
+        _skew_strip(3, lambda d, e: (d + (1,), e)),
         ("strip family", "Chebyshev form"),
     ),
     "height_stats": (
@@ -242,7 +304,7 @@ FAULTS = {
         ("kernel residual", "zero"),
     ),
     "kernel_identities/end_level_stream": (
-        "quick", counting, "end_level_stream", _skew_stream,
+        "quick", counting, "end_level_stream", _skew_stream(4),
         ("end-level residual", "zero"),
     ),
     "recurrence_exactness": (
