@@ -6,12 +6,13 @@ here is exact integer arithmetic, and every quantity is computed by at
 least two independent routes so the engines can cross-check each other
 and the brute-force oracle:
 
-* `bounded_series_cf`: the bounded-height ladder
+* the ladder, the "cf" column stream of `bounded_count_table`:
   A_l = 1 / (1 - z + z^2 - z^2 A_{l-1}) seeded with A_0 = 1/(1-z)
-  (at the ceiling only flat runs are possible).
+  (at the ceiling only flat runs are possible), one inverse per rung.
 * `bounded_series_det`: the same ladder collapsed into a quotient of
   determinant polynomials of the strip transfer matrix, computed by a
-  three-term polynomial recurrence and one exact series division.
+  three-term polynomial recurrence (`strip_family`) and one exact series
+  division; the "det" column stream divides each consecutive pair.
 * `bounded_column_dp`: dynamic programming over the two-layer automaton
   with levels capped at l, every level packed into one int so that one
   pass of n big-int steps yields A(0..n, l).  `bounded_counts_dp` gives
@@ -22,8 +23,8 @@ and the brute-force oracle:
   the shared pass and every branch; `bounded_column_dp` keeps its own,
   so the column and the join it is held to share no step code.
 
-The three column engines return one format, the column A(0..n, l) as a
-tuple of ints, and so do the column streams and `bounded_count_table`;
+The column engines return one format, the column A(0..n, l) as a tuple
+of ints, and so do the column streams and `bounded_count_table`;
 `series` is only the arithmetic of the ladder and the strip family.
 They share one domain, and `_top` holds its rule for all of them: the
 package's lower gate, `errors.check_sizes`, rejects a negative length or
@@ -46,18 +47,17 @@ check load no `series`.
 The strip transfer matrix is tridiagonal with diagonal z - z^2 - 1
 (`STRIP_DIAGONAL`) and off-diagonal z, except that the row of the top
 level has no -z^2 term (no excursion can rise above the ceiling), so its
-diagonal entry is z - 1.  `determinant_poly` gives the determinants D_l of
-the uncorrected all-equal tridiagonal matrix (D_0 = z - z^2 - 1,
-D_1 = (1-z)^2 (1+z^2), ...); `strip_denominator_poly` gives the corrected
-family E_l whose quotients -E_{l-1}/E_l are the true bounded generating
-functions.  One recurrence runs, X_l = (z - z^2 - 1) X_{l-1} - z^2 X_{l-2}
-from D_{-2} = 0 and D_{-1} = 1, in one generator, `strip_family`, that
-yields the pairs (D_l, E_l), l = -1, 0, 1, ..., one polynomial product per
-step.  It alone forms E_l = D_l + z^2 D_{l-1} from consecutive terms, since
-both sides follow the recurrence and agree at l = -1 and l = 0.
-`determinant_poly` and `strip_denominator_poly` read one pair of the run,
-and each quotient -E_{l-1}/E_l divides two consecutive pairs.  The run has
-the Chebyshev form of de Bruijn, Knuth & Rice (1972),
+diagonal entry is z - 1.  D_l is the determinant of the uncorrected
+all-equal tridiagonal matrix (D_0 = z - z^2 - 1, D_1 = (1-z)^2 (1+z^2),
+...); E_l, the determinant of the corrected matrix, is the denominator
+whose quotients -E_{l-1}/E_l are the true bounded generating functions.
+One recurrence runs, X_l = (z - z^2 - 1) X_{l-1} - z^2 X_{l-2} from
+D_{-2} = 0 and D_{-1} = 1, in one generator, `strip_family`, that yields
+the pairs (D_l, E_l), l = -1, 0, 1, ..., one polynomial product per step.
+It alone forms E_l = D_l + z^2 D_{l-1} from consecutive terms, since both
+sides follow the recurrence and agree at l = -1 and l = 0; each quotient
+-E_{l-1}/E_l divides two consecutive pairs.  The run has the Chebyshev
+form of de Bruijn, Knuth & Rice (1972),
 
     D_l = sum_k C(l + 1 - k, k) (z - z^2 - 1)^(l + 1 - 2k) (-z^2)^k,
 
@@ -82,16 +82,6 @@ def _top(bound, n):
     return min(bound, n // 2)
 
 
-def bounded_series_cf(bound, order):
-    """A(0..order, bound), a tuple of ints, from the ladder.
-
-    Applies A_l = 1 / (1 - z + z^2 - z^2 A_{l-1}) starting from
-    A_0 = 1/(1-z); coefficient n of A_bound is A(n, bound).  The bound
-    follows `_top`, so at most order // 2 + 1 rungs.
-    """
-    return next(islice(_ladder(order), _top(bound, order), None))
-
-
 def _ladder(order):
     # the columns A(0..order, l), l = 0, 1, ..., one Series inverse per rung
     from .series import Series
@@ -106,8 +96,12 @@ def _ladder(order):
 def strip_family():
     """The pairs (D_l, E_l), l = -1, 0, 1, ..., of the strip run.
 
-    From D_{-2} = 0 and D_{-1} = 1, one polynomial product per step; the
-    only place that forms E_l = D_l + z^2 D_{l-1}.
+    D_l is the determinant of the (l+1) x (l+1) tridiagonal matrix with
+    diagonal z - z^2 - 1 and off-diagonal z, and E_l that of the same
+    matrix with z - 1 at the top level, whose row has no -z^2 term;
+    -E_{l-1}/E_l expands to the height <= l counts.  From D_{-2} = 0 and
+    D_{-1} = 1 (so E_{-1} = 1, E_0 = z - 1), one polynomial product per
+    step; the only place that forms E_l = D_l + z^2 D_{l-1}.
     """
     from .series import poly_mul, poly_neg, poly_sub
 
@@ -115,31 +109,6 @@ def strip_family():
     while True:
         yield d, poly_sub(d, (0, 0) + poly_neg(before))
         before, d = d, poly_sub(poly_mul(STRIP_DIAGONAL, d), (0, 0) + before)
-
-
-def determinant_poly(bound):
-    """Determinant D_l of the (l+1) x (l+1) tridiagonal matrix with
-    diagonal z - z^2 - 1 and off-diagonal z; D_{-1} = 1 by convention.
-
-    Term l of the one strip run, from D_{-2} = 0 and D_{-1} = 1: l + 1
-    polynomial products.
-    """
-    check_sizes("index", [bound], least=-1)
-    return next(islice(strip_family(), bound + 1, None))[0]
-
-
-def strip_denominator_poly(bound):
-    """Denominator E_l of the bounded-height generating function.
-
-    The matrix row of the top level has no -z^2 term because nothing may
-    rise above the ceiling, so expanding the determinant along that row
-    gives E_l = D_l + z^2 D_{l-1}, read off the same run as
-    `determinant_poly` (E_{-1} = 1, E_0 = z - 1), at the same l + 1
-    products.  -E_{l-1}/E_l expands to the exact height <= l counts for
-    every l >= 0.
-    """
-    check_sizes("index", [bound], least=-1)
-    return next(islice(strip_family(), bound + 1, None))[1]
 
 
 def bounded_series_det(bound, order):

@@ -22,12 +22,13 @@ cross-check each other and the brute-force oracle:
   long sequence.  Its terms are exact Decimals too, each step one product
   and one division by a factor that fits one libmpdec word.
 * `end_level_stream`: paths ending at level k, h_k = z^k F^{k+1}, as one
-  stream h_0, h_1, ... with one product by the kernel root z F per step;
-  `end_level_series(k, n)` is element k.  These satisfy the three-term
-  relation z h_k + (z - z^2 - 1) h_{k-1} + z h_{k-2} = 0.
-* `pretty_cf_series`: the continued fraction for F cut at a depth, its
-  convergent built forward as a quotient of two polynomials and expanded
-  by one series division.
+  stream h_0, h_1, ... with one product by the kernel root z F per step.
+  These satisfy the three-term relation
+  z h_k + (z - z^2 - 1) h_{k-1} + z h_{k-2} = 0.
+* `pretty_cf_stream`: the continued fraction for F cut at depths 1, 2,
+  ..., its convergents built forward in one run as quotients of two
+  polynomials, each expanded by one series division;
+  `pretty_cf_agreements` reads how far each depth agrees with F.
 
 Each printed m(n) meets a second route in one `check_*` function:
 `check_counts` (m(0..n)) and `check_far_end` (one m(n) against the closed
@@ -36,8 +37,8 @@ functions that need `series` import it when called, so a request that
 prints m(n) loads neither `series` nor `bounded`.
 """
 import decimal
-from itertools import chain, cycle, islice
-from operator import mul
+from itertools import chain, cycle, islice, takewhile
+from operator import eq, mul
 
 from .errors import CROSS_CHECK_LIMIT, check_agreement, check_sizes
 
@@ -161,17 +162,6 @@ def end_level_stream(order):
         h = h * root
 
 
-def end_level_series(k, n_max):
-    """Counts of peakless valid prefixes ending at level k, no height bound.
-
-    The generating function is z^k F^{k+1}, so the coefficient of z^n is
-    the number of length-n peakless walks from the origin to level k:
-    element k of `end_level_stream(n_max)`.
-    """
-    check_sizes("end level", [k])
-    return list(next(islice(end_level_stream(n_max), k, None)).coeffs)
-
-
 def kernel_root_series(order):
     """The power-series root s_2 = z F of z u^2 + (z - z^2 - 1) u + z."""
     from .series import Series
@@ -210,41 +200,44 @@ def check_counts(values, n):
     check_agreement(("functional equation", "recurrence"), series, checked)
 
 
-def pretty_cf_series(depth, order):
-    """Truncation of the continued fraction for F with `depth` numerators.
+def pretty_cf_stream(order):
+    """Truncations of the continued fraction for F at depths 1, 2, ...
 
     The numerator pattern is data (PRETTY_CF_LEAD then PRETTY_CF_PERIOD
-    cycling): 1 + z/(1 - z/(1 - z/(1 - z^3/(1 - ...)))), innermost level
-    terminated by 1.  The tail is a_1/(1 + a_2/(1 + ...)) with a_1 = z and
-    a_i = -(period term), so its convergents A_k/B_k follow the forward
-    recurrence X_k = X_{k-1} + a_k X_{k-2} from A_{-1} = 1, A_0 = 0,
-    B_{-1} = 0, B_0 = 1: polynomials, then one exact division of
-    A_d + B_d by B_d, whose constant term is 1 since no a_i has one.
+    cycling): 1 + z/(1 - z/(1 - z/(1 - z^3/(1 - ...)))), the depth-d
+    truncation keeping d numerators and ending its innermost level in 1.
+    The tail is a_1/(1 + a_2/(1 + ...)) with a_1 = z and a_i = -(period
+    term), so its convergents A_d/B_d follow the forward recurrence
+    X_d = X_{d-1} + a_d X_{d-2} from A_{-1} = 1, A_0 = 0, B_{-1} = 0,
+    B_0 = 1, one run for every depth.  Each truncation is a Series to the
+    given order, one exact division of A_d + B_d by B_d, whose constant
+    term is 1 since no a_i has one.
     """
-    check_sizes("depth", [depth], least=1)
     from .series import poly_divide_series, poly_mul, poly_neg, poly_sub
 
-    # -a_1, -a_2, ...: X_k = X_{k-1} - (-a_k) X_{k-2}
+    # -a_1, -a_2, ...: X_d = X_{d-1} - (-a_d) X_{d-2}
     negated = chain([poly_neg(PRETTY_CF_LEAD)], cycle(PRETTY_CF_PERIOD))
     a_prev, a, b_prev, b = (1,), (0,), (0,), (1,)
-    for term in islice(negated, depth):
+    for term in negated:
         a_prev, a = a, poly_sub(a, poly_mul(term, a_prev))
         b_prev, b = b, poly_sub(b, poly_mul(term, b_prev))
-    return poly_divide_series(poly_sub(a, poly_neg(b)), b, order)
+        yield poly_divide_series(poly_sub(a, poly_neg(b)), b, order)
 
 
-def pretty_cf_agreement(depth, order):
-    """Largest M <= order with the depth-d truncation matching m(0)..m(M).
+def pretty_cf_agreements(depth, order):
+    """For each depth 1..depth, the largest M <= order with that truncation
+    matching m(0)..m(M).
 
-    It is the numerators' valuation sum v_1 + ... + v_{d+1} - 1, which
-    `verify.check_pretty_cf` holds it to, together with the period's fixed
-    point against the functional equation.
+    One `peakless_series(order)` and one `pretty_cf_stream(order)` run
+    serve every depth.  Each order is the numerators' valuation sum
+    v_1 + ... + v_{d+1} - 1, which `verify.check_pretty_cf` holds it to,
+    together with the period's fixed point against the functional equation.
     """
-    truncation = pretty_cf_series(depth, order)
+    check_sizes("depth", [depth], least=1)
+    # the truncations first, so a negative order is named as one
+    truncations = list(islice(pretty_cf_stream(order), depth))
     reference = peakless_series(order)
-    matched = -1
-    for k in range(order + 1):
-        if truncation[k] != reference[k]:
-            break
-        matched = k
-    return matched
+    return [
+        len(list(takewhile(bool, map(eq, t.coeffs, reference)))) - 1
+        for t in truncations
+    ]

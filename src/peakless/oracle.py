@@ -18,8 +18,9 @@ the one a step shorter, and shared by every table that splits off a half
 of that length (the tables n <= 14 read 8 scans, not 30).  Nothing here
 comes from the automaton or the counting engines.
 The tests hold the kernel to a reference loop over one sequence at a
-time.  `height_counts` is the one query; it checks the length against
-`oracle_cap()` (PEAKLESS_ORACLE_CAP or 16) with `paths.check_oracle_length`.
+time.  `classification_table` checks the length against `oracle_cap()`
+(PEAKLESS_ORACLE_CAP or 16) with `paths.check_oracle_length` before it
+reads a cached table or scans, and `height_counts` is the one query.
 
 Step digit coding, shared with the enumeration order in `paths`:
 0 = flat, 1 = up, 2 = down.
@@ -54,7 +55,9 @@ def _half_scan(m):
     )
 
 
+@lru_cache(maxsize=64)
 def _classify_halves(n):
+    # The table of `classification_table(n)`, kept read-only per process.
     # A prefix of a = ceil(n/2) steps followed by a suffix of b = n - a
     # steps is a valid prefix iff the prefix never dips below 0 and
     # pend + smin >= 0.  Its end is pend + send, its height
@@ -74,17 +77,17 @@ def _classify_halves(n):
             if pend >= sneg:
                 peakless = 0 if pp or sp or (pu and sd) else 1
                 counts[peakless][pend + send][max(ph, pend + smax)] += pw * sw
-    return counts
+    return tuple(tuple(map(tuple, layer)) for layer in counts)
 
 
-@lru_cache(maxsize=64)
 def classification_table(n):
     """Counts of valid length-n prefixes binned by peaklessness, end, height.
 
     Parameters
     ----------
     n : int
-        Sequence length; only the queries below check it against the cap.
+        Sequence length, checked against the cap (`check_oracle_length`)
+        before any scan.
 
     Returns
     -------
@@ -94,7 +97,8 @@ def classification_table(n):
         Tuples keep the cached table read-only.
     """
     check_sizes("length", [n])
-    return tuple(tuple(map(tuple, layer)) for layer in _classify_halves(n))
+    check_oracle_length(n)
+    return _classify_halves(n)
 
 
 def brute_force_count(n, constraints=None):
@@ -109,7 +113,6 @@ def brute_force_count(n, constraints=None):
 def height_counts(n, peakless=False, end_level=0):
     """Counts of length-n paths by exact height, as a plain list."""
     check_sizes("end level", [end_level])
-    check_oracle_length(n)
     table = classification_table(n)
     if end_level > n:
         return [0]

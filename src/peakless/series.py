@@ -1,8 +1,9 @@
 """Truncated power series and polynomials with exact integer coefficients.
 
-A Series keeps coefficients c_0..c_N for a fixed truncation order N; all
-arithmetic truncates to the smaller operand order, so precision loss is
-always explicit at the call site.  Inversion requires a constant term of
+A Series keeps coefficients c_0..c_N for a fixed truncation order N, read
+and compared as its `coeffs` tuple; all arithmetic truncates to the
+smaller operand order, so precision loss is always explicit at the call
+site.  Inversion requires a constant term of
 +1 or -1, which keeps every coefficient an exact integer; whenever that
 precondition fails something is wrong upstream, so it raises instead of
 falling back to rationals.
@@ -85,17 +86,6 @@ class Series:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __neg__(self):
-        return Series(map(neg, self.coeffs))
-
     # map stops at the shorter operand: the smaller order, as truncation says
     def __add__(self, other):
         return Series(map(add, self.coeffs, other.coeffs))
@@ -117,12 +107,6 @@ class Series:
     def inverse(self):
         """Multiplicative inverse to the same order; needs c_0 in {1, -1}."""
         return poly_divide_series((1,), self.coeffs, self.order)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def __repr__(self):
-        return f"Series({list(self.coeffs)!r})"
 
 
 def poly_divide_series(num, den, order):

@@ -18,9 +18,11 @@ Each check reads a family once, from the same streams the CLI prints: the
 five-way agreement one `bounded.bounded_count_table` per column engine
 (columns 0..l) and one oracle height census per length (each bound's
 brute-force count is a prefix sum of it), the determinant check one
-`bounded.strip_family` run (D_{-1}..D_l and the E_0 fixture), and the
+`bounded.strip_family` run (D_{-1}..D_l and the E_0 fixture), the
 end-level and kernel checks one `counting.end_level_stream` walk each
-(h_0..h_2, and h_0..h_6 with F = h_0).  The kernel identities solve the
+(h_0..h_2, and h_0..h_6 with F = h_0), and the continued-fraction check
+one `counting.pretty_cf_agreements` call, one functional-equation run and
+one convergent run for all ten depths.  The kernel identities solve the
 functional equation twice: once for that walk and once for
 `counting.kernel_root_series`.  So a check's engine work grows linearly
 in its bound; only the oracle's half scans grow like 3^(n/2).
@@ -219,7 +221,7 @@ def check_pretty_cf():
         for q in itertools.islice(numerators, len(depths) + 1)
     ]
     sums = [total - 1 for total in itertools.accumulate(valuations)][1:]
-    orders = [counting.pretty_cf_agreement(d, 40) for d in depths]
+    orders = counting.pretty_cf_agreements(len(depths), 40)
     check_agreement(
         ("agreement orders", "valuation sum"), orders, sums, start=1, index="depth"
     )

@@ -8,6 +8,7 @@ heights with the diffusion-limit constant 5^{-1/4} (derivation in the
 test), and criterion 10 pins 3^{-1/2} at its correctly rounded ten-decimal
 value.
 """
+import itertools
 import math
 
 from peakless import asymptotics, bounded, counting, oracle
@@ -27,9 +28,7 @@ def test_criterion_01_sequence_prefix_from_both_engines():
 def test_criterion_02_five_way_agreement():
     series = counting.peakless_series(FIVE_WAY_N)
     assert counting.peakless_recurrence(FIVE_WAY_N) == series
-    ladders = {
-        l: bounded.bounded_series_cf(l, FIVE_WAY_N) for l in range(FIVE_WAY_L + 1)
-    }
+    ladders = bounded.bounded_count_table(FIVE_WAY_N, FIVE_WAY_L, "cf")
     quotients = {
         l: bounded.bounded_series_det(l, FIVE_WAY_N) for l in range(FIVE_WAY_L + 1)
     }
@@ -70,22 +69,25 @@ def test_criterion_04_recurrence_exact_divisibility_to_5000():
 
 def test_criterion_05_kernel_identities_to_order_200():
     order = 200
+    zero = (0,) * (order + 1)
     f = Series(counting.peakless_series(order), order)
     q = Series((1, -1, 1), order)
-    assert ((f * f).shift(2) - q * f + Series.one(order)).is_zero()
+    assert ((f * f).shift(2) - q * f + Series.one(order)).coeffs == zero
     s2 = counting.kernel_root_series(order)
-    assert s2 == f.shift(1)
-    assert counting.kernel_residual(s2).is_zero()
-    hk = [Series(counting.end_level_series(k, order), order) for k in range(7)]
+    assert s2.coeffs == f.shift(1).coeffs
+    assert counting.kernel_residual(s2).coeffs == zero
+    hk = list(itertools.islice(counting.end_level_stream(order), 7))
     qbar = Series((-1, 1, -1), order)
     for k in range(2, 7):
-        assert (hk[k].shift(1) + qbar * hk[k - 1] + hk[k - 2].shift(1)).is_zero(), k
+        residual = hk[k].shift(1) + qbar * hk[k - 1] + hk[k - 2].shift(1)
+        assert residual.coeffs == zero, k
 
 
 def test_criterion_06_determinant_fixtures():
-    assert bounded.determinant_poly(0) == (-1, 1, -1)  # z - z^2 - 1
+    run = [d for d, _ in itertools.islice(bounded.strip_family(), 3)]
+    assert run[1] == (-1, 1, -1)  # D_0 = z - z^2 - 1
     expected = poly_mul(poly_mul((1, -1), (1, -1)), (1, 0, 1))  # (1-z)^2 (1+z^2)
-    assert bounded.determinant_poly(1) == expected
+    assert run[2] == expected
 
 
 def test_criterion_07_count_asymptotics():
@@ -136,7 +138,7 @@ def test_criterion_08_average_height_against_recorded_prediction():
 
 def test_criterion_09_pretty_continued_fraction():
     # the valuation sums v_1 + ... + v_{d+1} - 1 of the numerators
-    orders = [counting.pretty_cf_agreement(d, 40) for d in range(1, 21)]
+    orders = counting.pretty_cf_agreements(20, 40)
     assert orders == [
         1, 2, 5, 6, 7, 10, 11, 12, 15, 16, 17, 20, 21, 22, 25, 26, 27, 30, 31, 32
     ], orders

@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import peakless
-from peakless import bounded, counting, oracle, render
+from peakless import asymptotics, bounded, counting, oracle, paths, render, series
 from peakless.cli import COLUMN_METHODS, main, read_argv
 from peakless.paths import PathConstraints, enumerate_paths
 
@@ -366,7 +367,7 @@ def test_a_disagreement_writes_nothing(
 
 def test_bounded_names_every_mismatching_index(capsys, monkeypatch):
     def broken(bound, order):
-        warped = list(bounded.bounded_series_cf(bound, order))
+        warped = list(bounded.bounded_count_table(order, bound, "cf")[bound])
         for i in range(3, 10):
             warped[i] += 1
         return tuple(warped)
@@ -974,9 +975,76 @@ PINNED = json.loads(
 )
 
 
+@pytest.fixture(scope="module")
+def entered():
+    # the code objects each pinned request entered, recorded while its bytes
+    # are checked, so the requests run once for both tests that read them
+    return {}
+
+
+def run_recorded(capsys, argv, entered):
+    # main under a profile hook that records every Python function it enters
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        result = run_cli(capsys, *argv.split())
+    finally:
+        sys.setprofile(previous)
+    entered[argv] = called
+    return result
+
+
 @pytest.mark.parametrize("argv", list(PINNED))
-def test_pinned_request_bytes(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv.split())
+def test_pinned_request_bytes(capsys, entered, argv):
+    code, out, _ = run_recorded(capsys, argv, entered)
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     pin = PINNED[argv]
     assert (code, digest) == (pin["exit"], pin["sha256"])
+
+
+# exported functions that no pinned request calls, each with its reason
+LIBRARY_ONLY = {
+    "brute_force_count": "perfbench/pin.py counts paths by PathConstraints with it",
+}
+
+
+def test_the_public_surface_is_what_the_pinned_requests_call(capsys, entered):
+    # every module-level public function of an engine module that a pinned
+    # request calls is exported (in `__all__`) as itself, and every exported
+    # function is called by one, or is library-only for a stated reason
+    for argv in PINNED.keys() - entered.keys():  # run alone: record here
+        run_recorded(capsys, argv, entered)
+    reached = set().union(*entered.values())
+    engines = (asymptotics, bounded, counting, oracle, paths, series)
+    members = [
+        (module.__name__, name, obj)
+        for module in engines
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+    ]
+    # a cached function is entered only on a miss, so none may be public
+    assert [name for _, name, obj in members if hasattr(obj, "cache_info")] == []
+    public = {
+        f"{module}.{name}": obj
+        for module, name, obj in members
+        if inspect.isfunction(obj) and obj.__module__ == module
+    }
+    unexported = [
+        qualified
+        for qualified, fn in public.items()
+        if fn.__code__ in reached and getattr(peakless, fn.__name__, None) is not fn
+    ]
+    assert unexported == []
+    idle = [
+        name
+        for name in peakless.__all__
+        if inspect.isfunction(fn := getattr(peakless, name))
+        and fn.__code__ not in reached
+    ]
+    assert idle == sorted(LIBRARY_ONLY)

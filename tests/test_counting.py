@@ -124,7 +124,7 @@ def test_functional_equation_residual():
     order = 64
     f = Series(counting.peakless_series(order), order)
     residual = (f * f).shift(2) - Series((1, -1, 1), order) * f + Series.one(order)
-    assert residual.is_zero()
+    assert residual.coeffs == (0,) * (order + 1)
 
 
 def test_recurrence_matches_series():
@@ -169,17 +169,16 @@ def test_exact_decimal_context_raises_instead_of_rounding():
 
 
 def test_end_level_series():
-    assert counting.end_level_series(0, 12) == counting.peakless_series(12)
-    assert counting.end_level_series(1, 3)[1] == 1  # the single path "U"
-    for k in range(3):
-        engine = counting.end_level_series(k, 10)
+    # element k of the end-level stream counts the walks that end at level k
+    hk = list(itertools.islice(counting.end_level_stream(10), 3))
+    assert list(hk[0].coeffs) == counting.peakless_series(10)
+    assert hk[1][1] == 1  # the single path "U"
+    for k, engine in enumerate(hk):
         for n in range(11):
             want = oracle.brute_force_count(
                 n, PathConstraints(peakless=True, end_level=k)
             )
             assert engine[n] == want
-    with pytest.raises(ValueError):
-        counting.end_level_series(-1, 5)
 
 
 def test_end_level_stream_is_the_power_chain(monkeypatch):
@@ -191,7 +190,8 @@ def test_end_level_stream_is_the_power_chain(monkeypatch):
         for _ in range(6):
             chain.append(chain[-1] * f)
         hk = list(itertools.islice(counting.end_level_stream(order), 7))
-        assert hk == [power.shift(k) for k, power in enumerate(chain)], order
+        want = [power.shift(k).coeffs for k, power in enumerate(chain)]
+        assert [h.coeffs for h in hk] == want, order
     calls = {"series": 0, "mul": 0}
     real_series, real_mul = counting.peakless_series, Series.__mul__
 
@@ -212,32 +212,37 @@ def test_end_level_stream_is_the_power_chain(monkeypatch):
 def test_three_term_end_level_identity():
     # z h_k + (z - z^2 - 1) h_{k-1} + z h_{k-2} = 0 for k >= 2
     order = 30
-    hk = [Series(counting.end_level_series(k, order), order) for k in range(7)]
+    hk = list(itertools.islice(counting.end_level_stream(order), 7))
     qbar = Series((-1, 1, -1), order)
     for k in range(2, 7):
         out = hk[k].shift(1) + qbar * hk[k - 1] + hk[k - 2].shift(1)
-        assert out.is_zero(), k
+        assert out.coeffs == (0,) * (order + 1), k
 
 
 def test_kernel_root():
     s2 = counting.kernel_root_series(50)
     assert s2[0] == 0
     assert s2.coeffs[1:4] == (1, 1, 1)
-    assert counting.kernel_residual(s2).is_zero()
+    assert counting.kernel_residual(s2).coeffs == (0,) * 51
+
+
+def _ladder_column(bound, order):
+    # A(0..order, bound), column `bound` of the ladder's table
+    return bounded.bounded_count_table(order, bound, "cf")[bound]
 
 
 def test_bounded_cf_fixtures():
-    assert bounded.bounded_series_cf(0, 8) == (1,) * 9
-    assert bounded.bounded_series_cf(1, 14) == tuple(HEIGHT_LE_1)
-    assert bounded.bounded_series_cf(1, 4)[4] == 4
+    assert _ladder_column(0, 8) == (1,) * 9
+    assert _ladder_column(1, 14) == tuple(HEIGHT_LE_1)
+    assert _ladder_column(1, 4)[4] == 4
     with pytest.raises(ValueError):
-        bounded.bounded_series_cf(-1, 4)
+        _ladder_column(-1, 4)
 
 
 def test_bound_becomes_inactive():
     series = counting.peakless_series(20)
     for n in range(21):
-        assert bounded.bounded_series_cf(n // 2, n)[n] == series[n]
+        assert _ladder_column(n // 2, n)[n] == series[n]
 
 
 def test_first_length_where_height_bound_bites():
@@ -250,7 +255,7 @@ def test_first_length_where_height_bound_bites():
         != series[n]
     )
     assert first == 5
-    assert bounded.bounded_series_cf(1, 5)[5] == series[5] - 1 == 7
+    assert _ladder_column(1, 5)[5] == series[5] - 1 == 7
 
 
 def _permutation_determinant(matrix):
@@ -286,25 +291,27 @@ def _tridiagonal(size, last_diagonal):
     return matrix
 
 
+def _strip_run(l_max):
+    # {l: (D_l, E_l)} for l = -1..l_max, from one run of the strip family
+    return dict(zip(range(-1, l_max + 1), bounded.strip_family()))
+
+
 def test_determinant_fixtures():
-    assert bounded.determinant_poly(-1) == (1,)
-    assert bounded.determinant_poly(0) == (-1, 1, -1)  # z - z^2 - 1
+    strip = _strip_run(40)
+    assert strip[-1] == ((1,), (1,))
+    assert strip[0][0] == (-1, 1, -1)  # z - z^2 - 1
     # (1 - z)^2 (1 + z^2)
-    assert bounded.determinant_poly(1) == poly_mul(
-        poly_mul((1, -1), (1, -1)), (1, 0, 1)
-    )
+    assert strip[1][0] == poly_mul(poly_mul((1, -1), (1, -1)), (1, 0, 1))
     d2_step = poly_sub(
-        poly_mul((-1, 1, -1), bounded.determinant_poly(1)),
-        poly_mul((0, 0, 1), bounded.determinant_poly(0)),
+        poly_mul((-1, 1, -1), strip[1][0]), poly_mul((0, 0, 1), strip[0][0])
     )
-    assert bounded.determinant_poly(2) == d2_step
+    assert strip[2][0] == d2_step
     # E_l = D_l + z^2 D_{l-1} (expand the ceiling row z - 1 = S + z^2), and
     # D_l matches its Chebyshev form in S = z - z^2 - 1 at 2l + 3 integer
     # points, as many as pin a polynomial of degree 2l + 2
     for l in range(40):
-        d, before = bounded.determinant_poly(l), bounded.determinant_poly(l - 1)
-        expected = poly_sub(d, poly_mul((0, 0, -1), before))
-        assert bounded.strip_denominator_poly(l) == expected, l
+        (d, e), before = strip[l], strip[l - 1][0]
+        assert e == poly_sub(d, poly_mul((0, 0, -1), before)), l
         for x in range(-l - 1, l + 2):
             s, ks = x - x * x - 1, range((l + 1) // 2 + 1)
             form = sum(
@@ -315,16 +322,17 @@ def test_determinant_fixtures():
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3, 4])
 def test_determinant_families_against_leibniz_oracle(bound):
+    d, e = _strip_run(bound)[bound]
     plain = _tridiagonal(bound + 1, (-1, 1, -1))
-    assert bounded.determinant_poly(bound) == _permutation_determinant(plain)
+    assert d == _permutation_determinant(plain)
     corrected = _tridiagonal(bound + 1, (-1, 1))  # ceiling row: z - 1
-    assert bounded.strip_denominator_poly(bound) == _permutation_determinant(corrected)
+    assert e == _permutation_determinant(corrected)
 
 
 def test_det_series_fixtures():
     assert bounded.bounded_series_det(1, 4) == (1, 1, 1, 2, 4)
-    assert bounded.bounded_series_det(5, 40) == bounded.bounded_series_cf(5, 40)
-    assert bounded.bounded_series_det(0, 10) == bounded.bounded_series_cf(0, 10)
+    assert bounded.bounded_series_det(5, 40) == _ladder_column(5, 40)
+    assert bounded.bounded_series_det(0, 10) == _ladder_column(0, 10)
     # E_l(0) = (-1)^{l+1}, so every quotient -E_{l-1}/E_l starts at +1
     assert all(bounded.bounded_series_det(l, 40)[0] == 1 for l in range(41))
     with pytest.raises(ValueError):
@@ -335,7 +343,7 @@ def test_bounds_past_half_the_order_are_clamped():
     # a peakless path of length n is at most (n - 1) // 2 high; at an odd
     # order a clamp one level too low would drop the highest paths
     series = tuple(counting.peakless_series(41))
-    assert bounded.bounded_series_cf(10**8, 41) == series
+    assert bounded.bounded_count_table(41, 1000, "cf")[1000] == series
     assert bounded.bounded_series_det(10**8, 41) == series
 
 
@@ -343,11 +351,8 @@ def test_det_series_truncates_the_strip_family():
     # a bound past order // 2 is read as order // 2: the quotient equals the
     # one of the unclamped E_40 / E_39 and, at bound 1500, the DP column
     order = 30
-    full = poly_divide_series(
-        poly_neg(bounded.strip_denominator_poly(39)),
-        bounded.strip_denominator_poly(40),
-        order,
-    )
+    strip = _strip_run(40)
+    full = poly_divide_series(poly_neg(strip[39][1]), strip[40][1], order)
     assert bounded.bounded_series_det(40, order) == full.coeffs
     dp = bounded.bounded_column_dp(1500, 200)
     assert bounded.bounded_series_det(1500, 200) == dp
@@ -355,22 +360,21 @@ def test_det_series_truncates_the_strip_family():
 
 def test_det_series_division_contract():
     order = 30
-    e0 = bounded.strip_denominator_poly(0)
-    e1 = bounded.strip_denominator_poly(1)
+    strip = _strip_run(1)
+    e0, e1 = strip[0][1], strip[1][1]
     quotient = poly_divide_series(poly_neg(e0), e1, order)
     residual = quotient * Series(e1, order) + Series(e0, order)
-    assert residual.is_zero()
+    assert residual.coeffs == (0,) * (order + 1)
 
 
 def test_uncorrected_quotient_stops_counting_at_the_ceiling():
     # without the ceiling-row correction, the determinant quotient first
     # deviates from the exhaustive count at n = 2*bound + 2, the shortest
     # length that can touch level bound + 1; the corrected family never does
+    strip = _strip_run(3)
     for bound in (1, 2, 3):
         plain = poly_divide_series(
-            poly_neg(bounded.determinant_poly(bound - 1)),
-            bounded.determinant_poly(bound),
-            10,
+            poly_neg(strip[bound - 1][0]), strip[bound][0], 10
         )
         corrected = bounded.bounded_series_det(bound, 10)
         for n in range(11):
@@ -451,17 +455,15 @@ def test_shared_pass_joins_match_the_column():
 NEGATIVE = "^{} must be nonnegative, got {}$".format
 BELOW = "^{} must be at least {}, got {}$".format
 BAD_SIZES = [
-    (lambda: bounded.determinant_poly(-2), BELOW("index", -1, -2)),
-    (lambda: bounded.strip_denominator_poly(-3), BELOW("index", -1, -3)),
     (lambda: counting.motzkin_numbers(-1), NEGATIVE("length", -1)),
     (lambda: counting.peakless_series(-2), NEGATIVE("length", -2)),
     (lambda: counting.peakless_recurrence(-1), NEGATIVE("length", -1)),
     (lambda: counting.peakless_decimals(-1), NEGATIVE("length", -1)),
     (lambda: counting.peakless_closed_form(-1), NEGATIVE("length", -1)),
-    (lambda: counting.end_level_series(-1, 5), NEGATIVE("end level", -1)),
-    (lambda: counting.pretty_cf_series(0, 5), BELOW("depth", 1, 0)),
-    (lambda: counting.pretty_cf_series(3, -1), NEGATIVE("order", -1)),
-    (lambda: counting.pretty_cf_agreement(3, -1), NEGATIVE("order", -1)),
+    (lambda: next(counting.end_level_stream(-1)), NEGATIVE("length", -1)),
+    (lambda: counting.pretty_cf_agreements(0, 5), BELOW("depth", 1, 0)),
+    (lambda: next(counting.pretty_cf_stream(-1)), NEGATIVE("order", -1)),
+    (lambda: counting.pretty_cf_agreements(3, -1), NEGATIVE("order", -1)),
     (lambda: PathConstraints(end_level=-1), NEGATIVE("end level", -1)),
     (lambda: PathConstraints(max_height=-2), NEGATIVE("bound", -2)),
     (lambda: paths.prefix_blocks(-1), NEGATIVE("length", -1)),
@@ -491,7 +493,6 @@ def test_every_entry_point_words_a_negative_size_alike():
     # one bound rule for every bounded engine: the same two lines, from the
     # engines, the table, its check and the height distribution
     calls = {
-        "bounded_series_cf": bounded.bounded_series_cf,
         "bounded_series_det": bounded.bounded_series_det,
         "bounded_column_dp": bounded.bounded_column_dp,
         "bounded_counts_dp": lambda l, n: bounded.bounded_counts_dp(n, (3, l)),
@@ -577,7 +578,7 @@ def test_height_distribution_consistency():
 def test_bounded_table_invariants():
     n_max = 60
     series = counting.peakless_series(n_max)
-    ladders = [bounded.bounded_series_cf(l, n_max) for l in range(n_max // 2 + 1)]
+    ladders = bounded.bounded_count_table(n_max, n_max // 2, "cf")
     for n in range(n_max + 1):
         values = [ladders[l][n] for l in range(n_max // 2 + 1)]
         assert values[0] == 1
@@ -647,10 +648,9 @@ def test_column_streams_build_each_column_once(monkeypatch):
     calls["mul"] = 0
     bounded.bounded_series_det(20, 40)
     assert calls["mul"] <= 21  # D_0..D_20
-    for family in (bounded.determinant_poly, bounded.strip_denominator_poly):
-        calls["mul"] = 0
-        family(20)
-        assert calls["mul"] <= 21, family  # D_0..D_20, as the docstrings state
+    calls["mul"] = 0
+    list(itertools.islice(bounded.strip_family(), 22))
+    assert calls["mul"] == 21  # D_0..D_20 past D_-1, one product each
     for bound in (0, 20, 10**8):
         calls["divide"] = 0
         bounded.bounded_series_det(bound, 40)
@@ -661,7 +661,7 @@ def test_pretty_cf_agreement_orders():
     # the period-3 numerator pattern (z then z, z, z^3 repeating) is a
     # hypothesis; its fingerprint is this staircase of agreement orders
     frozen = [1, 2, 5, 6, 7, 10, 11, 12, 15, 16, 17, 20, 21, 22, 25, 26, 27, 30, 31, 32]
-    got = [counting.pretty_cf_agreement(d, 40) for d in range(1, 21)]
+    got = counting.pretty_cf_agreements(20, 40)
     assert got == frozen
     assert all(a <= b for a, b in zip(got, got[1:]))
     for d in range(1, 16):
@@ -681,33 +681,38 @@ def _pretty_cf_inside_out(depth, order):
 
 
 def test_pretty_cf_convergents_match_the_inside_out_fraction():
-    for d in range(1, 21):
-        assert counting.pretty_cf_series(d, 40) == _pretty_cf_inside_out(d, 40), d
+    stream = counting.pretty_cf_stream(40)
+    for d, truncation in zip(range(1, 21), stream):
+        assert truncation.coeffs == _pretty_cf_inside_out(d, 40).coeffs, d
 
 
 def test_pretty_cf_makes_one_division(monkeypatch):
-    # the forward recurrence is polynomial; only the quotient is a series
-    calls = []
-    real = series_module.poly_divide_series
+    # the forward recurrence is polynomial, one run for every depth with two
+    # products per depth; only each depth's quotient is a series
+    calls = {"divide": [], "mul": 0}
+    real_divide, real_mul = series_module.poly_divide_series, series_module.poly_mul
 
     def divide(*args):
-        calls.append(args[2])
-        return real(*args)
+        calls["divide"].append(args[2])
+        return real_divide(*args)
+
+    def mul(*args):
+        calls["mul"] += 1
+        return real_mul(*args)
 
     monkeypatch.setattr(series_module, "poly_divide_series", divide)
-    for d in range(1, 21):
-        calls.clear()
-        counting.pretty_cf_series(d, 40)
-        assert calls == [40], d
+    monkeypatch.setattr(series_module, "poly_mul", mul)
+    list(itertools.islice(counting.pretty_cf_stream(40), 20))
+    assert calls == {"divide": [40] * 20, "mul": 40}
 
 
 def test_pretty_cf_pattern_is_data():
     assert counting.PRETTY_CF_LEAD == (0, 1)
     assert counting.PRETTY_CF_PERIOD == ((0, 1), (0, 1), (0, 0, 0, 1))
     with pytest.raises(ValueError):
-        counting.pretty_cf_series(0, 10)
+        counting.pretty_cf_agreements(0, 10)
 
 
 def test_pretty_cf_depth_one():
-    assert counting.pretty_cf_series(1, 5).coeffs == (1, 1, 0, 0, 0, 0)
-    assert counting.pretty_cf_agreement(1, 20) == 1
+    assert next(counting.pretty_cf_stream(5)).coeffs == (1, 1, 0, 0, 0, 0)
+    assert counting.pretty_cf_agreements(1, 20) == [1]

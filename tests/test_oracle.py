@@ -59,10 +59,9 @@ def test_half_scans_are_shared_across_lengths():
     fresh = []
     for n in range(15):
         oracle._half_scan.cache_clear()
-        layers = oracle._classify_halves(n)
-        fresh.append(tuple(tuple(map(tuple, layer)) for layer in layers))
+        fresh.append(oracle._classify_halves.__wrapped__(n))
     oracle._half_scan.cache_clear()
-    oracle.classification_table.cache_clear()
+    oracle._classify_halves.cache_clear()
     assert [oracle.classification_table(n) for n in range(15)] == fresh
     assert oracle._half_scan.cache_info().misses == 8
 
@@ -141,3 +140,17 @@ def test_classification_table_is_read_only():
     assert all(type(c) is int for layer in table for row in layer for c in row)
     with pytest.raises(TypeError):
         table[1][0][0] = 0
+
+
+def test_classification_table_checks_the_cap_before_any_scan(monkeypatch):
+    # the gate holds for a table already cached under a larger cap, and a
+    # table past the cap reads no half scan
+    oracle.classification_table(6)
+    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "5")
+    with pytest.raises(OracleLimitError):
+        oracle.classification_table(6)
+    oracle._classify_halves.cache_clear()  # so an ungated table would scan
+    scans = oracle._half_scan.cache_info()
+    with pytest.raises(OracleLimitError):
+        oracle.classification_table(6)
+    assert oracle._half_scan.cache_info() == scans

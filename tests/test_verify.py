@@ -106,6 +106,7 @@ FAMILY_WORK = {
     "end_level_counts": (
         lambda: verify.check_end_levels(10), {(counting, "peakless_series"): 1}
     ),
+    "pretty_cf": (verify.check_pretty_cf, {(counting, "peakless_series"): 1}),
 }
 
 
@@ -290,8 +291,10 @@ FAULTS = {
         ("expected heights", "fixture"),
     ),
     "pretty_cf": (
-        "quick", counting, "pretty_cf_agreement",
-        lambda real: lambda d, order: 0 if d == 3 else real(d, order),
+        "quick", counting, "pretty_cf_agreements",
+        lambda real: lambda depth, order: [
+            0 if d == 3 else m for d, m in enumerate(real(depth, order), 1)
+        ],
         ("agreement orders", "valuation sum"),
     ),
     "pretty_cf/period": (
