@@ -27,11 +27,11 @@ _EXPORTS = {
         "asymptotics": """AVG_HEIGHT_CONSTANT ConvergenceReport
             MOTZKIN_HEIGHT_CONSTANT RHO SINGULAR_AMPLITUDE convergence_report
             count_ratio log_predicted_count predicted_avg_height predicted_count""",
-        "bounded": """HeightStats bounded_column_dp bounded_count_dp
-            bounded_count_table bounded_counts_dp bounded_series_det check_columns
+        "bounded": """HeightStats bounded_column_dp bounded_count_table
+            bounded_counts_dp bounded_series_det check_columns
             check_height_distribution height_distribution strip_family""",
         "counting": """check_counts check_far_end end_level_stream
-            kernel_residual kernel_root_series motzkin_numbers peakless_closed_form
+            kernel_residual motzkin_numbers peakless_closed_form
             peakless_decimals peakless_recurrence peakless_series
             pretty_cf_agreements pretty_cf_stream""",
         "errors": "EngineDisagreement OracleLimitError ResourceLimitError",

@@ -93,10 +93,8 @@ ReportRow = namedtuple("ReportRow", "n exact predicted ratio")
 REPORT_HEADER = ReportRow._fields
 
 
-class ConvergenceReport(namedtuple("ConvergenceReport", "kind tolerance rows")):
-    """Exact-versus-predicted table; ratios are recorded verbatim."""
-
-    __slots__ = ()
+# exact-versus-predicted table; ratios are recorded verbatim
+ConvergenceReport = namedtuple("ConvergenceReport", "kind tolerance rows")
 
 
 def convergence_report(kind, n_values, cap=None):
@@ -154,7 +152,7 @@ def convergence_report(kind, n_values, cap=None):
         for n in ns:
             stats = bounded.height_distribution(n)
             bounded.check_height_distribution(stats)
-            exact = stats.expected_height_float
+            exact = float(stats.expected_height)
             predicted = predicted_avg_height(n)
             rows.append(
                 ReportRow(n=n, exact=exact, predicted=predicted, ratio=exact / predicted)

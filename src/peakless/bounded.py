@@ -18,10 +18,10 @@ and the brute-force oracle:
   pass of n big-int steps yields A(0..n, l).  `bounded_counts_dp` gives
   A(n, l) alone for each of many bounds l: it joins the walks of length
   n // 2 at the middle, through one middle step for odd n, half the steps
-  on slots half as wide, and every bound branches off one shared pass
-  (`bounded_count_dp` is the one-bound call).  One loop, `_walk`, steps
-  the shared pass and every branch; `bounded_column_dp` keeps its own,
-  so the column and the join it is held to share no step code.
+  on slots half as wide, and every bound branches off one shared pass.
+  One loop, `_walk`, steps the shared pass and every branch;
+  `bounded_column_dp` keeps its own, so the column and the join it is
+  held to share no step code.
 
 The column engines return one format, the column A(0..n, l) as a tuple
 of ints, and so do the column streams and `bounded_count_table`;
@@ -165,16 +165,6 @@ def bounded_column_dp(bound, n_max):
     return tuple(column)
 
 
-def bounded_count_dp(n, bound):
-    """A(n, bound) by joining half-length automaton walks at the middle.
-
-    The one-bound call of `bounded_counts_dp`: its shared pass up to step
-    min(bound, n // 2) and the branch after it make one masked pass of
-    n // 2 steps.
-    """
-    return bounded_counts_dp(n, (bound,))[0]
-
-
 def bounded_counts_dp(n, bounds):
     """[A(n, l) for l in bounds] by middle joins from one shared pass.
 
@@ -271,14 +261,8 @@ def bounded_count_table(n_max, l_max, method):
     return columns + columns[-1:] * (l_max + 1 - len(columns))
 
 
-class HeightStats(namedtuple("HeightStats", "n distribution expected_height")):
-    """Exact height statistics of the peakless Motzkin paths of length n."""
-
-    __slots__ = ()
-
-    @property
-    def expected_height_float(self):
-        return float(self.expected_height)
+# exact height statistics of the peakless Motzkin paths of length n
+HeightStats = namedtuple("HeightStats", "n distribution expected_height")
 
 
 def height_distribution(n):

@@ -141,7 +141,7 @@ def cmd_dist(args):
                 "n": stats.n,
                 "distribution": stats.distribution,
                 "expected_height": str(stats.expected_height),
-                "expected_height_float": stats.expected_height_float,
+                "expected_height_float": float(stats.expected_height),
             }
         ),
         header=("height", "count"),

@@ -155,18 +155,12 @@ def end_level_stream(order):
     """
     from .series import Series
 
+    check_sizes("order", [order])
     h = Series(peakless_series(order), order)
     root = h.shift(1)
     while True:
         yield h
         h = h * root
-
-
-def kernel_root_series(order):
-    """The power-series root s_2 = z F of z u^2 + (z - z^2 - 1) u + z."""
-    from .series import Series
-
-    return Series(peakless_series(order), order).shift(1)
 
 
 def kernel_residual(u):

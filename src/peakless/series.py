@@ -69,22 +69,9 @@ class Series:
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
-    @classmethod
-    def zero(cls, order):
-        return cls((0,), order)
-
-    @classmethod
-    def one(cls, order):
-        return cls((1,), order)
-
     @property
     def order(self):
         return len(self.coeffs) - 1
-
-    def __getitem__(self, n):
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
 
     # map stops at the shorter operand: the smaller order, as truncation says
     def __add__(self, other):
@@ -99,10 +86,7 @@ class Series:
     def shift(self, k):
         """Multiply by z^k, truncating at the same order."""
         check_sizes("shift", [k])
-        n = self.order
-        if k > n:
-            return Series.zero(n)
-        return Series((0,) * k + self.coeffs[: n + 1 - k])
+        return Series(((0,) * k + self.coeffs)[: self.order + 1])
 
     def inverse(self):
         """Multiplicative inverse to the same order; needs c_0 in {1, -1}."""

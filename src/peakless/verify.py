@@ -20,12 +20,11 @@ five-way agreement one `bounded.bounded_count_table` per column engine
 brute-force count is a prefix sum of it), the determinant check one
 `bounded.strip_family` run (D_{-1}..D_l and the E_0 fixture), the
 end-level and kernel checks one `counting.end_level_stream` walk each
-(h_0..h_2, and h_0..h_6 with F = h_0), and the continued-fraction check
-one `counting.pretty_cf_agreements` call, one functional-equation run and
-one convergent run for all ten depths.  The kernel identities solve the
-functional equation twice: once for that walk and once for
-`counting.kernel_root_series`.  So a check's engine work grows linearly
-in its bound; only the oracle's half scans grow like 3^(n/2).
+(h_0..h_2, and h_0..h_6 with F = h_0 and the kernel root z F), and the
+continued-fraction check one `counting.pretty_cf_agreements` call, one
+functional-equation run and one convergent run for all ten depths.  So a
+check's engine work grows linearly in its bound; only the oracle's half
+scans grow like 3^(n/2).
 
 The sizes of both levels live in `SIZES`: path length and height bound of
 the brute-force comparisons (every height distribution up to that length
@@ -111,7 +110,7 @@ def check_five_way(n_limit, l_limit):
     check_agreement(("functional equation", "recurrence"), series, recurrence)
     census = [oracle.height_counts(n, peakless=True) for n in lengths]
     check_agreement(("brute force", "functional equation"), map(sum, census), series)
-    inactive = [bounded.bounded_count_dp(n, n // 2) for n in lengths]
+    inactive = [bounded.bounded_counts_dp(n, [n // 2])[0] for n in lengths]
     names = ("middle join", "functional equation")
     check_agreement(names, inactive, series, " at bound n/2")
     tables = [
@@ -160,9 +159,9 @@ def check_kernel_identities(order):
     hk = list(itertools.islice(counting.end_level_stream(order), 7))
     f = hk[0]
     q = Series((1, -1, 1), order)
-    residual = (f * f).shift(2) - q * f + Series.one(order)
+    residual = (f * f).shift(2) - q * f + Series((1,), order)
     _vanishes("functional equation residual", residual)
-    s2 = counting.kernel_root_series(order)
+    s2 = f.shift(1)  # the kernel root z F
     _fixtures(("kernel root", s2.coeffs[:4], (0, 1, 1, 1)))
     _vanishes("kernel residual", counting.kernel_residual(s2))
     qbar = Series((-1, 1, -1), order)

@@ -100,7 +100,7 @@ def test_avg_height_report_is_verbatim():
     ratios = [row.ratio for row in report.rows]
     assert ratios[0] < ratios[1]  # the ratio climbs with n
     stats = bounded.height_distribution(50)
-    want = stats.expected_height_float / asymptotics.predicted_avg_height(50)
+    want = float(stats.expected_height) / asymptotics.predicted_avg_height(50)
     assert report.rows[0].ratio == want  # recorded verbatim, no smoothing
 
 

@@ -65,7 +65,7 @@ def test_count_past_int_str_digit_limit(capsys, tmp_path):
     # found it, also when the --out file cannot be opened
     n = 1600  # closed form m(n) = sum_k C(n-k, k) C(n-k-1, k) / (k+1)
     want = sum(comb(n - k, k) * comb(n - k - 1, k) // (k + 1) for k in range(n // 2 + 1))
-    join = bounded.bounded_count_dp(n, 10)  # a route apart from the printed column
+    join = bounded.bounded_counts_dp(n, [10])[0]  # a route apart from the printed column
     missing = tmp_path / "missing" / "counts.csv"
     cases = [(f"count -n {n} --format {fmt}", fmt, want) for fmt in LAST_COUNT]
     cases.append((f"bounded -n {n} -l 10 --format csv", "csv", join))
