@@ -56,18 +56,20 @@ def log_predicted_count(n):
     )
 
 
-def predicted_count(n):
-    """5^{1/4} rho^{-n-1} / (2 sqrt(pi) n^{3/2}); inf past float range."""
+def _float_or_inf(convert, value):
     try:
-        return math.exp(log_predicted_count(n))
+        return convert(value)
     except OverflowError:
         return math.inf
 
 
-def count_ratio(n, exact=None):
+def predicted_count(n):
+    """5^{1/4} rho^{-n-1} / (2 sqrt(pi) n^{3/2}); inf past float range."""
+    return _float_or_inf(math.exp, log_predicted_count(n))
+
+
+def count_ratio(n, exact):
     """Exact m(n) divided by the predicted count, evaluated in log space."""
-    if exact is None:
-        exact = counting.peakless_recurrence(n)[n]
     return math.exp(math.log(exact) - log_predicted_count(n))
 
 
@@ -88,13 +90,8 @@ def _display_value(value, log_value):
     return f"{mantissa:.9f}e+{exponent}"
 
 
+# one line of an exact-versus-predicted table; ratios are recorded verbatim
 ReportRow = namedtuple("ReportRow", "n exact predicted ratio")
-
-REPORT_HEADER = ReportRow._fields
-
-
-# exact-versus-predicted table; ratios are recorded verbatim
-ConvergenceReport = namedtuple("ConvergenceReport", "kind tolerance rows")
 
 
 def convergence_report(kind, n_values, cap=None):
@@ -118,6 +115,14 @@ def convergence_report(kind, n_values, cap=None):
         is 500.  The cap goes through `ResourceLimitError.check`:
         out-of-budget lengths raise ResourceLimitError rather than being
         silently dropped, and a negative cap raises ValueError.
+
+    Returns
+    -------
+    tuple of ReportRow
+        One row per length, in the given order.  A count row shows exact
+        m(n) and its prediction as floats while each fits a double (both
+        do up to n = 747) and past that as mantissa/exponent strings read
+        from its natural log; its ratio is always a float.
     """
     if kind not in REPORT_CAPS:
         raise ValueError(f"unknown report kind {kind!r}")
@@ -136,10 +141,7 @@ def convergence_report(kind, n_values, cap=None):
             rows.append(
                 ReportRow(
                     n=n,
-                    exact=_display_value(
-                        float(exact) if exact.bit_length() < 1000 else math.inf,
-                        math.log(exact),
-                    ),
+                    exact=_display_value(_float_or_inf(float, exact), math.log(exact)),
                     predicted=_display_value(
                         predicted_count(n), log_predicted_count(n)
                     ),
@@ -157,6 +159,4 @@ def convergence_report(kind, n_values, cap=None):
             rows.append(
                 ReportRow(n=n, exact=exact, predicted=predicted, ratio=exact / predicted)
             )
-    return ConvergenceReport(
-        kind=kind, tolerance=REPORT_TOLERANCES[kind], rows=tuple(rows)
-    )
+    return tuple(rows)

@@ -207,11 +207,12 @@ def cmd_verify(args):
 def cmd_asympt(args):
     from . import asymptotics
 
-    report = asymptotics.convergence_report(args.kind, args.order, cap=args.cap)
+    rows = asymptotics.convergence_report(args.kind, args.order, cap=args.cap)
+    tolerance = asymptotics.REPORT_TOLERANCES[args.kind]
 
     def text():
-        yield f"kind={report.kind} tolerance={report.tolerance}\n"
-        for row in report.rows:
+        yield f"kind={args.kind} tolerance={tolerance}\n"
+        for row in rows:
             yield (
                 f"n={row.n} exact={row.exact} predicted={row.predicted} "
                 f"ratio={row.ratio:.6f}\n"
@@ -221,13 +222,13 @@ def cmd_asympt(args):
         text=text,
         json=lambda: render.json_text(
             {
-                "kind": report.kind,
-                "tolerance": report.tolerance,
-                "rows": [row._asdict() for row in report.rows],
+                "kind": args.kind,
+                "tolerance": tolerance,
+                "rows": [row._asdict() for row in rows],
             }
         ),
-        header=asymptotics.REPORT_HEADER,
-        rows=report.rows,
+        header=asymptotics.ReportRow._fields,
+        rows=rows,
     )
 
 

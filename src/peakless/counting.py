@@ -24,7 +24,9 @@ cross-check each other and the brute-force oracle:
 * `end_level_stream`: paths ending at level k, h_k = z^k F^{k+1}, as one
   stream h_0, h_1, ... with one product by the kernel root z F per step.
   These satisfy the three-term relation
-  z h_k + (z - z^2 - 1) h_{k-1} + z h_{k-2} = 0.
+  z h_k + (z - z^2 - 1) h_{k-1} + z h_{k-2} = 0, the kernel
+  z u^2 + (z - z^2 - 1) u + z applied to the power chain of u = z F;
+  `verify.check_kernel_identities` holds it to zero.
 * `pretty_cf_stream`: the continued fraction for F cut at depths 1, 2,
   ..., its convergents built forward in one run as quotients of two
   polynomials, each expanded by one series division;
@@ -41,11 +43,6 @@ from itertools import chain, cycle, islice, takewhile
 from operator import eq, mul
 
 from .errors import CROSS_CHECK_LIMIT, check_agreement, check_sizes
-
-# kernel of the end-level recursion: z u^2 + (z - z^2 - 1) u + z
-KERNEL_U2 = (0, 1)
-KERNEL_U1 = (-1, 1, -1)
-KERNEL_U0 = (0, 1)
 
 PEAKLESS_INITIAL = (1, 1, 1, 2)
 
@@ -161,18 +158,6 @@ def end_level_stream(order):
     while True:
         yield h
         h = h * root
-
-
-def kernel_residual(u):
-    """Evaluate z u^2 + (z - z^2 - 1) u + z at a Series u (same order)."""
-    from .series import Series
-
-    n = u.order
-    return (
-        Series(KERNEL_U2, n) * u * u
-        + Series(KERNEL_U1, n) * u
-        + Series(KERNEL_U0, n)
-    )
 
 
 def check_far_end(route, value, n):

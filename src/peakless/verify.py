@@ -20,11 +20,10 @@ five-way agreement one `bounded.bounded_count_table` per column engine
 brute-force count is a prefix sum of it), the determinant check one
 `bounded.strip_family` run (D_{-1}..D_l and the E_0 fixture), the
 end-level and kernel checks one `counting.end_level_stream` walk each
-(h_0..h_2, and h_0..h_6 with F = h_0 and the kernel root z F), and the
-continued-fraction check one `counting.pretty_cf_agreements` call, one
-functional-equation run and one convergent run for all ten depths.  So a
-check's engine work grows linearly in its bound; only the oracle's half
-scans grow like 3^(n/2).
+(h_0..h_2, and h_0..h_6 with F = h_0), and the continued-fraction check
+one `counting.pretty_cf_agreements` call, one functional-equation run and
+one convergent run for all ten depths.  So a check's engine work grows
+linearly in its bound; only the oracle's half scans grow like 3^(n/2).
 
 The sizes of both levels live in `SIZES`: path length and height bound of
 the brute-force comparisons (every height distribution up to that length
@@ -161,9 +160,6 @@ def check_kernel_identities(order):
     q = Series((1, -1, 1), order)
     residual = (f * f).shift(2) - q * f + Series((1,), order)
     _vanishes("functional equation residual", residual)
-    s2 = f.shift(1)  # the kernel root z F
-    _fixtures(("kernel root", s2.coeffs[:4], (0, 1, 1, 1)))
-    _vanishes("kernel residual", counting.kernel_residual(s2))
     qbar = Series((-1, 1, -1), order)
     for k in range(2, 7):
         residual = hk[k].shift(1) + qbar * hk[k - 1] + hk[k - 2].shift(1)

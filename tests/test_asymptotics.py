@@ -53,8 +53,9 @@ def test_predicted_count_monotone_and_log_form():
 
 
 def test_count_ratio_behaviour():
-    r250 = asymptotics.count_ratio(250)
-    r500 = asymptotics.count_ratio(500)
+    values = counting.peakless_recurrence(500)
+    r250 = asymptotics.count_ratio(250, values[250])
+    r500 = asymptotics.count_ratio(500, values[500])
     assert abs(r500 - 1.0) < 5e-3
     assert abs(r500 - 1.0) < abs(r250 - 1.0)
     exact = counting.peakless_recurrence(100)[100]
@@ -74,39 +75,43 @@ def test_avg_height_predictions():
 
 
 def test_count_report():
-    report = asymptotics.convergence_report("count", [100, 500])
-    assert report.kind == "count"
-    assert [row.n for row in report.rows] == [100, 500]
-    ratios = [row.ratio for row in report.rows]
+    rows = asymptotics.convergence_report("count", [100, 500])
+    assert isinstance(rows, tuple)
+    assert [row.n for row in rows] == [100, 500]
+    ratios = [row.ratio for row in rows]
     assert all(0.9 < r < 1.1 for r in ratios)
     assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
-    assert isinstance(report.rows[0].exact, float)
+    assert isinstance(rows[0].exact, float)
 
 
 def test_count_report_renders_huge_values(capsys):
-    report = asymptotics.convergence_report("count", [1200])
-    row = report.rows[0]
-    assert isinstance(row.exact, str) and "e+" in row.exact
-    assert isinstance(row.predicted, str) and "e+" in row.predicted
-    assert 0.9 < row.ratio < 1.1
+    # m(747) and its prediction still fit a double; from n = 748 neither does
+    at_747, at_748, at_1200 = asymptotics.convergence_report("count", [747, 748, 1200])
+    assert isinstance(at_747.exact, float) and isinstance(at_747.predicted, float)
+    for row in (at_748, at_1200):
+        assert isinstance(row.exact, str) and "e+" in row.exact
+        assert isinstance(row.predicted, str) and "e+" in row.predicted
+        assert 0.9 < row.ratio < 1.1
+    # one type per row: exact and predicted switch to strings together
+    for row in asymptotics.convergence_report("count", range(700, 761)):
+        assert type(row.exact) is type(row.predicted), row
     assert main(["asympt", "--kind", "count", "-n", "1200", "--format", "csv"]) == 0
     csv = capsys.readouterr().out
     assert "'" not in csv and '"' not in csv
 
 
 def test_avg_height_report_is_verbatim():
-    report = asymptotics.convergence_report("avg_height", [50, 100])
-    assert report.tolerance == 0.15
-    ratios = [row.ratio for row in report.rows]
+    rows = asymptotics.convergence_report("avg_height", [50, 100])
+    assert asymptotics.REPORT_TOLERANCES["avg_height"] == 0.15
+    ratios = [row.ratio for row in rows]
     assert ratios[0] < ratios[1]  # the ratio climbs with n
     stats = bounded.height_distribution(50)
     want = float(stats.expected_height) / asymptotics.predicted_avg_height(50)
-    assert report.rows[0].ratio == want  # recorded verbatim, no smoothing
+    assert rows[0].ratio == want  # recorded verbatim, no smoothing
 
 
 def test_empty_report():
-    report = asymptotics.convergence_report("count", [])
-    assert report.rows == ()
+    assert asymptotics.convergence_report("count", []) == ()
 
 
 def test_report_caps():
@@ -116,8 +121,8 @@ def test_report_caps():
         asymptotics.convergence_report("avg_height", [501])
     with pytest.raises(ResourceLimitError):
         asymptotics.convergence_report("avg_height", [50], cap=30)
-    report = asymptotics.convergence_report("count", [220], cap=250)
-    assert report.rows[0].n == 220
+    (row,) = asymptotics.convergence_report("count", [220], cap=250)
+    assert row.n == 220
 
 
 def test_report_validation():

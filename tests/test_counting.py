@@ -220,10 +220,12 @@ def test_three_term_end_level_identity():
 
 
 def test_kernel_root():
-    s2 = Series(counting.peakless_series(50), 50).shift(1)  # z F
-    assert s2.coeffs[0] == 0
-    assert s2.coeffs[1:4] == (1, 1, 1)
-    assert counting.kernel_residual(s2).coeffs == (0,) * 51
+    u = Series(counting.peakless_series(50), 50).shift(1)  # z F
+    assert u.coeffs[0] == 0
+    assert u.coeffs[1:4] == (1, 1, 1)
+    # z u^2 + (z - z^2 - 1) u + z
+    kernel = (u * u).shift(1) + Series((-1, 1, -1), 50) * u + Series((0, 1), 50)
+    assert kernel.coeffs == (0,) * 51
 
 
 def _ladder_column(bound, order):

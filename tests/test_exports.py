@@ -5,14 +5,14 @@ import peakless
 
 # the public surface, sorted: an addition or a removal shows in this list
 PUBLIC = """
-    AVG_HEIGHT_CONSTANT ConvergenceReport DOWN EngineDisagreement FLAT HeightStats
+    AVG_HEIGHT_CONSTANT DOWN EngineDisagreement FLAT HeightStats
     MOTZKIN_HEIGHT_CONSTANT OracleLimitError PathConstraints RHO ResourceLimitError
     SINGULAR_AMPLITUDE Series UP automaton_accepts bounded_column_dp
     bounded_count_table bounded_counts_dp bounded_series_det brute_force_count
     check_columns check_counts check_far_end check_height_distribution
     check_oracle_length classification_table convergence_report count_ratio
     end_level_stream enumerate_paths has_peak height height_counts
-    height_distribution is_valid_prefix kernel_residual
+    height_distribution is_valid_prefix
     level_profile log_predicted_count motzkin_numbers oracle_cap
     peakless_closed_form peakless_decimals peakless_recurrence peakless_series
     poly_divide_series poly_mul poly_neg poly_sub poly_trim predicted_avg_height
