@@ -9,8 +9,11 @@ The public names below are the functions that command-line requests run,
 engines and the `check_*` functions that hold each printed number to a
 second route, with their classes, constants and errors; the one exported
 function no request calls is `brute_force_count`, a prefix sum of
-`height_counts` kept for callers that count by `PathConstraints`.  The
-tests hold the list to the calls of the benchmark's pinned requests.
+`height_counts` kept for callers that count by `PathConstraints`, and the
+one exported constant no engine reads is `MOTZKIN_HEIGHT_CONSTANT`
+(1/sqrt(3)), kept because acceptance criterion 10 checks it against an
+independent reference.  The tests hold the list to the calls of the
+benchmark's pinned requests.
 
 They are served lazily (PEP 562): `import peakless`
 loads no submodule, and `peakless.X` or `from peakless import X` imports
@@ -34,11 +37,12 @@ _EXPORTS = {
             motzkin_numbers peakless_closed_form peakless_decimals
             peakless_recurrence peakless_series pretty_cf_agreements
             pretty_cf_stream""",
-        "errors": "EngineDisagreement OracleLimitError ResourceLimitError",
+        "errors": """EngineDisagreement OracleLimitError ResourceLimitError
+            check_oracle_length""",
         "oracle": "brute_force_count classification_table height_counts",
         "paths": """DOWN FLAT UP PathConstraints automaton_accepts
-            check_oracle_length enumerate_paths has_peak height is_valid_prefix
-            level_profile oracle_cap prefix_blocks""",
+            enumerate_paths has_peak height is_valid_prefix level_profile
+            prefix_blocks""",
         "series": "Series poly_divide_series poly_mul poly_neg poly_sub poly_trim",
     }.items()
     for name in names.split()

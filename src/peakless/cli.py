@@ -43,7 +43,6 @@ from types import SimpleNamespace
 from . import render
 from .errors import (
     DEFAULT_ORACLE_CAP,
-    ORACLE_CAP_ENV,
     REPORT_CAPS,
     EngineDisagreement,
     ResourceLimitError,
@@ -286,9 +285,8 @@ COMMANDS = {
         _option("--peakless", action="store_true", help="forbid UD factors"),
         _option("-l", "--bound", type=int, help="height bound"),
         _option("--end-level", type=int, default=0, help="required final level"),
-        _option("--oracle-cap", type=int,
-                help="override the brute-force length cap (default "
-                f"{DEFAULT_ORACLE_CAP} or {ORACLE_CAP_ENV})"),
+        _option("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
+                help="brute-force length cap (default %(default)s)"),
     ]),
     ("verify",): ("run the cross-engine agreement suite", cmd_verify, [
         _option("--level", choices=("quick", "full"), default="quick",

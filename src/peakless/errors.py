@@ -7,20 +7,18 @@ exit 2 in the CLI.  The upper one, `ResourceLimitError.check`, holds a
 size to its budget: a size past the cap is an exhausted budget (exit 3),
 and the cap itself passes the lower gate first, so a negative cap is a
 malformed setting (exit 2).  The default budgets live here too: the
-brute-force length cap (`DEFAULT_ORACLE_CAP`, overridden by the
-`ORACLE_CAP_ENV` variable, read in `paths`) and the largest n of each
-convergence report (`REPORT_CAPS`).  Two routes to one sequence are
-compared by `check_agreement`, the one place that raises
-`EngineDisagreement` (exit 1); the checks of both engine modules,
-`counting` and `bounded`, meet a second engine over the first
+brute-force length cap (`DEFAULT_ORACLE_CAP`, held by
+`check_oracle_length` and overridden only by `enumerate --oracle-cap`)
+and the largest n of each convergence report (`REPORT_CAPS`).  Two
+routes to one sequence are compared by `check_agreement`, the one place
+that raises `EngineDisagreement` (exit 1); the checks of both engine
+modules, `counting` and `bounded`, meet a second engine over the first
 `CROSS_CHECK_LIMIT` + 1 terms of a printed sequence, so neither module
-loads the other to read it.  This module
-imports nothing, so the CLI reads its option defaults without loading an
-engine.
+loads the other to read it.  This module imports nothing, so the CLI
+reads its option defaults without loading an engine.
 """
 
 DEFAULT_ORACLE_CAP = 16
-ORACLE_CAP_ENV = "PEAKLESS_ORACLE_CAP"
 
 # default budget (largest n) for each report kind; see convergence_report
 REPORT_CAPS = {"count": 10_000, "avg_height": 500}
@@ -60,6 +58,12 @@ class ResourceLimitError(RuntimeError):
 
 class OracleLimitError(ResourceLimitError):
     """A brute-force request exceeded the configured sequence-length cap."""
+
+
+def check_oracle_length(n, cap=DEFAULT_ORACLE_CAP):
+    """The budget gate of every brute-force entry point, in `paths` and
+    `oracle`: raise OracleLimitError unless n <= cap."""
+    OracleLimitError.check("brute-force length", [n], cap)
 
 
 class EngineDisagreement(RuntimeError):

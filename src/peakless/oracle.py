@@ -18,9 +18,9 @@ the one a step shorter, and shared by every table that splits off a half
 of that length (the tables n <= 14 read 8 scans, not 30).  Nothing here
 comes from the automaton or the counting engines.
 The tests hold the kernel to a reference loop over one sequence at a
-time.  `classification_table` checks the length against `oracle_cap()`
-(PEAKLESS_ORACLE_CAP or 16) with `paths.check_oracle_length` before it
-reads a cached table or scans, and `height_counts` is the one query.
+time.  `classification_table` checks the length against the cap of 16
+(`errors.check_oracle_length`) before it reads a cached table or scans,
+and `height_counts` is the one query.
 
 Step digit coding, shared with the enumeration order in `paths`:
 0 = flat, 1 = up, 2 = down.
@@ -28,8 +28,8 @@ Step digit coding, shared with the enumeration order in `paths`:
 from collections import Counter
 from functools import cache, lru_cache
 
-from .errors import check_sizes
-from .paths import PathConstraints, check_oracle_length
+from .errors import check_oracle_length, check_sizes
+from .paths import PathConstraints
 
 
 @cache

@@ -28,37 +28,19 @@ block as one string, the prefix joined to every suffix, and
 Both tables are built, and every argument checked, when either is
 called; only the concatenations are lazy.
 Every brute-force entry point, here and in `oracle`, checks the length
-against the cap in one place, `check_oracle_length`, which is the
+against the cap in one place, `errors.check_oracle_length`, which is the
 package's one budget gate `ResourceLimitError.check` raising
 OracleLimitError.
 """
-import os
 from collections import namedtuple
 
-from .errors import DEFAULT_ORACLE_CAP, ORACLE_CAP_ENV, OracleLimitError, check_sizes
+from .errors import DEFAULT_ORACLE_CAP, check_oracle_length, check_sizes
 
 UP = "U"
 DOWN = "D"
 FLAT = "F"
 
 STEP_INCREMENTS = {FLAT: 0, UP: 1, DOWN: -1}
-
-
-def oracle_cap():
-    """Brute-force length cap: PEAKLESS_ORACLE_CAP env var or the default."""
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
-
-
-def check_oracle_length(n, cap=None):
-    """The budget gate for brute force; the cap defaults to `oracle_cap()`."""
-    cap = oracle_cap() if cap is None else cap
-    OracleLimitError.check("brute-force length", [n], cap)
 
 
 class PathConstraints(namedtuple("PathConstraints", "peakless max_height end_level")):
@@ -147,7 +129,7 @@ def automaton_accepts(path):
     return True, level
 
 
-def enumerate_paths(n, constraints=None, cap=None):
+def enumerate_paths(n, constraints=None, cap=DEFAULT_ORACLE_CAP):
     """Every length-n path satisfying the constraints, in lex order.
 
     Paths come in lexicographic order under F < U < D.  Validity (never
@@ -162,7 +144,7 @@ def enumerate_paths(n, constraints=None, cap=None):
     return (prefix + rest for prefix, rests in blocks for rest in rests)
 
 
-def prefix_blocks(n, constraints=None, cap=None):
+def prefix_blocks(n, constraints=None, cap=DEFAULT_ORACLE_CAP):
     """The listing of `enumerate_paths` as blocks of one shared prefix.
 
     A path is a prefix of a = n // 2 steps followed by a suffix of the

@@ -268,7 +268,6 @@ def run_checks(level="quick"):
     it: ResourceLimitError, OracleLimitError among it, propagates.
     """
     checks = checks_for_level(level)
-    paths.check_oracle_length(0)  # a malformed PEAKLESS_ORACLE_CAP exits 2
     results = []
     for name, fn in checks:
         ok, detail = True, ""

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import peakless
-from peakless import asymptotics, bounded, counting, oracle, paths, render, series
+from peakless import asymptotics, bounded, counting, oracle, paths, render, series, verify
 from peakless.cli import COLUMN_METHODS, main, read_argv
 from peakless.paths import PathConstraints, enumerate_paths
 
@@ -517,21 +517,23 @@ def test_enumerate_cap_exit_code(capsys):
     assert code == 3
 
 
-def test_enumerate_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "3")
-    code, _, err = run_cli(capsys, "enumerate", "-n", "4")
-    assert code == 3
-
-
-def test_negative_oracle_cap_is_a_usage_error(capsys, monkeypatch):
-    # a malformed cap exits 2 from either source, never 3 as a resource cap
+def test_negative_oracle_cap_is_a_usage_error(capsys):
+    # a malformed cap exits 2, never 3 as a resource cap
     code, out, err = run_cli(capsys, "enumerate", "-n", "3", "--oracle-cap", "-1")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "nonnegative" in err
-    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "-1")
-    code, out, err = run_cli(capsys, "enumerate", "-n", "3")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "nonnegative" in err
+
+
+def test_the_oracle_cap_reads_no_environment_variable(capsys, monkeypatch):
+    # --oracle-cap is the one setting of the brute-force budget: a
+    # PEAKLESS_ORACLE_CAP in the environment, small or not an integer,
+    # leaves every request and its bytes as they are
+    requests = [("enumerate", "-n", "4"), ("verify", "--format", "json")]
+    usual = [run_cli(capsys, *argv)[:2] for argv in requests]
+    assert [code for code, _ in usual] == [0, 0]
+    for value in ("3", "abc"):
+        monkeypatch.setenv("PEAKLESS_ORACLE_CAP", value)
+        assert [run_cli(capsys, *argv)[:2] for argv in requests] == usual, value
 
 
 def test_verify_quick(capsys):
@@ -563,22 +565,18 @@ def test_verify_failure_lists_machine_readable(capsys, monkeypatch):
     assert any("strip family" in f["detail"] for f in failures)
 
 
+# the quick suite at length 17, one past the brute-force cap
+QUICK_PAST_THE_CAP = (17, 4, 30, 500, None)
+
+
 def test_verify_oracle_cap_exits_3(capsys, monkeypatch):
-    # the five-way check needs the oracle at n = 10; a cap of 5 stops it
-    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "5")
+    # the five-way check asks the oracle for length 17, which the cap stops
+    monkeypatch.setitem(verify.SIZES, "quick", QUICK_PAST_THE_CAP)
     code, out, err = run_cli(capsys, "verify")
-    assert code == 3
-    assert "cap" in err
-    assert out == ""
-
-
-def test_verify_malformed_oracle_cap_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "abc")
-    code, out, err = run_cli(capsys, "verify")
-    assert code == 2
-    assert "error" in err
-    assert "PEAKLESS_ORACLE_CAP" in err
-    assert out == ""
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource cap: brute-force length limited to n <= 16; out of budget: [17]\n"
+    )
 
 
 def test_asympt_text_and_csv(capsys):
@@ -618,22 +616,20 @@ GATE_MESSAGES = {
     [
         ("enumerate -n 20", 3),
         ("enumerate -n 5 --oracle-cap 4", 3),
-        ("PEAKLESS_ORACLE_CAP=5 verify", 3),
+        ("verify", 3),
         ("asympt --kind avg_height -n 501", 3),
         ("asympt --kind count -n 100 --cap 50", 3),
         ("export report -n 30 --cap 10", 3),
         ("enumerate -n 3 --oracle-cap -2", 2),
-        ("PEAKLESS_ORACLE_CAP=-2 enumerate -n 3", 2),
         ("asympt --kind count -n 5 --cap -2", 2),
         ("asympt --kind avg_height -n 5 --cap -2", 2),
     ],
 )
 def test_every_budget_goes_through_one_gate(capsys, monkeypatch, argv, code):
-    # one message form per outcome, whichever route and cap source
-    words = argv.split()
-    if words[0].startswith("PEAKLESS_ORACLE_CAP="):
-        monkeypatch.setenv(*words.pop(0).split("="))
-    got, out, err = run_cli(capsys, *words)
+    # one message form per outcome, whichever route; verify reaches its cap
+    # only at a length past it
+    monkeypatch.setitem(verify.SIZES, "quick", QUICK_PAST_THE_CAP)
+    got, out, err = run_cli(capsys, *argv.split())
     assert (got, out) == (code, "")
     assert err.endswith("\n") and GATE_MESSAGES[code].match(err[:-1]), err
 
@@ -893,7 +889,7 @@ def test_module_entry_point(capsys, monkeypatch):
     proc = run_module("enumerate", "-n", "20")
     assert (proc.returncode, proc.stdout) == (3, "")
     assert re.fullmatch(r"resource cap: [^\n]*\n", proc.stderr), proc.stderr
-    proc = run_module("verify", PEAKLESS_ORACLE_CAP="abc")
+    proc = run_module("count", "-n", "-1")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert re.fullmatch(r"error: [^\n]*\n", proc.stderr), proc.stderr
     # argparse's --help leaves the normal way, with the in-process text
@@ -938,6 +934,11 @@ GOLDEN_STDOUT = [
     ("dist -n 10", "b44dfa179932712b365e3789f84dd3f86c42d2fb42621493b545aeb98143105b"),
     ("dist -n 10 --format csv", "c9105d6b98f0094d723b835eba7de4ffc10eef249f72722ebdba04b1a80178e1"),
     ("dist -n 10 --format json", "6ca0a1ea0e85f68a063e76c1bad001de5209c46124b4a7038703e408cb16418f"),
+    # odd lengths, whose counts come through the middle join's odd form
+    ("dist -n 11", "84d22e9f855327c0964e3e99eaf4d75758d1f159c19475d81e8fdef60f7af7d1"),
+    ("dist -n 11 --format json", "00ab15da7f8ff6abb11e8e5d5362abe7e1ef2d313352075147bffe9c0cd83628"),
+    ("bounded -n 11 -l 3 --table --format csv", "cb0c8bec2808fab8559eeb21b595dc9302b79028798dfb92f90d624f63f12e9b"),
+    ("asympt --kind avg_height -n 15 --format csv", "dd4fa68d4e7f984151bbf5bf13fabcfbf68d92448d630cc977f9f2158faec552"),
     ("enumerate -n 6 --peakless", "df0e022223931c7aa4e09cd723d831cc6ce3cd3c6affef7f43d1a22ff6f99dab"),
     ("enumerate -n 6 --peakless --format json", "67ab013eca7a704394a822698d7daf13e4e06187b1d7691106b36cec3e4c5761"),
     ("enumerate -n 1 --end-level 2", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peakless.cli import build_parser, main, read_argv
-from peakless.errors import ORACLE_CAP_ENV
 
 small = st.integers(min_value=-3, max_value=30)
 
@@ -48,12 +47,10 @@ def parts(*strategies):
 
 
 # the exit-2 lines of `main`: a size below its domain (`errors.check_sizes`),
-# the one relation between sizes, a cap setting that is not an integer and
-# an output that cannot be written
+# the one relation between sizes and an output that cannot be written
 USAGE_ERRORS = re.compile(
     r"error: (.+ must be (nonnegative|at least -?\d+), got -?\d+"
     r"|end level cannot exceed bound"
-    rf"|{ORACLE_CAP_ENV} must be an integer, got .+"
     r"|\[Errno \d+\] .+)\n"
 )
 
@@ -99,31 +96,19 @@ REQUESTS = st.one_of(
 
 
 @settings(deadline=None, max_examples=80)
-@given(
-    argv=REQUESTS,
-    out=st.sampled_from((None, "writable", "unwritable")),
-    cap=st.sampled_from((None, "abc", "-1", "0", "3", "5")),
-)
-def test_every_request_keeps_the_exit_code_contract(argv, out, cap):
-    saved = os.environ.pop(ORACLE_CAP_ENV, None)
-    if cap is not None:
-        os.environ[ORACLE_CAP_ENV] = cap
+@given(argv=REQUESTS, out=st.sampled_from((None, "writable", "unwritable")))
+def test_every_request_keeps_the_exit_code_contract(argv, out):
     stdout, stderr = io.StringIO(), io.StringIO()
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            target = os.path.join(tmp, *(["missing"] if out == "unwritable" else []), "o")
-            args = argv + (["--out", target] if out else [])
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                try:
-                    code = main(args)
-                except SystemExit as exc:  # argparse refused the options
-                    assert exc.code == 2
-                    return
-            written = os.path.exists(target)
-    finally:
-        os.environ.pop(ORACLE_CAP_ENV, None)
-        if saved is not None:
-            os.environ[ORACLE_CAP_ENV] = saved
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, *(["missing"] if out == "unwritable" else []), "o")
+        args = argv + (["--out", target] if out else [])
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(args)
+            except SystemExit as exc:  # argparse refused the options
+                assert exc.code == 2
+                return
+        written = os.path.exists(target)
     err = stderr.getvalue()
     assert code in (0, 2, 3), (args, err)
     if code == 0:

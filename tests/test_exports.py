@@ -13,7 +13,7 @@ PUBLIC = """
     check_oracle_length classification_table convergence_report count_ratio
     end_level_stream enumerate_paths has_peak height height_counts
     height_distribution is_valid_prefix
-    level_profile log_predicted_count motzkin_numbers oracle_cap
+    level_profile log_predicted_count motzkin_numbers
     peakless_closed_form peakless_decimals peakless_recurrence peakless_series
     poly_divide_series poly_mul poly_neg poly_sub poly_trim predicted_avg_height
     predicted_count prefix_blocks pretty_cf_agreements pretty_cf_stream

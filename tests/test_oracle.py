@@ -117,20 +117,11 @@ def test_end_level_beyond_length():
     assert oracle.brute_force_count(2, PathConstraints(end_level=5)) == 0
 
 
-def test_cap_enforced(monkeypatch):
+def test_cap_enforced():
     with pytest.raises(OracleLimitError):
         oracle.brute_force_count(17)
-    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "4")
     with pytest.raises(OracleLimitError):
-        oracle.brute_force_count(5)
-    with pytest.raises(OracleLimitError):
-        oracle.height_counts(5)
-    # a negative cap is a malformed setting, not an exceeded one
-    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "-1")
-    with pytest.raises(ValueError, match="nonnegative"):
-        oracle.brute_force_count(3)
-    with pytest.raises(ValueError, match="nonnegative"):
-        oracle.height_counts(3)
+        oracle.height_counts(17)
 
 
 def test_classification_table_is_read_only():
@@ -142,15 +133,14 @@ def test_classification_table_is_read_only():
         table[1][0][0] = 0
 
 
-def test_classification_table_checks_the_cap_before_any_scan(monkeypatch):
-    # the gate holds for a table already cached under a larger cap, and a
-    # table past the cap reads no half scan
-    oracle.classification_table(6)
-    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "5")
+def test_classification_table_checks_the_cap_before_any_scan():
+    # the gate holds for a table already cached past the cap, and a table
+    # past the cap reads no half scan
+    oracle._classify_halves(17)
     with pytest.raises(OracleLimitError):
-        oracle.classification_table(6)
+        oracle.classification_table(17)
     oracle._classify_halves.cache_clear()  # so an ungated table would scan
     scans = oracle._half_scan.cache_info()
     with pytest.raises(OracleLimitError):
-        oracle.classification_table(6)
+        oracle.classification_table(17)
     assert oracle._half_scan.cache_info() == scans

@@ -182,14 +182,6 @@ def test_budget_gate_boundary():
         ResourceLimitError.check("report", [], -1)
 
 
-def test_oracle_cap_env(monkeypatch):
-    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "4")
-    with pytest.raises(OracleLimitError):
-        list(enumerate_paths(5))
-    monkeypatch.setenv("PEAKLESS_ORACLE_CAP", "5")
-    assert len(list(enumerate_paths(5))) == 21
-
-
 def test_constraint_validation():
     with pytest.raises(ValueError):
         PathConstraints(end_level=-1)
